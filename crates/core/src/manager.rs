@@ -61,6 +61,35 @@ struct MigrationWatch {
     next_retry: u64,
 }
 
+/// `snap.tasks` bucketed by core in one pass, ascending by id within each
+/// core (the order `SystemSnapshot::tasks_on` yields), so building the LBT
+/// view costs O(tasks) instead of O(cores × tasks).
+struct TasksByCore<'a> {
+    /// Tasks sorted by core; stable, so ids stay ascending per core.
+    tasks: Vec<&'a TaskSnap>,
+    /// `tasks[start[c]..start[c + 1]]` are the tasks on core `c`.
+    start: Vec<usize>,
+}
+
+impl<'a> TasksByCore<'a> {
+    fn new(snap: &'a SystemSnapshot) -> TasksByCore<'a> {
+        let mut tasks: Vec<&TaskSnap> = snap.tasks.iter().collect();
+        tasks.sort_by_key(|t| t.core.0);
+        let mut start = vec![0; snap.cores.len() + 1];
+        for t in &tasks {
+            start[t.core.0 + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        TasksByCore { tasks, start }
+    }
+
+    fn on(&self, core: CoreId) -> &[&'a TaskSnap] {
+        &self.tasks[self.start[core.0]..self.start[core.0 + 1]]
+    }
+}
+
 /// Price-theory power manager (PPM).
 #[derive(Debug)]
 pub struct PpmManager {
@@ -543,19 +572,24 @@ impl PpmManager {
 
     /// Build the LBT snapshot from the executor snapshot and market state.
     fn lbt_snapshot(&self, snap: &SystemSnapshot) -> LbtSnapshot {
+        let by_core = TasksByCore::new(snap);
         let clusters = snap
             .clusters
             .iter()
             .map(|cl| {
                 // Constrained-core price from the last round; fall back to a
                 // minimum-bid-implied price.
-                let price = self.cluster_price(snap, cl.id);
+                let price = self.cluster_price(snap, &by_core, cl.id);
                 let cores = cl
                     .cores
                     .iter()
                     .map(|&core| CoreSnapshot {
                         id: core,
-                        tasks: snap.tasks_on(core).map(|t| self.task_snapshot(t)).collect(),
+                        tasks: by_core
+                            .on(core)
+                            .iter()
+                            .map(|t| self.task_snapshot(t))
+                            .collect(),
                     })
                     .collect();
                 ClusterSnapshot {
@@ -596,7 +630,12 @@ impl PpmManager {
     }
 
     /// Price of the constrained core of `cluster` from the last decision.
-    fn cluster_price(&self, snap: &SystemSnapshot, cluster: ClusterId) -> Price {
+    fn cluster_price(
+        &self,
+        snap: &SystemSnapshot,
+        by_core: &TasksByCore<'_>,
+        cluster: ClusterId,
+    ) -> Price {
         let Some(decision) = &self.last_decision else {
             return Price::ZERO;
         };
@@ -605,8 +644,9 @@ impl PpmManager {
         // lookups are binary searches.
         let mut best: Option<(ProcessingUnits, CoreId)> = None;
         for &core in &snap.cluster(cluster).cores {
-            let d: ProcessingUnits = snap
-                .tasks_on(core)
+            let d: ProcessingUnits = by_core
+                .on(core)
+                .iter()
                 .map(|t| {
                     decision
                         .tasks

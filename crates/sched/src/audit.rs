@@ -192,6 +192,17 @@ impl Auditor {
         self.quanta += 1;
     }
 
+    /// Re-tag the violations from index `from` on, and anything reported
+    /// later in the current quantum, with `digest`. The driver opens
+    /// untaped quanta with a placeholder digest and computes the real one
+    /// only when the quantum reported something.
+    pub(crate) fn retag_since(&mut self, from: usize, digest: u64) {
+        self.digest = digest;
+        for v in &mut self.violations[from..] {
+            v.snapshot_digest = digest;
+        }
+    }
+
     /// Check all system-level invariants against the post-step state.
     pub fn check_system(&mut self, sys: &System) {
         self.check_allocation_and_affinity(sys);
@@ -421,6 +432,42 @@ mod tests {
             "{}",
             aud.render()
         );
+    }
+
+    /// Queues a (no-op) nice update every quantum, so a taped run records
+    /// every quantum and computes its digest eagerly.
+    struct NiceEveryQuantum;
+
+    impl crate::executor::PowerManager for NiceEveryQuantum {
+        fn name(&self) -> &'static str {
+            "nice-every-quantum"
+        }
+
+        fn plan(
+            &mut self,
+            _snap: &crate::snapshot::SystemSnapshot,
+            _dt: SimDuration,
+            plan: &mut crate::plan::ActuationPlan,
+        ) {
+            plan.set_nice(TaskId(1), crate::nice::Nice::new(0));
+        }
+    }
+
+    #[test]
+    fn lazy_violation_digests_match_eager_ones() {
+        let run = |taped: bool| {
+            let mut sys = busy_system();
+            sys.set_affinity(TaskId(0), crate::affinity::CpuMask::only(CoreId(1)));
+            let sim = Simulation::new(sys, NiceEveryQuantum).with_auditor();
+            let mut sim = if taped { sim.with_tape() } else { sim };
+            sim.run_for(SimDuration::from_millis(5));
+            let aud = sim.auditor().expect("auditor attached");
+            assert!(aud.violations().iter().all(|v| v.snapshot_digest != 0));
+            aud.render()
+        };
+        let eager = run(true);
+        assert!(eager.contains("affinity"), "{eager}");
+        assert_eq!(eager, run(false));
     }
 
     #[test]

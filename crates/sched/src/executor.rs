@@ -1076,11 +1076,13 @@ impl<M: PowerManager> Simulation<M> {
                 &mut mark,
                 Phase::Plan,
             );
-            let need_digest =
-                self.auditor.is_some() || (self.tape.is_some() && !self.plan.is_empty());
-            let digest = if need_digest { self.snap.digest() } else { 0 };
+            // The snapshot digest is needed eagerly only for a tape record;
+            // the auditor tags violations with it, so a clean audited
+            // quantum never pays for it (see the retag below).
+            let taped = self.tape.is_some() && !self.plan.is_empty();
+            let digest = if taped { self.snap.digest() } else { 0 };
             if let Some(tape) = &mut self.tape {
-                if !self.plan.is_empty() {
+                if taped {
                     tape.record(self.snap.now, digest, self.plan.ops());
                 }
             }
@@ -1135,14 +1137,20 @@ impl<M: PowerManager> Simulation<M> {
                 Phase::Step,
             );
             if let Some(aud) = &mut self.auditor {
+                let first_new = aud.violations().len();
                 aud.begin_quantum(self.snap.now, digest);
                 aud.check_system(&self.system);
                 if let Some(tape) = &self.tape {
-                    if !self.plan.is_empty() {
+                    if taped {
                         aud.check_tape(tape);
                     }
                 }
                 self.manager.audit(&self.snap, aud);
+                // Untaped quanta opened with a placeholder digest: hash the
+                // (unchanged) snapshot only when something was reported.
+                if !taped && aud.violations().len() > first_new {
+                    aud.retag_since(first_new, self.snap.digest());
+                }
                 lap(
                     self.telemetry.as_mut().map(|t| &mut t.profiler),
                     &mut mark,
@@ -1258,6 +1266,17 @@ fn record_telemetry_row(
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl System {
+    /// Flip the sign bits of a task's share and grant in place: a state no
+    /// public setter reaches, used to probe the snapshot's change digests.
+    pub(crate) fn flip_share_and_grant_signs(&mut self, id: TaskId) {
+        let e = &mut self.entries[id.0];
+        e.share = ProcessingUnits(-e.share.0);
+        e.granted = ProcessingUnits(-e.granted.0);
     }
 }
 

@@ -49,6 +49,11 @@ pub enum Action {
 #[derive(Debug, Default)]
 pub struct ActuationPlan {
     ops: Vec<Action>,
+    /// The placement/gating subset of `ops` (`Migrate`, `PowerOn`,
+    /// `PowerOff`), in queue order. The placement overlays scan only this,
+    /// so their cost does not grow with the per-task `SetShare`s a market
+    /// round queues.
+    placement: Vec<Action>,
 }
 
 impl ActuationPlan {
@@ -60,6 +65,7 @@ impl ActuationPlan {
     /// Drop all queued actions (the executor does this between quanta).
     pub fn clear(&mut self) {
         self.ops.clear();
+        self.placement.clear();
     }
 
     /// The queued actions, in application order.
@@ -74,6 +80,12 @@ impl ActuationPlan {
 
     /// Queue an arbitrary action.
     pub fn push(&mut self, action: Action) {
+        if matches!(
+            action,
+            Action::Migrate(..) | Action::PowerOn(_) | Action::PowerOff(_)
+        ) {
+            self.placement.push(action);
+        }
         self.ops.push(action);
     }
 
@@ -94,17 +106,17 @@ impl ActuationPlan {
 
     /// Queue a migration.
     pub fn migrate(&mut self, task: TaskId, core: CoreId) {
-        self.ops.push(Action::Migrate(task, core));
+        self.push(Action::Migrate(task, core));
     }
 
     /// Queue a cluster power-up.
     pub fn power_on(&mut self, cluster: ClusterId) {
-        self.ops.push(Action::PowerOn(cluster));
+        self.push(Action::PowerOn(cluster));
     }
 
     /// Queue a cluster power-down.
     pub fn power_off(&mut self, cluster: ClusterId) {
-        self.ops.push(Action::PowerOff(cluster));
+        self.push(Action::PowerOff(cluster));
     }
 
     // --- Overlay queries: snapshot state + queued-but-unapplied actions ---
@@ -112,14 +124,21 @@ impl ActuationPlan {
     /// The core `task` would occupy after this plan (last queued migration
     /// wins; otherwise the snapshot placement).
     pub fn core_of(&self, snap: &SystemSnapshot, task: TaskId) -> CoreId {
-        self.ops
-            .iter()
-            .rev()
-            .find_map(|op| match *op {
-                Action::Migrate(t, core) if t == task => Some(core),
-                _ => None,
-            })
+        self.queued_core(task)
             .unwrap_or_else(|| snap.task(task).expect("task in snapshot").core)
+    }
+
+    /// The last queued migration target of `task`, if any.
+    fn queued_core(&self, task: TaskId) -> Option<CoreId> {
+        self.placement.iter().rev().find_map(|op| match *op {
+            Action::Migrate(t, core) if t == task => Some(core),
+            _ => None,
+        })
+    }
+
+    /// [`Self::core_of`] for a task already in hand (no snapshot lookup).
+    fn placed_core(&self, t: &TaskSnap) -> CoreId {
+        self.queued_core(t.id).unwrap_or(t.core)
     }
 
     /// The share `task` would have after this plan.
@@ -136,7 +155,7 @@ impl ActuationPlan {
 
     /// Whether `cluster` would be gated after this plan.
     pub fn cluster_off(&self, snap: &SystemSnapshot, cluster: ClusterId) -> bool {
-        self.ops
+        self.placement
             .iter()
             .rev()
             .find_map(|op| match *op {
@@ -155,7 +174,7 @@ impl ActuationPlan {
     ) -> impl Iterator<Item = &'a TaskSnap> + 'a {
         snap.tasks
             .iter()
-            .filter(move |t| self.core_of(snap, t.id) == core)
+            .filter(move |t| self.placed_core(t) == core)
     }
 
     /// Number of tasks that would reside on `core` after this plan.
@@ -167,7 +186,7 @@ impl ActuationPlan {
     pub fn cluster_has_tasks(&self, snap: &SystemSnapshot, cluster: ClusterId) -> bool {
         snap.tasks
             .iter()
-            .any(|t| snap.core(self.core_of(snap, t.id)).cluster == cluster)
+            .any(|t| snap.core(self.placed_core(t)).cluster == cluster)
     }
 }
 
@@ -294,6 +313,135 @@ mod tests {
         plan.migrate(TaskId(1), CoreId(4));
         assert!(!plan.cluster_has_tasks(&snap, ClusterId(0)));
         assert!(plan.cluster_has_tasks(&snap, big));
+    }
+
+    /// Five tasks spread over all five TC2 cores, distinct shares, big
+    /// cluster gated: every overlay starts from a non-trivial snapshot.
+    fn spread_snap() -> SystemSnapshot {
+        let mut sys = System::new(Chip::tc2(), AllocationPolicy::Market);
+        for i in 0..5 {
+            sys.add_task(
+                Task::new(
+                    TaskId(i),
+                    BenchmarkSpec::of(Benchmark::Swaptions, Input::Large).expect("variant"),
+                    Priority(1),
+                ),
+                CoreId(i),
+            );
+            sys.set_share(TaskId(i), ProcessingUnits(40.0 * i as f64));
+        }
+        sys.power_off(ClusterId(1));
+        let mut s = SystemSnapshot::new();
+        s.capture(&sys);
+        s
+    }
+
+    /// `(kind, task, core, cluster, value, via_push)` → one plan step. Kinds
+    /// 0–5 are the six `Action`s; 6 clears the plan mid-sequence.
+    type Step = (u8, usize, usize, usize, f64, bool);
+
+    fn action_of(&(kind, task, core, cluster, value, _): &Step) -> Option<Action> {
+        let (t, c, cl) = (TaskId(task), CoreId(core), ClusterId(cluster));
+        match kind {
+            0 => Some(Action::SetShare(t, ProcessingUnits(value))),
+            1 => Some(Action::SetNice(t, Nice::new((value as i64 % 20) as i8))),
+            2 => Some(Action::RequestLevel(cl, VfLevel(core))),
+            3 => Some(Action::Migrate(t, c)),
+            4 => Some(Action::PowerOn(cl)),
+            5 => Some(Action::PowerOff(cl)),
+            _ => None,
+        }
+    }
+
+    fn apply_step(plan: &mut ActuationPlan, step: &Step) {
+        let Some(action) = action_of(step) else {
+            plan.clear();
+            return;
+        };
+        if step.5 {
+            plan.push(action);
+            return;
+        }
+        match action {
+            Action::SetShare(t, s) => plan.set_share(t, s),
+            Action::SetNice(t, n) => plan.set_nice(t, n),
+            Action::RequestLevel(c, l) => plan.request_level(c, l),
+            Action::Migrate(t, c) => plan.migrate(t, c),
+            Action::PowerOn(c) => plan.power_on(c),
+            Action::PowerOff(c) => plan.power_off(c),
+        }
+    }
+
+    /// Brute-force overlays: the last matching op over the whole op list.
+    fn ref_core_of(ops: &[Action], snap: &SystemSnapshot, task: TaskId) -> CoreId {
+        ops.iter()
+            .rev()
+            .find_map(|op| match *op {
+                Action::Migrate(t, c) if t == task => Some(c),
+                _ => None,
+            })
+            .unwrap_or_else(|| snap.task(task).expect("task").core)
+    }
+
+    fn ref_share_of(ops: &[Action], snap: &SystemSnapshot, task: TaskId) -> ProcessingUnits {
+        ops.iter()
+            .rev()
+            .find_map(|op| match *op {
+                Action::SetShare(t, s) if t == task => Some(s.max(ProcessingUnits::ZERO)),
+                _ => None,
+            })
+            .unwrap_or_else(|| snap.task(task).expect("task").share)
+    }
+
+    fn ref_cluster_off(ops: &[Action], snap: &SystemSnapshot, cluster: ClusterId) -> bool {
+        ops.iter()
+            .rev()
+            .find_map(|op| match *op {
+                Action::PowerOn(c) if c == cluster => Some(false),
+                Action::PowerOff(c) if c == cluster => Some(true),
+                _ => None,
+            })
+            .unwrap_or_else(|| snap.cluster(cluster).off)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn overlays_match_a_full_op_scan(
+            steps in proptest::collection::vec(
+                (0u8..7, 0usize..5, 0usize..5, 0usize..2, -50.0f64..400.0, proptest::bool::ANY),
+                0..40,
+            ),
+        ) {
+            let snap = spread_snap();
+            let mut plan = ActuationPlan::new();
+            for step in &steps {
+                apply_step(&mut plan, step);
+            }
+            let ops = plan.ops();
+            for t in &snap.tasks {
+                proptest::prop_assert_eq!(plan.core_of(&snap, t.id), ref_core_of(ops, &snap, t.id));
+                proptest::prop_assert_eq!(plan.share_of(&snap, t.id), ref_share_of(ops, &snap, t.id));
+            }
+            for c in &snap.cores {
+                let fast: Vec<TaskId> = plan.tasks_on(&snap, c.id).map(|t| t.id).collect();
+                let slow: Vec<TaskId> = snap
+                    .tasks
+                    .iter()
+                    .filter(|t| ref_core_of(ops, &snap, t.id) == c.id)
+                    .map(|t| t.id)
+                    .collect();
+                proptest::prop_assert_eq!(plan.tasks_on_count(&snap, c.id), slow.len());
+                proptest::prop_assert_eq!(fast, slow);
+            }
+            for cl in &snap.clusters {
+                proptest::prop_assert_eq!(plan.cluster_off(&snap, cl.id), ref_cluster_off(ops, &snap, cl.id));
+                let has = snap
+                    .tasks
+                    .iter()
+                    .any(|t| snap.core(ref_core_of(ops, &snap, t.id)).cluster == cl.id);
+                proptest::prop_assert_eq!(plan.cluster_has_tasks(&snap, cl.id), has);
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl ClusterSnap {
 
 /// Per-section "what changed since the previous capture" mask.
 ///
-/// Derived from per-section FNV-1a sub-digests compared across consecutive
+/// Derived from per-section word-wise sub-digests compared across consecutive
 /// [`SystemSnapshot::capture`] calls. Capture time (`now`) is deliberately
 /// excluded — it advances every quantum and carries no decision input.
 ///
@@ -410,13 +410,14 @@ impl SystemSnapshot {
         self.dynamic_refreshes
     }
 
-    // Per-section FNV-1a sub-digests: chip scalars, tasks, cores, clusters.
-    // `now` is excluded (see [`ChangeMask`]); otherwise these cover the same
-    // fields as [`SystemSnapshot::digest`], which stays untouched so tape
-    // digests are unaffected.
+    // Per-section sub-digests: chip scalars, tasks, cores, clusters. `now`
+    // is excluded (see [`ChangeMask`]); otherwise these cover the same
+    // fields as [`SystemSnapshot::digest`]. They hash a word at a time
+    // ([`WordHash`]); `digest` stays byte-wise FNV-1a so tape digests are
+    // unaffected.
 
     fn chip_digest(&self) -> u64 {
-        let mut chip = Fnv::new();
+        let mut chip = WordHash::new();
         chip.f64(self.chip_power.value());
         match self.hottest {
             Some(c) => {
@@ -431,7 +432,7 @@ impl SystemSnapshot {
     /// Chip-scalar digest streamed straight from the live system —
     /// [`Self::chip_digest`] is its snapshot-side twin.
     fn live_chip_digest(sys: &System) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         h.f64(sys.chip_power().value());
         match sys.thermal().map(|t| t.hottest()) {
             Some(c) => {
@@ -447,7 +448,7 @@ impl SystemSnapshot {
     /// [`Self::cores_digest`] is its snapshot-side twin.
     fn live_cores_digest(sys: &System) -> u64 {
         let chip = sys.chip();
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         h.u64(chip.cores().len() as u64);
         for d in chip.cores() {
             h.f64(sys.core_utilization(d.id()));
@@ -460,7 +461,7 @@ impl SystemSnapshot {
     /// [`Self::clusters_digest`] is its snapshot-side twin.
     fn live_clusters_digest(sys: &System) -> u64 {
         let chip = sys.chip();
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         h.u64(chip.clusters().len() as u64);
         for cl in chip.clusters() {
             h.u64(cl.level().0 as u64);
@@ -478,7 +479,7 @@ impl SystemSnapshot {
     /// `capture` debug-asserts the two stay in lockstep.
     fn live_tasks_digest(sys: &System) -> u64 {
         let chip = sys.chip();
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         // Length prefix counts *active* tasks (`task_count` also counts
         // removed ids, which stay allocated).
         h.u64(sys.task_iter().count() as u64);
@@ -519,7 +520,7 @@ impl SystemSnapshot {
     }
 
     fn tasks_section_digest(tasks: &[TaskSnap]) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         h.u64(tasks.len() as u64);
         for t in tasks {
             h.u64(t.id.0 as u64);
@@ -553,7 +554,7 @@ impl SystemSnapshot {
     }
 
     fn cores_digest(&self) -> u64 {
-        let mut cores = Fnv::new();
+        let mut cores = WordHash::new();
         cores.u64(self.cores.len() as u64);
         for c in &self.cores {
             cores.f64(c.utilization);
@@ -563,7 +564,7 @@ impl SystemSnapshot {
     }
 
     fn clusters_digest(&self) -> u64 {
-        let mut clusters = Fnv::new();
+        let mut clusters = WordHash::new();
         clusters.u64(self.clusters.len() as u64);
         for cl in &self.clusters {
             clusters.u64(cl.level as u64);
@@ -662,7 +663,8 @@ impl SystemSnapshot {
     }
 }
 
-/// Minimal FNV-1a, enough for stable tape digests.
+/// Minimal FNV-1a, enough for stable tape digests. Byte-wise and frozen:
+/// every committed golden tape carries digests computed with it.
 struct Fnv(u64);
 
 impl Fnv {
@@ -675,6 +677,32 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Word-at-a-time hash for the change-detection sub-digests: one multiply
+/// per field where byte-wise FNV-1a spends eight dependent ones. The
+/// xor-shift after each multiply folds the high half back down; without it
+/// (bare `h ^= w; h *= prime`) a difference confined to bit 63 stays in
+/// bit 63 forever, so two sign flips would cancel.
+struct WordHash(u64);
+
+impl WordHash {
+    fn new() -> WordHash {
+        WordHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 ^= self.0 >> 32;
     }
 
     fn f64(&mut self, v: f64) {
@@ -773,6 +801,38 @@ mod tests {
         sys.set_share(TaskId(0), ProcessingUnits(1.0));
         b.capture(&sys);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn tape_digest_stays_bytewise_fnv() {
+        // Every committed golden tape carries `digest()` values; pin one so
+        // a change to the tape hash cannot hide behind regenerated goldens.
+        let mut sys = sys_with_tasks(3);
+        sys.set_share(TaskId(1), ProcessingUnits(99.0));
+        sys.power_off(ClusterId(1));
+        let mut snap = SystemSnapshot::new();
+        snap.capture(&sys);
+        assert_eq!(snap.digest(), 0x80a6_fb19_5579_fd5b);
+    }
+
+    #[test]
+    fn task_section_digest_sees_two_sign_flips() {
+        let mut sys = sys_with_tasks(2);
+        sys.set_share(TaskId(0), ProcessingUnits(120.0));
+        let mut snap = SystemSnapshot::new();
+        snap.capture(&sys);
+        snap.capture(&sys);
+        assert!(!snap.changed.tasks);
+        // Share and grant are hashed back to back and now differ only in
+        // bit 63. Bare word-wise FNV keeps a bit-63 difference in bit 63,
+        // so the second flip would cancel the first.
+        sys.flip_share_and_grant_signs(TaskId(0));
+        snap.capture(&sys);
+        assert!(snap.changed.tasks, "two sign flips must dirty the tasks");
+        assert_eq!(
+            snap.task(TaskId(0)).expect("t0").share,
+            ProcessingUnits(-120.0)
+        );
     }
 
     #[test]

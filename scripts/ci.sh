@@ -20,6 +20,9 @@ cargo test -q
 echo ">>> cargo test -q --release"
 cargo test -q --release
 
+echo ">>> benchmark package tests (workload smokes + digest self-checks)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo ">>> fault sweep (pinned seed 165: auditor must stay clean)"
 PPM_FAULT_SEED=165 cargo test -q --release --test fault_injection
 cargo run --release --quiet -p ppm --bin ppm-sim -- \

@@ -328,6 +328,80 @@ fn steady_state_executor_quantum_does_not_allocate() {
     assert!(sim.metrics().vf_transitions > 0);
 }
 
+/// [`TogglingManager`] plus one migration per quantum between the first two
+/// LITTLE cores, read back through the plan's placement overlays, so the
+/// plan's placement index is filled, queried and cleared every quantum.
+struct ShufflingManager {
+    inner: TogglingManager,
+}
+
+impl ppm::sched::PowerManager for ShufflingManager {
+    fn name(&self) -> &'static str {
+        "shuffling"
+    }
+
+    fn plan(
+        &mut self,
+        snap: &ppm::sched::SystemSnapshot,
+        dt: SimDuration,
+        plan: &mut ppm::sched::ActuationPlan,
+    ) {
+        self.inner.plan(snap, dt, plan);
+        let to = if plan.core_of(snap, TaskId(0)) == CoreId(0) {
+            CoreId(1)
+        } else {
+            CoreId(0)
+        };
+        plan.migrate(TaskId(0), to);
+        assert_eq!(plan.core_of(snap, TaskId(0)), to);
+        assert!(plan.cluster_has_tasks(snap, ClusterId(0)));
+        assert!(!plan.cluster_off(snap, ClusterId(0)));
+    }
+}
+
+/// An attached auditor on a clean run stays off the allocator too: every
+/// invariant check runs on retained scratch, and the snapshot digest that
+/// tags violations is computed only when one fires (never, here).
+#[test]
+fn steady_state_audited_quantum_does_not_allocate() {
+    use ppm::platform::chip::Chip;
+    use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
+    use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
+    use ppm::workload::task::{Priority, Task};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sys = SimSystem::new(Chip::tc2(), AllocationPolicy::Market);
+    for i in 0..4 {
+        sys.add_task(
+            Task::new(
+                TaskId(i),
+                BenchmarkSpec::of(Benchmark::Swaptions, Input::Large).expect("variant"),
+                Priority(1),
+            ),
+            CoreId(i % 5),
+        );
+    }
+    let mut sim = Simulation::new(
+        sys,
+        ShufflingManager {
+            inner: TogglingManager { flip: false },
+        },
+    )
+    .with_auditor();
+    sim.run_for(SimDuration::from_secs(2));
+
+    assert_no_alloc("audited steady-state quanta", || {
+        sim.run_for(SimDuration::from_secs(1));
+    });
+    let aud = sim.auditor().expect("auditor attached");
+    assert!(aud.is_clean(), "{}", aud.render());
+    assert!(aud.quanta_audited() >= 3000, "every quantum audited");
+    assert!(
+        sim.metrics().migrations_intra >= 3000,
+        "every quantum migrated"
+    );
+}
+
 /// Telemetry attached (recorder + phase profiling): all allocation happens
 /// at setup. The ring capacity (512) is far below the quanta executed, so
 /// the buffer wraps both during warm-up and during the measured block —
