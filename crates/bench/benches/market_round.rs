@@ -72,8 +72,7 @@ fn bench_round(cr: &mut Criterion) {
 }
 
 /// The zero-allocation entry point over the paper's §5.5 grid, up to 256
-/// clusters — the numbers recorded in BENCH_market.json come from the same
-/// loop (see `src/bin/bench_market.rs`).
+/// clusters.
 fn bench_round_into(cr: &mut Criterion) {
     let mut group = cr.benchmark_group("supply_demand/round_into");
     for (clusters, cores, tasks) in [

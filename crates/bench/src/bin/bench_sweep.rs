@@ -1,7 +1,6 @@
 //! Wall-clock cost of the 27-run comparative grid (9 Table 6 sets × 3
-//! schemes), serial vs parallel, and a JSON record (`BENCH_sweep.json`) in
-//! the same shape as `BENCH_market.json` so future changes have a perf
-//! trajectory to compare against. The parallel pass must reproduce the
+//! schemes), serial vs parallel, and a JSON record (`BENCH_sweep.json`) so
+//! future changes have a perf trajectory to compare against. The parallel pass must reproduce the
 //! serial summaries bit-for-bit; any divergence aborts the bench.
 //!
 //! Run with `cargo run --release -p ppm-bench --bin bench_sweep

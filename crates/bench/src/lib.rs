@@ -163,10 +163,6 @@ pub struct Harness {
     /// Evaluate the default burn-rate alert rules over the rollups
     /// (implies `aggregate`).
     pub alerts: bool,
-    /// Threads the PPM market fans out over (`0` keeps the config default,
-    /// i.e. serial; `n > 1` attaches a persistent pool of `n − 1` workers —
-    /// DESIGN.md §13). Ignored by the non-market schemes.
-    pub market_workers: usize,
     /// Drive the run through a one-chip [`ppm_fleet::Fleet`] (no exchange)
     /// instead of calling `Simulation::run_for` directly. Must be
     /// byte-identical to the direct run — the fleet golden tests replay
@@ -236,13 +232,10 @@ pub fn run_workload_hardened(
     let (metrics, tape, violations, audit_report, fault_stats, telemetry, open_loop) = match scheme
     {
         Scheme::Ppm => {
-            let mut config = match tdp {
+            let config = match tdp {
                 Some(t) => PpmConfig::tc2_with_tdp(t),
                 None => PpmConfig::tc2(),
             };
-            if harness.market_workers > 0 {
-                config = config.with_market_workers(harness.market_workers);
-            }
             run(sys, PpmManager::new(config), duration, &harness)
         }
         Scheme::Hpm => {

@@ -59,13 +59,6 @@ pub struct PpmConfig {
     /// temperature; this closes the loop against the RC thermal model
     /// (an extension beyond the paper — see DESIGN.md).
     pub thermal_limit: Option<(Celsius, Celsius)>,
-    /// Threads the market's bidding round fans out over (DESIGN.md §13).
-    /// `1` (the default) keeps the round fully serial with no pool; `n > 1`
-    /// spawns a persistent pool of `n - 1` workers and shards the
-    /// post-placement stages per cluster range, with a deterministic
-    /// slot-order merge that keeps decisions bit-identical to the serial
-    /// path. Values above the host core count only add contention.
-    pub market_workers: usize,
 }
 
 impl PpmConfig {
@@ -86,7 +79,6 @@ impl PpmConfig {
             online_estimation: false,
             actuate_via_nice: false,
             thermal_limit: None,
-            market_workers: 1,
         }
     }
 
@@ -128,12 +120,6 @@ impl PpmConfig {
     /// (requires a thermal model attached to the system).
     pub fn with_thermal_limit(mut self, threshold: Celsius, critical: Celsius) -> PpmConfig {
         self.thermal_limit = Some((threshold, critical));
-        self
-    }
-
-    /// Fan the market round out over `workers` threads (1 = serial).
-    pub fn with_market_workers(mut self, workers: usize) -> PpmConfig {
-        self.market_workers = workers;
         self
     }
 
@@ -199,9 +185,6 @@ impl PpmConfig {
                 return Err(ConfigError("thermal threshold must be below critical"));
             }
         }
-        if self.market_workers == 0 || self.market_workers > 64 {
-            return Err(ConfigError("market_workers must lie in [1, 64]"));
-        }
         Ok(())
     }
 }
@@ -263,19 +246,6 @@ mod tests {
     #[test]
     fn without_lbt_disables_module() {
         assert!(!PpmConfig::tc2().without_lbt().lbt_enabled);
-    }
-
-    #[test]
-    fn market_workers_default_and_bounds() {
-        let c = PpmConfig::tc2();
-        assert_eq!(c.market_workers, 1, "serial by default");
-        assert_eq!(c.clone().with_market_workers(4).market_workers, 4);
-        let mut bad = c.clone();
-        bad.market_workers = 0;
-        assert!(bad.validate().is_err());
-        bad.market_workers = 65;
-        assert!(bad.validate().is_err());
-        assert!(c.with_market_workers(64).validate().is_ok());
     }
 
     #[test]

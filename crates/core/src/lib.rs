@@ -48,7 +48,6 @@ pub mod events;
 pub mod lbt;
 pub mod manager;
 pub mod market;
-pub mod pool;
 pub mod state;
 
 pub use crate::config::{ConfigError, PpmConfig};
@@ -56,5 +55,4 @@ pub use crate::events::{Event, EventLog, LoggedEvent};
 pub use crate::lbt::{decide_load_balance, decide_migration, LbtSnapshot, Move, MoveGoal};
 pub use crate::manager::{place_on_little, tc2_ppm_system, PpmManager};
 pub use crate::market::{Market, MarketDecision, MarketObs, VfStep};
-pub use crate::pool::WorkerPool;
 pub use crate::state::PowerState;

@@ -35,7 +35,6 @@ use crate::lbt::{
     LbtSnapshot, Move, TaskSnapshot,
 };
 use crate::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs, VfStep};
-use crate::pool::WorkerPool;
 use crate::state::PowerState;
 
 /// An outstanding DVFS request being tracked until the regulator confirms
@@ -138,12 +137,6 @@ pub struct PpmManager {
     audit_prev_allowance: Option<Money>,
     /// Last market round the auditor has seen.
     audited_round: u64,
-    /// Consecutive *derived* audits (not replay-skipped ones) that raised
-    /// no violations, saturating at 2 — the precondition for reusing the
-    /// money books on a fast-path round. Two are required because a lag-2
-    /// market replay duplicates the checks of the round two back, so both
-    /// parities' most recent derivations must have been clean.
-    audit_clean_streak: u8,
     /// Live graceful-degradation counters, incremented exactly where the
     /// corresponding [`Event`]s are pushed (so telemetry and hardened-run
     /// totals never replay the event stream).
@@ -160,18 +153,9 @@ impl PpmManager {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: PpmConfig) -> PpmManager {
-        let mut market = Market::new(config.clone());
-        if config.market_workers > 1 {
-            // One pool for the manager's lifetime: `market_workers` shards
-            // total, of which the planning thread runs one itself
-            // (DESIGN.md §13).
-            market.attach_pool(std::sync::Arc::new(WorkerPool::new(
-                config.market_workers - 1,
-            )));
-        }
         PpmManager {
+            market: Market::new(config.clone()),
             config,
-            market,
             next_round: SimTime::ZERO,
             rounds_since_lb: 0,
             lbs_since_migration: 0,
@@ -194,7 +178,6 @@ impl PpmManager {
             audit_savings: Vec::new(),
             audit_prev_allowance: None,
             audited_round: 0,
-            audit_clean_streak: 0,
             degradation: Degradation::default(),
             shed_seen: Vec::new(),
         }
@@ -767,11 +750,6 @@ impl PowerManager for PpmManager {
                 out.set_core_price(core.0, price.value());
             }
         }
-        if self.market.rounds() > 0 {
-            out.market_fast_hit = f64::from(u8::from(self.market.last_round_fast()));
-            out.market_dirty_stages = f64::from(self.market.last_round_dirty_sections());
-        }
-        out.market_workers = self.market.workers() as f64;
     }
 
     fn degradation(&self) -> Degradation {
@@ -808,8 +786,7 @@ impl PowerManager for PpmManager {
     /// Adopt the exchange's cleared allowance as the chip TDP. The
     /// threshold keeps its configured ratio below the TDP, so the buffer
     /// zone scales with the budget. Bitwise-equal budgets are recognised
-    /// as no-ops inside the market (the fast path stays armed); a changed
-    /// budget invalidates the retained rounds.
+    /// as no-ops inside the market.
     fn set_power_budget(&mut self, tdp: Watts) -> bool {
         let ratio = self.config.threshold.value() / self.config.tdp.value();
         let threshold = Watts(tdp.value() * ratio);
@@ -1006,26 +983,7 @@ impl PpmManager {
         if round == self.audited_round {
             return; // no new round this quantum
         }
-        // Fast-path reuse: a replay round's decision is byte-identical to a
-        // retained round's (one or two back), so every check below would
-        // recompute exactly the same f64 expressions on exactly the same
-        // inputs as the derivation that audited that retained round —
-        // including conservation, because a replay certifies the state
-        // recurrence m_{R-1} = m_{R-1-lag}, making the clamp(m + a − b, …)
-        // identity at round R the literal same computation as at round
-        // R−lag. With lag ≤ 2, a chain of replays traces every skipped
-        // check back to one of the last *two* derived audits, so reuse the
-        // books only when both were violation-free and no round was skipped
-        // in between; otherwise fall through and re-derive.
-        if round == self.audited_round + 1
-            && self.market.last_round_fast()
-            && self.audit_clean_streak >= 2
-        {
-            self.audited_round = round;
-            return;
-        }
         self.audited_round = round;
-        let violations_before = auditor.violations().len();
         // Split borrows: the decision is read while the audit state is
         // rebuilt.
         let Self {
@@ -1107,11 +1065,6 @@ impl PpmManager {
         audit_savings.clear();
         audit_savings.extend(d.tasks.iter().map(|t| (t.id, t.savings)));
         *audit_prev_allowance = Some(d.allowance);
-        if auditor.violations().len() == violations_before {
-            self.audit_clean_streak = self.audit_clean_streak.saturating_add(1).min(2);
-        } else {
-            self.audit_clean_streak = 0;
-        }
     }
 }
 

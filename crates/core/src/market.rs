@@ -23,7 +23,6 @@
 //! order can leak into results.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ppm_obs::{lap, Phase, PhaseProfiler};
@@ -34,7 +33,6 @@ use ppm_workload::task::TaskId;
 
 use crate::agents::{chip_agent, cluster_agent, task_agent};
 use crate::config::PpmConfig;
-use crate::pool::WorkerPool;
 use crate::state::{allowance_delta, PowerState};
 
 /// Sentinel for "no slot" in the dense index arenas.
@@ -268,31 +266,6 @@ struct RoundScratch {
     cl_reacting: Vec<bool>,
     cl_constrained: Vec<u32>,
     cl_constr_demand: Vec<ProcessingUnits>,
-
-    // Sharded-round traversal structures (DESIGN.md §13), built only while
-    // a worker pool is attached. Their validity rides the stage-skip logic
-    // exactly like the maps they derive from: the cluster→core CSR is
-    // rebuilt with stage A, the core→task CSR with stage B.
-    /// Cluster slot → offset into `cl_core_list` (CSR, `nclusters + 1`).
-    cl_core_off: Vec<u32>,
-    /// Core slots grouped by cluster slot, ascending within each group.
-    cl_core_list: Vec<u32>,
-    /// Core slot → offset into `core_task_list` (CSR, `ncores + 1`).
-    core_task_off: Vec<u32>,
-    /// Task indices grouped by core slot, in observation order within each
-    /// group — so per-core f64 bid accumulation matches the serial path.
-    core_task_list: Vec<u32>,
-    /// Cursor scratch for the CSR fills.
-    csr_cursor: Vec<u32>,
-    /// Stage A saw the same raw cluster id twice: the serial path resolves
-    /// the collision sequentially, shards cannot — sharding stands down.
-    /// Persists across stage-A skips (only stage A rewrites it).
-    dup_clusters: bool,
-    /// Epoch counter for the sharded prepass's duplicate-task detection.
-    /// Independent of `epoch`, which only advances when stage A runs.
-    prepass_epoch: u32,
-    /// Raw task id → prepass epoch it was last seen in.
-    task_seen_epoch: Vec<u32>,
 }
 
 impl RoundScratch {
@@ -305,235 +278,6 @@ impl RoundScratch {
             self.epoch = 1;
         } else {
             self.epoch += 1;
-        }
-    }
-
-    fn next_prepass_epoch(&mut self) {
-        if self.prepass_epoch == u32::MAX {
-            self.task_seen_epoch.fill(0);
-            self.prepass_epoch = 1;
-        } else {
-            self.prepass_epoch += 1;
-        }
-    }
-}
-
-/// One cluster's buffered outcome from a shard: the updated agent, the
-/// requested step, and the aggregates the serial chip-agent stage reads.
-#[derive(Debug, Clone, Copy)]
-struct ClusterOut {
-    /// Dense cluster slot.
-    vs: u32,
-    agent: ClusterAgent,
-    step: Option<VfStep>,
-    reacting: bool,
-    constrained: u32,
-    constr_demand: ProcessingUnits,
-}
-
-/// Per-shard output buffers. Each worker owns exactly one, so the parallel
-/// region shares no mutable state; the merge drains them in shard order.
-/// All vectors keep their capacity between rounds (zero-alloc once warm).
-#[derive(Debug, Default)]
-struct ShardScratch {
-    prices: Vec<(CoreId, Price)>,
-    shares: Vec<(TaskId, ProcessingUnits)>,
-    tasks: Vec<TaskRound>,
-    /// `(agent slot, new state)` — applied to the arena at merge.
-    agents: Vec<(u32, TaskAgent)>,
-    clusters: Vec<ClusterOut>,
-    /// `(allowance, bid)` of the current core's tasks, between the bid
-    /// pass and the purchase pass.
-    core_tmp: Vec<(Money, Money)>,
-}
-
-/// Everything a shard job reads: the observation, the serial stages'
-/// scratch, and the **previous round's** agent arenas. Shards never write
-/// any of it — the serial path defers exactly the same writes (task agents
-/// mutate after bidding, cluster agents after price discovery, `state`
-/// after the cluster loop), so reading the old state is what the serial
-/// path computes with too.
-struct ShardCtx<'a> {
-    obs: &'a MarketObs,
-    s: &'a RoundScratch,
-    task_agents: &'a [TaskAgent],
-    cluster_agents: &'a [ClusterAgent],
-    config: &'a PpmConfig,
-    initial_bid: Money,
-    emergency: bool,
-}
-
-/// Run the post-placement market stages for cluster slots `c0..c1`:
-/// per-task bidding (Eq. 1), per-core price discovery and purchases, the
-/// constrained-core scan, and the cluster agent's §3.2.2 step decision.
-/// Every loop visits entities in the same order as the serial path (cores
-/// ascending within the cluster, tasks in observation order within the
-/// core), so every f64 accumulation is bit-identical to it.
-fn run_shard(ctx: &ShardCtx<'_>, c0: usize, c1: usize, out: &mut ShardScratch) {
-    out.prices.clear();
-    out.shares.clear();
-    out.tasks.clear();
-    out.agents.clear();
-    out.clusters.clear();
-    let s = ctx.s;
-    let obs = ctx.obs;
-    for vs in c0..c1 {
-        if s.cl_tasks[vs] == 0 {
-            continue;
-        }
-        let cl = &obs.clusters[vs];
-        let frozen = ctx.cluster_agents[cl.id.0].frozen;
-        let mass = s.cl_priority[vs];
-        let mut constrained = SLOT_NONE;
-        let mut constr_demand = ProcessingUnits::ZERO;
-        let mut constr_price = Price::ZERO;
-        let cores = &s.cl_core_list[s.cl_core_off[vs] as usize..s.cl_core_off[vs + 1] as usize];
-        for &cs32 in cores {
-            let cs = cs32 as usize;
-            if s.core_tasks[cs] == 0 {
-                continue;
-            }
-            let tasks =
-                &s.core_task_list[s.core_task_off[cs] as usize..s.core_task_off[cs + 1] as usize];
-            // Bid pass: allowances and bids (Eq. 1), accumulated per core.
-            out.core_tmp.clear();
-            let mut core_bid = Money::ZERO;
-            for &ti32 in tasks {
-                let ti = ti32 as usize;
-                let t = &obs.tasks[ti];
-                let a = if mass > 0 {
-                    s.cl_allow[vs] * (t.priority as f64 / mass as f64)
-                } else {
-                    Money::ZERO
-                };
-                let agent = &ctx.task_agents[s.t_agent[ti] as usize];
-                let cap = a + agent.savings;
-                let bid = if !agent.seen {
-                    ctx.initial_bid
-                        .clamp(ctx.config.min_bid, cap.max(ctx.config.min_bid))
-                } else if frozen {
-                    agent.bid
-                } else {
-                    task_agent::next_bid(
-                        agent.bid,
-                        agent.prev_demand,
-                        agent.prev_supply,
-                        agent.prev_price,
-                        cap,
-                        ctx.config.min_bid,
-                    )
-                };
-                core_bid += bid;
-                out.core_tmp.push((a, bid));
-            }
-            // Price discovery P_c = Σ b_t / S_c, then purchases.
-            let price = Price::discover(core_bid, cl.supply);
-            out.prices.push((obs.cores[cs].id, price));
-            for (j, &ti32) in tasks.iter().enumerate() {
-                let ti = ti32 as usize;
-                let t = &obs.tasks[ti];
-                let (a, bid) = out.core_tmp[j];
-                let share = price.purchase(bid);
-                out.shares.push((t.id, share));
-                let old = &ctx.task_agents[s.t_agent[ti] as usize];
-                let savings =
-                    task_agent::next_savings(old.savings, a, bid, ctx.config.savings_cap_factor);
-                out.agents.push((
-                    s.t_agent[ti],
-                    TaskAgent {
-                        bid,
-                        savings,
-                        prev_demand: t.demand,
-                        prev_supply: share,
-                        prev_price: price,
-                        seen: true,
-                    },
-                ));
-                out.tasks.push(TaskRound {
-                    id: t.id,
-                    allowance: a,
-                    bid,
-                    savings,
-                    supply: share,
-                    demand: t.demand,
-                });
-            }
-            // Constrained core: highest summed demand, ties towards the
-            // lowest core id — the serial scan's exact comparisons.
-            let d = s.core_demand[cs];
-            let replace = constrained == SLOT_NONE
-                || d > constr_demand
-                || (d == constr_demand && obs.cores[cs].id < obs.cores[constrained as usize].id);
-            if replace {
-                constrained = cs32;
-                constr_demand = d;
-                constr_price = price;
-            }
-        }
-        // Cluster agent (§3.2.2) on the shard's private copy of its state.
-        let mut agent = ctx.cluster_agents[cl.id.0];
-        let mut reacting = false;
-        let mut step = None;
-        if agent.frozen || !agent.has_base {
-            agent.base_price = constr_price;
-            agent.has_base = true;
-            agent.frozen = false;
-            agent.last_price = constr_price;
-            reacting = true;
-        } else {
-            if constr_price.value() > agent.last_price.value() * 1.02 {
-                reacting = true;
-            }
-            agent.last_price = constr_price;
-            step = cluster_agent::decide_step(cluster_agent::ClusterView {
-                price: constr_price,
-                base_price: agent.base_price,
-                tolerance: ctx.config.tolerance,
-                can_step_up: cl.supply_up.is_some(),
-                supply_down: cl.supply_down,
-                constrained_demand: constr_demand,
-                emergency: ctx.emergency,
-            });
-            if step.is_some() {
-                agent.frozen = true;
-            }
-        }
-        out.clusters.push(ClusterOut {
-            vs: vs as u32,
-            agent,
-            step,
-            reacting,
-            constrained,
-            constr_demand,
-        });
-    }
-}
-
-/// The market's attachment to a persistent [`WorkerPool`]: the shared pool
-/// and one output scratch per shard (slot `k` is owned by shard `k` during
-/// a dispatch; the merge drains them in slot order).
-struct Sharding {
-    pool: Arc<WorkerPool>,
-    shards: Vec<Mutex<ShardScratch>>,
-}
-
-impl fmt::Debug for Sharding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sharding")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-impl Clone for Sharding {
-    fn clone(&self) -> Sharding {
-        // The pool is shared (threads are expensive); the scratch is
-        // per-market working memory, so the clone starts cold.
-        Sharding {
-            pool: Arc::clone(&self.pool),
-            shards: (0..self.shards.len())
-                .map(|_| Mutex::new(ShardScratch::default()))
-                .collect(),
         }
     }
 }
@@ -557,318 +301,10 @@ fn map_get(epochs: &[u32], slots: &[u32], raw: usize, epoch: u32) -> u32 {
     }
 }
 
-/// Bitwise `f64` equality. Stricter than `==`: `-0.0` and `0.0` differ (the
-/// tapes render decisions via `Debug`, which distinguishes them) and `NaN`
-/// never equals anything (so a poisoned observation can never be declared
-/// "clean"). A `true` verdict therefore guarantees a replayed decision is
-/// byte-identical to a recompute.
-#[inline]
-fn f64_same(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
-}
-
-#[inline]
-fn pu_same(a: ProcessingUnits, b: ProcessingUnits) -> bool {
-    f64_same(a.value(), b.value())
-}
-
-#[inline]
-fn opt_pu_same(a: Option<ProcessingUnits>, b: Option<ProcessingUnits>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => pu_same(x, y),
-        _ => false,
-    }
-}
-
-fn task_obs_same(a: &TaskObs, b: &TaskObs) -> bool {
-    a.id == b.id && a.core == b.core && a.priority == b.priority && pu_same(a.demand, b.demand)
-}
-
-fn cluster_obs_same(a: &ClusterObs, b: &ClusterObs) -> bool {
-    a.id == b.id
-        && pu_same(a.supply, b.supply)
-        && opt_pu_same(a.supply_up, b.supply_up)
-        && opt_pu_same(a.supply_down, b.supply_down)
-        && f64_same(a.power.value(), b.power.value())
-}
-
-fn tasks_same(a: &[TaskObs], b: &[TaskObs]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| task_obs_same(x, y))
-}
-
-fn clusters_same(a: &[ClusterObs], b: &[ClusterObs]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| cluster_obs_same(x, y))
-}
-
-fn task_agent_same(a: &TaskAgent, b: &TaskAgent) -> bool {
-    f64_same(a.bid.value(), b.bid.value())
-        && f64_same(a.savings.value(), b.savings.value())
-        && pu_same(a.prev_demand, b.prev_demand)
-        && pu_same(a.prev_supply, b.prev_supply)
-        && f64_same(a.prev_price.value(), b.prev_price.value())
-        && a.seen == b.seen
-}
-
-fn cluster_agent_same(a: &ClusterAgent, b: &ClusterAgent) -> bool {
-    f64_same(a.base_price.value(), b.base_price.value())
-        && a.has_base == b.has_base
-        && a.frozen == b.frozen
-        && f64_same(a.last_price.value(), b.last_price.value())
-}
-
-/// Overwrite `dst` with `src`, reusing `dst`'s capacity (no allocation once
-/// warm — `Vec::extend_from_slice` only grows when capacity is short).
-fn copy_vec<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
-    dst.clear();
-    dst.extend_from_slice(src);
-}
-
-/// Overwrite `dst` with `src` field by field, reusing every buffer.
-fn copy_decision(dst: &mut MarketDecision, src: &MarketDecision) {
-    copy_vec(&mut dst.shares, &src.shares);
-    copy_vec(&mut dst.dvfs, &src.dvfs);
-    dst.state = src.state;
-    dst.allowance = src.allowance;
-    copy_vec(&mut dst.prices, &src.prices);
-    copy_vec(&mut dst.tasks, &src.tasks);
-    copy_vec(&mut dst.orphans, &src.orphans);
-    dst.total_demand = src.total_demand;
-    dst.total_supply = src.total_supply;
-}
-
-/// Bitwise observation equality, section by section, via the `_same`
-/// helpers (so the `-0.0`/`NaN` discipline of [`f64_same`] applies).
-fn obs_same(a: &MarketObs, b: &MarketObs) -> bool {
-    f64_same(a.chip_power.value(), b.chip_power.value())
-        && a.cores == b.cores
-        && clusters_same(&a.clusters, &b.clusters)
-        && tasks_same(&a.tasks, &b.tasks)
-}
-
-/// Overwrite `dst` with `src`, reusing every buffer.
-fn copy_obs(dst: &mut MarketObs, src: &MarketObs) {
-    dst.chip_power = src.chip_power;
-    copy_vec(&mut dst.tasks, &src.tasks);
-    copy_vec(&mut dst.cores, &src.cores);
-    copy_vec(&mut dst.clusters, &src.clusters);
-}
-
-#[inline]
-fn opt_money_same(a: Option<Money>, b: Option<Money>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => f64_same(x.value(), y.value()),
-        _ => false,
-    }
-}
-
-/// A bitwise copy of every piece of persistent market state the round
-/// function reads or writes: the agent arenas, the global allowance, the
-/// power state, and the emergency cooldown. `round` is excluded — it is a
-/// pure counter with no feedback into any decision. The slot maps
-/// (`task_slots`/`free_agents`) are excluded too: they only change when an
-/// agent is created (visible as a `task_agents` mismatch while the window
-/// is live) or removed ([`Market::remove_task`] invalidates the ring).
-#[derive(Debug, Clone)]
-struct StateSnap {
-    task_agents: Vec<TaskAgent>,
-    cluster_agents: Vec<ClusterAgent>,
-    allowance: Option<Money>,
-    state: PowerState,
-    emergency_cooldown: u32,
-}
-
-impl Default for StateSnap {
-    fn default() -> StateSnap {
-        StateSnap {
-            task_agents: Vec::new(),
-            cluster_agents: Vec::new(),
-            allowance: None,
-            state: PowerState::Normal,
-            emergency_cooldown: 0,
-        }
-    }
-}
-
-/// One retained round: the observation it consumed, the decision it
-/// produced, and the persistent state *before* it ran (all bitwise copies).
-#[derive(Debug, Clone)]
-struct Retained {
-    valid: bool,
-    obs: MarketObs,
-    out: MarketDecision,
-    state_before: StateSnap,
-}
-
-impl Default for Retained {
-    fn default() -> Retained {
-        Retained {
-            valid: false,
-            obs: MarketObs::empty(),
-            out: MarketDecision::default(),
-            state_before: StateSnap::default(),
-        }
-    }
-}
-
-/// Retained state for the incremental round engine (DESIGN.md §12).
-///
-/// The engine keeps the two most recent rounds in a ring: `prev` is round
-/// R-1, `prev2` is round R-2. The round function is a pure function
-/// `f(state, obs) → (state', out)` of the persistent state and the
-/// observation, so if this round's inputs are bitwise identical to a
-/// retained round's inputs — `obs == prevₖ.obs` and the current state
-/// equals `prevₖ.state_before` — then `f` provably returns that round's
-/// `(state', out)` again and the engine replays it without recomputing:
-///
-/// * **lag 1** (`prev`) catches fixed points: the state already equals
-///   `prev.state_before`, so nothing needs restoring.
-/// * **lag 2** (`prev2`) catches period-2 limit cycles — at scale the
-///   cobweb price feedback commonly settles into a 1-ULP bid oscillation
-///   that never reaches a fixed point. The replayed round's resulting
-///   state is `prev.state_before` (the state round R-1 started from),
-///   which is restored by memcpy.
-///
-/// Anything that can fail the input comparison — churn, a perturbed
-/// observation, externally mutated agents — automatically forces the full
-/// recompute; `remove_task`/`set_initial_bid` invalidate the ring because
-/// their effects are not covered by the state comparison.
-///
-/// Probing is adaptive: a regime that never replays (sustained churn, or a
-/// quasi-periodic cell whose bids never revisit a retained input) would
-/// otherwise pay two O(n) comparisons plus ring retention every round.
-/// After [`PROBE_PATIENCE`] consecutive misses the engine probes (and
-/// retains the two rounds a probe needs) only every [`PROBE_PERIOD`]
-/// rounds. Unprobed rounds take the full path — the reference computation
-/// itself — so bit-identity is unaffected; a hit restores eager probing.
-#[derive(Debug, Clone)]
-struct Incremental {
-    /// Fast path armed (on by default; `Market::set_incremental`).
-    enabled: bool,
-    /// Ring of the two most recent rounds: R-1 and R-2.
-    prev: Retained,
-    prev2: Retained,
-    /// Scratch for capturing the pre-round state at the start of a full
-    /// recompute; the rotation swaps it into `prev.state_before`.
-    staging: StateSnap,
-    /// Observation of the last round that ran the full engine — what the
-    /// topology/placement scratch currently describes. Stage skipping must
-    /// anchor here (never on `prev.obs`): under a period-2 replay regime
-    /// consecutive observations legally alternate without touching scratch.
-    full_obs: MarketObs,
-    full_obs_valid: bool,
-    /// Placement aggregates retained across stage-B skips (clean task
-    /// section over unchanged topology).
-    orphans: Vec<(TaskId, CoreId)>,
-    total_priority: u32,
-    participating: usize,
-    /// Cumulative fast-path replays / full recomputes.
-    fast_hits: u64,
-    full_rounds: u64,
-    /// Most recent round: replayed? and how many observation sections
-    /// (chip power, tasks, cores, clusters) its diff found — or, while the
-    /// task compare is backed off, conservatively assumed — dirty.
-    last_fast: bool,
-    last_dirty: u32,
-    /// Section dirtiness of the most recent diff as a bitmask
-    /// (`DIRTY_CHIP` &c.), driving the per-section `full_obs` re-anchor.
-    dirty_mask: u8,
-    /// Consecutive full rounds whose task section was dirty; past
-    /// `DIFF_PATIENCE` the O(n) task compare — and the O(n) `full_obs`
-    /// task copy that feeds it — back off to every
-    /// `TASK_CHECK_PERIOD`-th full round. Assuming the section dirty in
-    /// between just runs stage B, exactly what full recompute does.
-    task_dirty_streak: u32,
-    until_task_check: u32,
-    /// `full_obs.tasks` no longer mirrors the last full round (its copy
-    /// was skipped while backed off): comparing against it is disallowed
-    /// until a scheduled re-anchor refreshes it.
-    full_obs_tasks_stale: bool,
-    /// Consecutive probe misses (saturating); `>= PROBE_PATIENCE` means the
-    /// engine is backed off to the scheduled-probe cadence.
-    miss_streak: u32,
-    /// Rounds until the next scheduled probe while backed off.
-    until_probe: u32,
-    /// Current scheduled-probe window: doubles on every scheduled miss (up
-    /// to [`PROBE_PERIOD_MAX`]) so regimes that never replay pay retention
-    /// on a vanishing fraction of rounds; any hit resets it.
-    probe_period: u32,
-    /// Certified bitwise equality between the current persistent state and
-    /// `prev.state_before` / `prev2.state_before`. A lag-1 replay leaves
-    /// the state untouched (and equal to `prev.state_before` by the match),
-    /// and a lag-2 replay copies it from what becomes `prev2.state_before`,
-    /// so chained replays skip the O(n) agent comparison. Cleared by any
-    /// full round, ring invalidation, or rotation that breaks the equality.
-    state_eq_prev: bool,
-    state_eq_prev2: bool,
-}
-
-/// Consecutive fast-path misses tolerated before probing backs off.
-const PROBE_PATIENCE: u32 = 64;
-/// Initial scheduled-probe window while backed off; the two rounds before
-/// each scheduled probe are retained so the ring holds a genuinely
-/// adjacent (R-1, R-2) pair at probe time.
-const PROBE_PERIOD: u32 = 16;
-/// Scheduled-probe window cap: retention (O(n) obs + decision + agent
-/// copies) amortizes to ~1% of rounds in a regime that never replays,
-/// while a workload that turns steady re-engages within this many rounds.
-const PROBE_PERIOD_MAX: u32 = 256;
-/// Consecutive dirty-task rounds tolerated before the task diff backs off.
-const DIFF_PATIENCE: u32 = 8;
-/// Task-diff re-check cadence while backed off.
-const TASK_CHECK_PERIOD: u32 = 16;
-
-/// Bits of [`Incremental::dirty_mask`].
-const DIRTY_CHIP: u8 = 1;
-const DIRTY_TASKS: u8 = 2;
-const DIRTY_CORES: u8 = 4;
-const DIRTY_CLUSTERS: u8 = 8;
-
-impl Default for Incremental {
-    fn default() -> Incremental {
-        Incremental {
-            enabled: true,
-            prev: Retained::default(),
-            prev2: Retained::default(),
-            staging: StateSnap::default(),
-            full_obs: MarketObs::empty(),
-            full_obs_valid: false,
-            orphans: Vec::new(),
-            total_priority: 0,
-            participating: 0,
-            fast_hits: 0,
-            full_rounds: 0,
-            last_fast: false,
-            last_dirty: 0,
-            dirty_mask: 0,
-            task_dirty_streak: 0,
-            until_task_check: 0,
-            full_obs_tasks_stale: false,
-            miss_streak: 0,
-            until_probe: 0,
-            probe_period: PROBE_PERIOD,
-            state_eq_prev: false,
-            state_eq_prev2: false,
-        }
-    }
-}
-
-impl Incremental {
-    /// Drop both retained rounds (state mutated outside a round: the
-    /// comparisons would test against inputs that no longer describe the
-    /// market's future behaviour).
-    fn invalidate(&mut self) {
-        self.prev.valid = false;
-        self.prev2.valid = false;
-        self.state_eq_prev = false;
-        self.state_eq_prev2 = false;
-        // Population changes usually settle into a new steady state soon:
-        // probe eagerly again.
-        self.miss_streak = 0;
-        self.until_probe = 0;
-        self.probe_period = PROBE_PERIOD;
-    }
+/// Resize `v` to `len` copies of `fill`, keeping its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    v.clear();
+    v.resize(len, fill);
 }
 
 /// The supply-demand module: all agent state plus the round engine.
@@ -892,10 +328,6 @@ pub struct Market {
     /// at $1).
     initial_bid: Money,
     scratch: RoundScratch,
-    incr: Incremental,
-    /// Persistent worker pool + per-shard scratch when the round is sharded
-    /// (DESIGN.md §13); `None` keeps every stage serial.
-    sharding: Option<Sharding>,
 }
 
 impl Market {
@@ -923,59 +355,18 @@ impl Market {
             emergency_cooldown: 0,
             initial_bid: Money(1.0),
             scratch: RoundScratch::default(),
-            incr: Incremental::default(),
-            sharding: None,
         }
-    }
-
-    /// Attach a persistent worker pool: subsequent full rounds shard the
-    /// post-placement stages (bidding, price discovery, purchases, cluster
-    /// agents) across `pool.shards()` contiguous cluster ranges, with a
-    /// deterministic slot-order merge that keeps every decision and money
-    /// book bit-identical to the serial path (DESIGN.md §13). Fast-path
-    /// replays bypass the pool entirely, and rounds that cannot shard
-    /// soundly (a single cluster, duplicate ids in the observation) fall
-    /// back to the serial stages on their own.
-    pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
-        let shards = (0..pool.shards())
-            .map(|_| Mutex::new(ShardScratch::default()))
-            .collect();
-        self.sharding = Some(Sharding { pool, shards });
-        // The sharded traversal CSRs ride the stage-skip logic; force the
-        // next round through stages A and B so they exist.
-        self.incr.invalidate();
-        self.incr.full_obs_valid = false;
-    }
-
-    /// Detach the worker pool; every stage runs serially again. (The pool
-    /// itself is only torn down when the last `Arc` drops.)
-    pub fn detach_pool(&mut self) {
-        self.sharding = None;
-    }
-
-    /// Threads a full round fans out over: pool shards when a pool is
-    /// attached (the dispatching thread runs one of them), else 1.
-    pub fn workers(&self) -> usize {
-        self.sharding.as_ref().map_or(1, |sh| sh.pool.shards())
     }
 
     /// Override the bid new task agents start with (defaults to $1).
     pub fn set_initial_bid(&mut self, bid: Money) {
         self.initial_bid = bid;
-        // Not covered by the retained-state comparison (it only matters for
-        // the next *admitted* agent), so drop the ring.
-        self.incr.invalidate();
     }
 
     /// Adopt a new chip power budget: the TDP (`W_tdp`) and the threshold
     /// (`W_th`) below it, as a fleet exchange re-trades them every epoch.
     /// Returns false without touching anything when both are bitwise-equal
-    /// to the configuration in force (the common steady-epoch case, which
-    /// keeps the incremental fast path armed). Otherwise the retained
-    /// rounds were computed under the old budget — the power-state machine
-    /// and allowance Δ depend on it, and the fast path compares
-    /// observations and agent state but *not* config — so the ring is
-    /// dropped and the next round runs the full recompute.
+    /// to the configuration in force (the common steady-epoch case).
     pub fn set_power_budget(&mut self, tdp: Watts, threshold: Watts) -> bool {
         if self.config.tdp.value().to_bits() == tdp.value().to_bits()
             && self.config.threshold.value().to_bits() == threshold.value().to_bits()
@@ -984,47 +375,7 @@ impl Market {
         }
         self.config.tdp = tdp;
         self.config.threshold = threshold;
-        self.incr.invalidate();
-        self.incr.full_obs_valid = false;
         true
-    }
-
-    /// Toggle the incremental fast path (on by default). Off forces every
-    /// round through the full recompute — used by `bench_market --check`
-    /// and the equivalence proptests as the reference behaviour.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incr.enabled = on;
-        if !on {
-            self.incr.invalidate();
-            self.incr.full_obs_valid = false;
-        }
-    }
-
-    /// Whether the incremental fast path is armed.
-    pub fn incremental(&self) -> bool {
-        self.incr.enabled
-    }
-
-    /// Rounds replayed via the fast path so far.
-    pub fn fast_path_hits(&self) -> u64 {
-        self.incr.fast_hits
-    }
-
-    /// Rounds that ran the full recompute so far.
-    pub fn full_recomputes(&self) -> u64 {
-        self.incr.full_rounds
-    }
-
-    /// Whether the most recent round was a fast-path replay.
-    pub fn last_round_fast(&self) -> bool {
-        self.incr.last_fast
-    }
-
-    /// Observation sections (chip power, tasks, cores, clusters) the most
-    /// recent round's diff found dirty relative to the last full recompute:
-    /// 0 on a replay, 4 when there was no prior full round to diff against.
-    pub fn last_round_dirty_sections(&self) -> u32 {
-        self.incr.last_dirty
     }
 
     /// The configuration in force.
@@ -1074,42 +425,7 @@ impl Market {
             self.task_slots[id.0] = SLOT_NONE;
             self.task_agents[slot] = TaskAgent::fresh(ProcessingUnits::ZERO);
             self.free_agents.push(slot as u32);
-            // The slot maps changed in a way the retained-state comparison
-            // cannot see (a later admission may recycle this slot), so the
-            // retained rounds are no longer trustworthy replay sources.
-            self.incr.invalidate();
         }
-    }
-
-    /// Whether replaying the retained round `r` is provably byte-identical
-    /// to recomputing: its input observation and its input persistent state
-    /// are both bitwise equal to this round's.
-    fn fast_path_matches(&self, r: &Retained, obs: &MarketObs, state_known: bool) -> bool {
-        if !r.valid || !obs_same(obs, &r.obs) {
-            return false;
-        }
-        if state_known {
-            // On a certified replay chain the current state is already
-            // known bitwise-equal to `r.state_before` (see the
-            // `state_eq_prev*` flag docs): skip the O(n) comparison.
-            return true;
-        }
-        let snap = &r.state_before;
-        snap.state == self.state
-            && snap.emergency_cooldown == self.emergency_cooldown
-            && opt_money_same(snap.allowance, self.allowance)
-            && snap.task_agents.len() == self.task_agents.len()
-            && snap.cluster_agents.len() == self.cluster_agents.len()
-            && snap
-                .task_agents
-                .iter()
-                .zip(&self.task_agents)
-                .all(|(a, b)| task_agent_same(a, b))
-            && snap
-                .cluster_agents
-                .iter()
-                .zip(&self.cluster_agents)
-                .all(|(a, b)| cluster_agent_same(a, b))
     }
 
     /// Find or create the persistent agent slot for `id`.
@@ -1165,16 +481,6 @@ impl Market {
     /// depends only on `(self, obs)`, never on hasher seeds or map iteration
     /// order.
     ///
-    /// The round is *incremental* by default: if this round's inputs —
-    /// observation and persistent state, compared bitwise — match those of
-    /// one of the two retained rounds (lag 1 = fixed point, lag 2 =
-    /// period-2 limit cycle), that round's decision is replayed outright,
-    /// provably byte-identical to a full recompute; otherwise clean input
-    /// sections still skip the topology/placement stages they feed
-    /// (DESIGN.md §12, and `tests/market_properties.rs` checks all of it
-    /// against an always-full market). [`Market::set_incremental`] disables
-    /// the machinery.
-    ///
     /// Tasks whose core (or its cluster) is absent from the snapshot do not
     /// participate this round and are reported in [`MarketDecision::orphans`]
     /// instead of panicking.
@@ -1208,142 +514,6 @@ impl Market {
             None
         };
         self.round += 1;
-
-        // --- Fast path (DESIGN.md §12): replay a retained round whose
-        // inputs — observation AND persistent state — are bitwise identical
-        // to this round's. Lag 1 catches fixed points; lag 2 catches the
-        // period-2 limit cycles the cobweb price feedback settles into at
-        // scale (1-ULP bid oscillations that never become a fixed point).
-        if self.incr.enabled {
-            let probe = self.incr.miss_streak < PROBE_PATIENCE || self.incr.until_probe == 0;
-            if probe {
-                if self.fast_path_matches(&self.incr.prev, obs, self.incr.state_eq_prev) {
-                    // f(σ, obs) = (σ, prev.out) again; the state is already
-                    // σ. No rotation either: the lag-1 match certifies that
-                    // `prev` is bitwise what this round's retained entry
-                    // would be — and that σ stays equal to
-                    // `prev.state_before`, so chained replays skip the scan.
-                    copy_decision(out, &self.incr.prev.out);
-                    self.incr.state_eq_prev = true;
-                    self.incr.miss_streak = 0;
-                    self.incr.probe_period = PROBE_PERIOD;
-                    self.incr.fast_hits += 1;
-                    self.incr.last_fast = true;
-                    self.incr.last_dirty = 0;
-                    lap(prof, &mut mark, Phase::MarketDiff);
-                    return;
-                }
-                if self.fast_path_matches(&self.incr.prev2, obs, self.incr.state_eq_prev2) {
-                    // f(σ_{R-3}, obs_{R-2}) ran as round R-2 and produced
-                    // (σ_{R-2}, out_{R-2}): replay its output and restore its
-                    // resulting state, retained as `prev.state_before`.
-                    copy_decision(out, &self.incr.prev2.out);
-                    copy_vec(
-                        &mut self.task_agents,
-                        &self.incr.prev.state_before.task_agents,
-                    );
-                    copy_vec(
-                        &mut self.cluster_agents,
-                        &self.incr.prev.state_before.cluster_agents,
-                    );
-                    self.allowance = self.incr.prev.state_before.allowance;
-                    self.state = self.incr.prev.state_before.state;
-                    self.emergency_cooldown = self.incr.prev.state_before.emergency_cooldown;
-                    // Rotate by swap: the lag-2 match certifies that `prev2`
-                    // already holds exactly this round's retained entry, and
-                    // the old `prev` is round R-1's — a zero-copy rotation.
-                    // σ was just copied from what is now `prev2.state_before`
-                    // (certify it); the rotated `prev`'s entry state is one
-                    // round older and no longer known equal to σ.
-                    std::mem::swap(&mut self.incr.prev, &mut self.incr.prev2);
-                    self.incr.state_eq_prev = false;
-                    self.incr.state_eq_prev2 = true;
-                    self.incr.miss_streak = 0;
-                    self.incr.probe_period = PROBE_PERIOD;
-                    self.incr.fast_hits += 1;
-                    self.incr.last_fast = true;
-                    self.incr.last_dirty = 0;
-                    lap(prof, &mut mark, Phase::MarketDiff);
-                    return;
-                }
-                self.incr.miss_streak = self.incr.miss_streak.saturating_add(1);
-                if self.incr.miss_streak >= PROBE_PATIENCE {
-                    // A scheduled (or patience-exhausting) miss: widen the
-                    // window so a regime that never replays probes — and
-                    // retains — ever more rarely.
-                    self.incr.probe_period =
-                        (self.incr.probe_period.saturating_mul(2)).min(PROBE_PERIOD_MAX);
-                }
-                self.incr.until_probe = self.incr.probe_period;
-            } else {
-                self.incr.until_probe -= 1;
-            }
-        }
-
-        // --- Diff stage: compare this observation, section by section and
-        // bitwise, against the last *full* round's — what the topology and
-        // placement scratch currently describe. Clean input sections
-        // (cores+clusters, tasks) let the full path skip the stages they
-        // feed.
-        let (skip_topo, skip_place) = if self.incr.enabled && self.incr.full_obs_valid {
-            let prev = &self.incr.full_obs;
-            let same_chip = f64_same(obs.chip_power.value(), prev.chip_power.value());
-            let same_cores = obs.cores == prev.cores;
-            let same_clusters = clusters_same(&obs.clusters, &prev.clusters);
-            // The task compare is adaptive: while backed off (a sustained
-            // churn regime kept the section dirty, so `full_obs.tasks` is
-            // stale), assume dirty — stage B then runs, exactly what a full
-            // recompute does.
-            let same_tasks = !self.incr.full_obs_tasks_stale && tasks_same(&obs.tasks, &prev.tasks);
-            if same_tasks {
-                self.incr.task_dirty_streak = 0;
-            } else {
-                self.incr.task_dirty_streak = self.incr.task_dirty_streak.saturating_add(1);
-            }
-            let mut mask = 0u8;
-            if !same_chip {
-                mask |= DIRTY_CHIP;
-            }
-            if !same_tasks {
-                mask |= DIRTY_TASKS;
-            }
-            if !same_cores {
-                mask |= DIRTY_CORES;
-            }
-            if !same_clusters {
-                mask |= DIRTY_CLUSTERS;
-            }
-            self.incr.dirty_mask = mask;
-            self.incr.last_fast = false;
-            self.incr.last_dirty = mask.count_ones();
-            let skip_topo = same_cores && same_clusters;
-            (skip_topo, skip_topo && same_tasks)
-        } else {
-            self.incr.last_fast = false;
-            self.incr.last_dirty = 4;
-            self.incr.dirty_mask = DIRTY_CHIP | DIRTY_TASKS | DIRTY_CORES | DIRTY_CLUSTERS;
-            self.incr.task_dirty_streak = 0;
-            self.incr.until_task_check = 0;
-            self.incr.full_obs_tasks_stale = false;
-            (false, false)
-        };
-
-        // Capture the pre-round state for the ring rotation in
-        // `finish_full` (σ_{R-1} must be read before any mutation below).
-        // Skipped while backed off except in the retention window — the two
-        // rounds a scheduled probe will compare against.
-        let retain = self.incr.enabled
-            && (self.incr.miss_streak < PROBE_PATIENCE || self.incr.until_probe <= 2);
-        if retain {
-            let st = &mut self.incr.staging;
-            copy_vec(&mut st.task_agents, &self.task_agents);
-            copy_vec(&mut st.cluster_agents, &self.cluster_agents);
-            st.allowance = self.allowance;
-            st.state = self.state;
-            st.emergency_cooldown = self.emergency_cooldown;
-        }
-        lap(prof.as_deref_mut(), &mut mark, Phase::MarketDiff);
-
         out.reset();
 
         let s = &mut self.scratch;
@@ -1351,174 +521,85 @@ impl Market {
         let nclusters = obs.clusters.len();
         let ntasks = obs.tasks.len();
 
-        // --- Stage A (topology): resolve ids to dense slots. Skipped when
-        // the core and cluster sections are bitwise unchanged — the epoch
-        // maps and `core_cluster` from the previous round still hold (the
-        // epoch is only advanced when this stage runs). ---
-        if !skip_topo {
-            s.next_epoch();
-            let epoch = s.epoch;
-            s.dup_clusters = false;
-            for (vs, c) in obs.clusters.iter().enumerate() {
-                // A repeated raw cluster id makes two dense slots share one
-                // agent; the serial path handles them sequentially, shards
-                // cannot — remember the hazard so sharding stands down.
-                if map_get(&s.cluster_map_epoch, &s.cluster_map_slot, c.id.0, epoch) != SLOT_NONE {
-                    s.dup_clusters = true;
-                }
-                map_insert(
-                    &mut s.cluster_map_epoch,
-                    &mut s.cluster_map_slot,
-                    c.id.0,
-                    vs as u32,
-                    epoch,
-                );
-                if self.cluster_agents.len() <= c.id.0 {
-                    self.cluster_agents
-                        .resize(c.id.0 + 1, ClusterAgent::default());
-                }
-            }
-            s.core_cluster.clear();
-            s.core_cluster.resize(ncores, SLOT_NONE);
-            for (cs, c) in obs.cores.iter().enumerate() {
-                map_insert(
-                    &mut s.core_map_epoch,
-                    &mut s.core_map_slot,
-                    c.id.0,
-                    cs as u32,
-                    epoch,
-                );
-                s.core_cluster[cs] = map_get(
-                    &s.cluster_map_epoch,
-                    &s.cluster_map_slot,
-                    c.cluster.0,
-                    epoch,
-                );
-            }
-            // Cluster→core CSR for the sharded traversal (DESIGN.md §13).
-            if self.sharding.is_some() {
-                s.cl_core_off.clear();
-                s.cl_core_off.resize(nclusters + 1, 0);
-                for cs in 0..ncores {
-                    let vs = s.core_cluster[cs];
-                    if vs != SLOT_NONE {
-                        s.cl_core_off[vs as usize + 1] += 1;
-                    }
-                }
-                for v in 0..nclusters {
-                    s.cl_core_off[v + 1] += s.cl_core_off[v];
-                }
-                s.csr_cursor.clear();
-                s.csr_cursor.extend_from_slice(&s.cl_core_off[..nclusters]);
-                s.cl_core_list.clear();
-                s.cl_core_list.resize(s.cl_core_off[nclusters] as usize, 0);
-                for cs in 0..ncores {
-                    let vs = s.core_cluster[cs];
-                    if vs != SLOT_NONE {
-                        let cur = &mut s.csr_cursor[vs as usize];
-                        s.cl_core_list[*cur as usize] = cs as u32;
-                        *cur += 1;
-                    }
-                }
+        // --- Topology: resolve raw ids to dense slots. ---
+        s.next_epoch();
+        let epoch = s.epoch;
+        for (vs, c) in obs.clusters.iter().enumerate() {
+            map_insert(
+                &mut s.cluster_map_epoch,
+                &mut s.cluster_map_slot,
+                c.id.0,
+                vs as u32,
+                epoch,
+            );
+            if self.cluster_agents.len() <= c.id.0 {
+                self.cluster_agents
+                    .resize(c.id.0 + 1, ClusterAgent::default());
             }
         }
-        let epoch = s.epoch;
+        refill(&mut s.core_cluster, ncores, SLOT_NONE);
+        for (cs, c) in obs.cores.iter().enumerate() {
+            map_insert(
+                &mut s.core_map_epoch,
+                &mut s.core_map_slot,
+                c.id.0,
+                cs as u32,
+                epoch,
+            );
+            s.core_cluster[cs] = map_get(
+                &s.cluster_map_epoch,
+                &s.cluster_map_slot,
+                c.cluster.0,
+                epoch,
+            );
+        }
 
-        // --- Size the always-recomputed working sets (no-ops once warm). ---
-        s.core_bids.clear();
-        s.core_bids.resize(ncores, Money::ZERO);
-        s.core_price.clear();
-        s.core_price.resize(ncores, Price::ZERO);
-        s.t_agent.clear();
-        s.t_agent.resize(ntasks, SLOT_NONE);
-        s.t_allow.clear();
-        s.t_allow.resize(ntasks, Money::ZERO);
-        s.t_bid.clear();
-        s.t_bid.resize(ntasks, Money::ZERO);
-        s.cl_allow.clear();
-        s.cl_allow.resize(nclusters, Money::ZERO);
+        // --- Size the per-round working sets (no-ops once warm). ---
+        refill(&mut s.core_bids, ncores, Money::ZERO);
+        refill(&mut s.core_price, ncores, Price::ZERO);
+        refill(&mut s.core_demand, ncores, ProcessingUnits::ZERO);
+        refill(&mut s.core_tasks, ncores, 0);
+        refill(&mut s.t_core, ntasks, SLOT_NONE);
+        refill(&mut s.t_cluster, ntasks, SLOT_NONE);
+        refill(&mut s.t_agent, ntasks, SLOT_NONE);
+        refill(&mut s.t_allow, ntasks, Money::ZERO);
+        refill(&mut s.t_bid, ntasks, Money::ZERO);
+        refill(&mut s.cl_priority, nclusters, 0);
+        refill(&mut s.cl_tasks, nclusters, 0);
+        refill(&mut s.cl_allow, nclusters, Money::ZERO);
         s.cl_power.clear();
         s.cl_power
             .extend(obs.clusters.iter().map(|c| c.power.value()));
-        s.cl_reacting.clear();
-        s.cl_reacting.resize(nclusters, false);
-        s.cl_constrained.clear();
-        s.cl_constrained.resize(nclusters, SLOT_NONE);
-        s.cl_constr_demand.clear();
-        s.cl_constr_demand.resize(nclusters, ProcessingUnits::ZERO);
+        refill(&mut s.cl_reacting, nclusters, false);
+        refill(&mut s.cl_constrained, nclusters, SLOT_NONE);
+        refill(&mut s.cl_constr_demand, nclusters, ProcessingUnits::ZERO);
 
-        // --- Stage B (placement): core/cluster slots per task, per-core and
-        // per-cluster aggregates, orphan detection. Skipped when the task
-        // section is also unchanged over an unchanged topology: the dense
-        // placement vectors still describe this observation, and the orphan
-        // list is replayed from the retained decision. ---
-        if !skip_place {
-            s.core_demand.clear();
-            s.core_demand.resize(ncores, ProcessingUnits::ZERO);
-            s.core_tasks.clear();
-            s.core_tasks.resize(ncores, 0);
-            s.t_core.clear();
-            s.t_core.resize(ntasks, SLOT_NONE);
-            s.t_cluster.clear();
-            s.t_cluster.resize(ntasks, SLOT_NONE);
-            s.cl_priority.clear();
-            s.cl_priority.resize(nclusters, 0);
-            s.cl_tasks.clear();
-            s.cl_tasks.resize(nclusters, 0);
-            let mut total_priority: u32 = 0;
-            let mut participating: usize = 0;
-            for (ti, t) in obs.tasks.iter().enumerate() {
-                let cs = map_get(&s.core_map_epoch, &s.core_map_slot, t.core.0, epoch);
-                let vs = if cs == SLOT_NONE {
-                    SLOT_NONE
-                } else {
-                    s.core_cluster[cs as usize]
-                };
-                if vs == SLOT_NONE {
-                    // The task's core (or its cluster) is not in the snapshot:
-                    // skip it gracefully instead of poisoning the whole round.
-                    out.orphans.push((t.id, t.core));
-                    continue;
-                }
-                s.t_core[ti] = cs;
-                s.t_cluster[ti] = vs;
-                s.core_tasks[cs as usize] += 1;
-                s.core_demand[cs as usize] += t.demand;
-                s.cl_tasks[vs as usize] += 1;
-                s.cl_priority[vs as usize] += t.priority;
-                total_priority += t.priority;
-                participating += 1;
+        // --- Placement: core/cluster slots per task, per-core and
+        // per-cluster aggregates, orphan detection. ---
+        let mut total_priority: u32 = 0;
+        let mut participating: usize = 0;
+        for (ti, t) in obs.tasks.iter().enumerate() {
+            let cs = map_get(&s.core_map_epoch, &s.core_map_slot, t.core.0, epoch);
+            let vs = if cs == SLOT_NONE {
+                SLOT_NONE
+            } else {
+                s.core_cluster[cs as usize]
+            };
+            if vs == SLOT_NONE {
+                // The task's core (or its cluster) is not in the snapshot:
+                // skip it gracefully instead of poisoning the whole round.
+                out.orphans.push((t.id, t.core));
+                continue;
             }
-            self.incr.total_priority = total_priority;
-            self.incr.participating = participating;
-            copy_vec(&mut self.incr.orphans, &out.orphans);
-            // Core→task CSR for the sharded traversal (DESIGN.md §13):
-            // counts are `core_tasks`, fill order is observation order, so
-            // each core's group replays the serial bid accumulation order.
-            if self.sharding.is_some() {
-                s.core_task_off.clear();
-                s.core_task_off.resize(ncores + 1, 0);
-                for cs in 0..ncores {
-                    s.core_task_off[cs + 1] = s.core_task_off[cs] + s.core_tasks[cs];
-                }
-                s.csr_cursor.clear();
-                s.csr_cursor.extend_from_slice(&s.core_task_off[..ncores]);
-                s.core_task_list.clear();
-                s.core_task_list.resize(participating, 0);
-                for ti in 0..ntasks {
-                    let cs = s.t_core[ti];
-                    if cs != SLOT_NONE {
-                        let cur = &mut s.csr_cursor[cs as usize];
-                        s.core_task_list[*cur as usize] = ti as u32;
-                        *cur += 1;
-                    }
-                }
-            }
-        } else {
-            out.orphans.extend_from_slice(&self.incr.orphans);
+            s.t_core[ti] = cs;
+            s.t_cluster[ti] = vs;
+            s.core_tasks[cs as usize] += 1;
+            s.core_demand[cs as usize] += t.demand;
+            s.cl_tasks[vs as usize] += 1;
+            s.cl_priority[vs as usize] += t.priority;
+            total_priority += t.priority;
+            participating += 1;
         }
-        let total_priority = self.incr.total_priority;
-        let participating = self.incr.participating;
 
         // --- Chip agent: initial allowance on first sight of a task. An
         // idle market (no participating tasks) must NOT anchor the money
@@ -1553,188 +634,172 @@ impl Market {
                 self.allowance = Some(next);
                 out.allowance = next;
             }
-            self.finish_full(obs, out, retain);
+            lap(prof, &mut mark, Phase::MarketDvfs);
             return;
         }
         let allowance = *self.allowance.get_or_insert(Money(
             self.config.initial_allowance_per_priority * total_priority as f64,
         ));
-        {
-            let s = &mut self.scratch;
+        let s = &mut self.scratch;
 
-            // --- Hierarchical allowance distribution (§3.2.3): A -> A_v
-            // (inverse to cluster power) -> a_t (proportional to priority). ---
-            chip_agent::distribute_into(
-                allowance,
-                obs.chip_power.value(),
-                &s.cl_power,
-                &s.cl_priority,
-                &mut s.cl_allow,
+        // --- Hierarchical allowance distribution (§3.2.3): A -> A_v
+        // (inverse to cluster power) -> a_t (proportional to priority). ---
+        chip_agent::distribute_into(
+            allowance,
+            obs.chip_power.value(),
+            &s.cl_power,
+            &s.cl_priority,
+            &mut s.cl_allow,
+        );
+
+        // --- Task agents: allowances and bids (Eq. 1). ---
+        for (ti, t) in obs.tasks.iter().enumerate() {
+            let cs = s.t_core[ti];
+            if cs == SLOT_NONE {
+                continue;
+            }
+            let vs = s.t_cluster[ti] as usize;
+            // a_t = A_v · r_t / R_v (split_by_priority, inlined per task).
+            let mass = s.cl_priority[vs];
+            let a = if mass > 0 {
+                s.cl_allow[vs] * (t.priority as f64 / mass as f64)
+            } else {
+                Money::ZERO
+            };
+            s.t_allow[ti] = a;
+            let frozen = self.cluster_agents[obs.clusters[vs].id.0].frozen;
+            let slot = Self::ensure_agent(
+                &mut self.task_slots,
+                &mut self.task_agents,
+                &mut self.free_agents,
+                t.id,
+                t.demand,
             );
-        }
-
-        // --- Sharded post-placement stages (DESIGN.md §13): with a pool
-        // attached and a shardable round (two or more clusters, no
-        // duplicate ids in the observation — the prepass inside confirms
-        // the task side), bidding / price discovery / purchases / cluster
-        // agents fan out per cluster range and merge in slot order;
-        // otherwise the serial stages below run unchanged.
-        let mut sharded = false;
-        if self.sharding.is_some() && nclusters >= 2 && !self.scratch.dup_clusters {
-            sharded = self.sharded_stages(obs, out, prof.as_deref_mut(), &mut mark);
-        }
-        if !sharded {
-            let s = &mut self.scratch;
-            // --- Task agents: allowances and bids (Eq. 1). ---
-            for (ti, t) in obs.tasks.iter().enumerate() {
-                let cs = s.t_core[ti];
-                if cs == SLOT_NONE {
-                    continue;
-                }
-                let vs = s.t_cluster[ti] as usize;
-                // a_t = A_v · r_t / R_v (split_by_priority, inlined per task).
-                let mass = s.cl_priority[vs];
-                let a = if mass > 0 {
-                    s.cl_allow[vs] * (t.priority as f64 / mass as f64)
-                } else {
-                    Money::ZERO
-                };
-                s.t_allow[ti] = a;
-                let frozen = self.cluster_agents[obs.clusters[vs].id.0].frozen;
-                let slot = Self::ensure_agent(
-                    &mut self.task_slots,
-                    &mut self.task_agents,
-                    &mut self.free_agents,
-                    t.id,
-                    t.demand,
-                );
-                s.t_agent[ti] = slot;
-                let agent = &mut self.task_agents[slot as usize];
-                let cap = a + agent.savings;
-                let bid = if !agent.seen {
-                    agent.seen = true;
-                    self.initial_bid
-                        .clamp(self.config.min_bid, cap.max(self.config.min_bid))
-                } else if frozen {
-                    agent.bid
-                } else {
-                    task_agent::next_bid(
-                        agent.bid,
-                        agent.prev_demand,
-                        agent.prev_supply,
-                        agent.prev_price,
-                        cap,
-                        self.config.min_bid,
-                    )
-                };
-                agent.bid = bid;
-                s.t_bid[ti] = bid;
-                s.core_bids[cs as usize] += bid;
-            }
-            lap(prof.as_deref_mut(), &mut mark, Phase::MarketBid);
-
-            // --- Core agents: price discovery P_c = Σ b_t / S_c. ---
-            for cs in 0..ncores {
-                if s.core_tasks[cs] == 0 {
-                    continue;
-                }
-                let vs = s.core_cluster[cs] as usize;
-                let price = Price::discover(s.core_bids[cs], obs.clusters[vs].supply);
-                s.core_price[cs] = price;
-                out.prices.push((obs.cores[cs].id, price));
-            }
-            out.prices.sort_unstable_by_key(|(c, _)| *c);
-
-            // --- Purchases s_t = b_t / P_c, savings update, agent memory. ---
-            for (ti, t) in obs.tasks.iter().enumerate() {
-                let cs = s.t_core[ti];
-                if cs == SLOT_NONE {
-                    continue;
-                }
-                let price = s.core_price[cs as usize];
-                let share = price.purchase(s.t_bid[ti]);
-                out.shares.push((t.id, share));
-                let agent = &mut self.task_agents[s.t_agent[ti] as usize];
-                agent.savings = task_agent::next_savings(
-                    agent.savings,
-                    s.t_allow[ti],
+            s.t_agent[ti] = slot;
+            let agent = &mut self.task_agents[slot as usize];
+            let cap = a + agent.savings;
+            let bid = if !agent.seen {
+                agent.seen = true;
+                self.initial_bid
+                    .clamp(self.config.min_bid, cap.max(self.config.min_bid))
+            } else if frozen {
+                agent.bid
+            } else {
+                task_agent::next_bid(
                     agent.bid,
-                    self.config.savings_cap_factor,
-                );
-                agent.prev_demand = t.demand;
-                agent.prev_supply = share;
-                agent.prev_price = price;
-                out.tasks.push(TaskRound {
-                    id: t.id,
-                    allowance: s.t_allow[ti],
-                    bid: agent.bid,
-                    savings: agent.savings,
-                    supply: share,
-                    demand: t.demand,
-                });
-            }
-            out.shares.sort_unstable_by_key(|(t, _)| *t);
-            out.tasks.sort_unstable_by_key(|t| t.id);
-            lap(prof.as_deref_mut(), &mut mark, Phase::MarketPrice);
+                    agent.prev_demand,
+                    agent.prev_supply,
+                    agent.prev_price,
+                    cap,
+                    self.config.min_bid,
+                )
+            };
+            agent.bid = bid;
+            s.t_bid[ti] = bid;
+            s.core_bids[cs as usize] += bid;
+        }
+        lap(prof.as_deref_mut(), &mut mark, Phase::MarketBid);
 
-            // --- Constrained core per cluster: highest summed demand, ties
-            // broken towards the lowest core id. ---
-            for cs in 0..ncores {
-                if s.core_tasks[cs] == 0 {
-                    continue;
-                }
-                let vs = s.core_cluster[cs] as usize;
-                let d = s.core_demand[cs];
-                let best = s.cl_constrained[vs];
-                let replace = best == SLOT_NONE
-                    || d > s.cl_constr_demand[vs]
-                    || (d == s.cl_constr_demand[vs]
-                        && obs.cores[cs].id < obs.cores[best as usize].id);
-                if replace {
-                    s.cl_constrained[vs] = cs as u32;
-                    s.cl_constr_demand[vs] = d;
-                }
+        // --- Core agents: price discovery P_c = Σ b_t / S_c. ---
+        for cs in 0..ncores {
+            if s.core_tasks[cs] == 0 {
+                continue;
             }
+            let vs = s.core_cluster[cs] as usize;
+            let price = Price::discover(s.core_bids[cs], obs.clusters[vs].supply);
+            s.core_price[cs] = price;
+            out.prices.push((obs.cores[cs].id, price));
+        }
+        out.prices.sort_unstable_by_key(|(c, _)| *c);
 
-            // --- Cluster agents: inflation/deflation control (§3.2.2). ---
-            for (vs, c) in obs.clusters.iter().enumerate() {
-                if s.cl_tasks[vs] == 0 {
-                    continue;
-                }
-                let price = s.core_price[s.cl_constrained[vs] as usize];
-                let agent = &mut self.cluster_agents[c.id.0];
-                if agent.frozen || !agent.has_base {
-                    // First observation at the (possibly new) supply anchors
-                    // the base price; bids were held while switching.
-                    agent.base_price = price;
-                    agent.has_base = true;
-                    agent.frozen = false;
-                    agent.last_price = price;
-                    s.cl_reacting[vs] = true;
-                    continue;
-                }
-                // The market is reacting on its own while the price climbs:
-                // the chip agent holds the money supply meanwhile.
-                if price.value() > agent.last_price.value() * 1.02 {
-                    s.cl_reacting[vs] = true;
-                }
+        // --- Purchases s_t = b_t / P_c, savings update, agent memory. ---
+        for (ti, t) in obs.tasks.iter().enumerate() {
+            let cs = s.t_core[ti];
+            if cs == SLOT_NONE {
+                continue;
+            }
+            let price = s.core_price[cs as usize];
+            let share = price.purchase(s.t_bid[ti]);
+            out.shares.push((t.id, share));
+            let agent = &mut self.task_agents[s.t_agent[ti] as usize];
+            agent.savings = task_agent::next_savings(
+                agent.savings,
+                s.t_allow[ti],
+                agent.bid,
+                self.config.savings_cap_factor,
+            );
+            agent.prev_demand = t.demand;
+            agent.prev_supply = share;
+            agent.prev_price = price;
+            out.tasks.push(TaskRound {
+                id: t.id,
+                allowance: s.t_allow[ti],
+                bid: agent.bid,
+                savings: agent.savings,
+                supply: share,
+                demand: t.demand,
+            });
+        }
+        out.shares.sort_unstable_by_key(|(t, _)| *t);
+        out.tasks.sort_unstable_by_key(|t| t.id);
+        lap(prof.as_deref_mut(), &mut mark, Phase::MarketPrice);
+
+        // --- Constrained core per cluster: highest summed demand, ties
+        // broken towards the lowest core id. ---
+        for cs in 0..ncores {
+            if s.core_tasks[cs] == 0 {
+                continue;
+            }
+            let vs = s.core_cluster[cs] as usize;
+            let d = s.core_demand[cs];
+            let best = s.cl_constrained[vs];
+            let replace = best == SLOT_NONE
+                || d > s.cl_constr_demand[vs]
+                || (d == s.cl_constr_demand[vs] && obs.cores[cs].id < obs.cores[best as usize].id);
+            if replace {
+                s.cl_constrained[vs] = cs as u32;
+                s.cl_constr_demand[vs] = d;
+            }
+        }
+
+        // --- Cluster agents: inflation/deflation control (§3.2.2). ---
+        for (vs, c) in obs.clusters.iter().enumerate() {
+            if s.cl_tasks[vs] == 0 {
+                continue;
+            }
+            let price = s.core_price[s.cl_constrained[vs] as usize];
+            let agent = &mut self.cluster_agents[c.id.0];
+            if agent.frozen || !agent.has_base {
+                // First observation at the (possibly new) supply anchors
+                // the base price; bids were held while switching.
+                agent.base_price = price;
+                agent.has_base = true;
+                agent.frozen = false;
                 agent.last_price = price;
-                // The agent's step rule (see `agents::cluster_agent`): forced
-                // step-down in the emergency state, else the ±δ band around the
-                // base price with the §3.2.4 round-demand-up guard.
-                let step = cluster_agent::decide_step(cluster_agent::ClusterView {
-                    price,
-                    base_price: agent.base_price,
-                    tolerance: self.config.tolerance,
-                    can_step_up: c.supply_up.is_some(),
-                    supply_down: c.supply_down,
-                    constrained_demand: s.cl_constr_demand[vs],
-                    emergency: self.state == PowerState::Emergency,
-                });
-                if let Some(step) = step {
-                    out.dvfs.push((c.id, step));
-                    agent.frozen = true;
-                }
+                s.cl_reacting[vs] = true;
+                continue;
+            }
+            // The market is reacting on its own while the price climbs:
+            // the chip agent holds the money supply meanwhile.
+            if price.value() > agent.last_price.value() * 1.02 {
+                s.cl_reacting[vs] = true;
+            }
+            agent.last_price = price;
+            // The agent's step rule (see `agents::cluster_agent`): forced
+            // step-down in the emergency state, else the ±δ band around the
+            // base price with the §3.2.4 round-demand-up guard.
+            let step = cluster_agent::decide_step(cluster_agent::ClusterView {
+                price,
+                base_price: agent.base_price,
+                tolerance: self.config.tolerance,
+                can_step_up: c.supply_up.is_some(),
+                supply_down: c.supply_down,
+                constrained_demand: s.cl_constr_demand[vs],
+                emergency: self.state == PowerState::Emergency,
+            });
+            if let Some(step) = step {
+                out.dvfs.push((c.id, step));
+                agent.frozen = true;
             }
         }
         self.state = state;
@@ -1791,161 +856,7 @@ impl Market {
         self.allowance = Some(next_allowance);
         out.allowance = next_allowance;
         lap(prof, &mut mark, Phase::MarketDvfs);
-        self.finish_full(obs, out, retain);
     }
-
-    /// The pooled counterpart of the serial bid / price-discovery /
-    /// purchase / cluster-agent stages (DESIGN.md §13): a serial prepass
-    /// materialises agent slots in observation order (preserving the
-    /// free-list pop order of the serial path), then contiguous cluster
-    /// ranges fan out over the worker pool and the shard outputs merge in
-    /// slot order. Returns `false` — leaving the round to the serial
-    /// stages, which have not run yet — when the observation carries a
-    /// duplicate task id (two tasks sharing one agent must be handled
-    /// sequentially); the prepass work it did is idempotent.
-    fn sharded_stages(
-        &mut self,
-        obs: &MarketObs,
-        out: &mut MarketDecision,
-        mut prof: Option<&mut PhaseProfiler>,
-        mark: &mut Option<Instant>,
-    ) -> bool {
-        // --- Serial prepass: one agent slot per participating task. ---
-        let s = &mut self.scratch;
-        s.next_prepass_epoch();
-        let epoch = s.prepass_epoch;
-        for (ti, t) in obs.tasks.iter().enumerate() {
-            if s.t_core[ti] == SLOT_NONE {
-                continue;
-            }
-            if s.task_seen_epoch.len() <= t.id.0 {
-                s.task_seen_epoch.resize(t.id.0 + 1, 0);
-            }
-            if s.task_seen_epoch[t.id.0] == epoch {
-                return false;
-            }
-            s.task_seen_epoch[t.id.0] = epoch;
-            s.t_agent[ti] = Self::ensure_agent(
-                &mut self.task_slots,
-                &mut self.task_agents,
-                &mut self.free_agents,
-                t.id,
-                t.demand,
-            );
-        }
-        lap(prof.as_deref_mut(), mark, Phase::MarketBid);
-
-        // --- Parallel region: shard k owns cluster slots [k·n/S, (k+1)·n/S)
-        // and writes only its own `ShardScratch`. ---
-        let nclusters = obs.clusters.len();
-        let sharding = self.sharding.as_ref().expect("sharded_stages needs a pool");
-        let nshards = sharding.pool.shards();
-        let ctx = ShardCtx {
-            obs,
-            s: &self.scratch,
-            task_agents: &self.task_agents,
-            cluster_agents: &self.cluster_agents,
-            config: &self.config,
-            initial_bid: self.initial_bid,
-            emergency: self.state == PowerState::Emergency,
-        };
-        sharding.pool.run(&|k| {
-            let mut sh = sharding.shards[k].lock().expect("shard scratch");
-            let c0 = k * nclusters / nshards;
-            let c1 = (k + 1) * nclusters / nshards;
-            run_shard(&ctx, c0, c1, &mut sh);
-        });
-        lap(prof.as_deref_mut(), mark, Phase::MarketShard);
-
-        // --- Merge in shard order = cluster slot order: agent writebacks
-        // land exactly where the serial loops would have written, and the
-        // DVFS list comes out in ascending cluster slot order like the
-        // serial cluster-agent loop's. ---
-        for shard in &sharding.shards {
-            let sh = shard.lock().expect("shard scratch");
-            out.prices.extend_from_slice(&sh.prices);
-            out.shares.extend_from_slice(&sh.shares);
-            out.tasks.extend_from_slice(&sh.tasks);
-            for &(slot, agent) in &sh.agents {
-                self.task_agents[slot as usize] = agent;
-            }
-            for co in &sh.clusters {
-                let vs = co.vs as usize;
-                self.cluster_agents[obs.clusters[vs].id.0] = co.agent;
-                if let Some(step) = co.step {
-                    out.dvfs.push((obs.clusters[vs].id, step));
-                }
-                self.scratch.cl_reacting[vs] = co.reacting;
-                self.scratch.cl_constrained[vs] = co.constrained;
-                self.scratch.cl_constr_demand[vs] = co.constr_demand;
-            }
-        }
-        // Keys are unique (stage A de-duplicates cores, the prepass above
-        // de-duplicates tasks), so sorting the concatenation yields the
-        // exact sequence the serial sorts produce.
-        out.prices.sort_unstable_by_key(|(c, _)| *c);
-        out.shares.sort_unstable_by_key(|(t, _)| *t);
-        out.tasks.sort_unstable_by_key(|t| t.id);
-        lap(prof, mark, Phase::MarketPrice);
-        true
-    }
-
-    /// Epilogue of every full recompute: re-anchor the stage-skip
-    /// observation and (when `retain` — always while probing eagerly, else
-    /// only in the retention window before a scheduled probe) rotate the
-    /// retained-round ring (`prev2` ← `prev` ← this round). The pre-round
-    /// state captured at round start is swapped in; obs/decision copies
-    /// reuse retained capacity, so retention is memcpy-only and allocates
-    /// nothing once buffers are warm.
-    fn finish_full(&mut self, obs: &MarketObs, out: &MarketDecision, retain: bool) {
-        self.incr.full_rounds += 1;
-        if !self.incr.enabled {
-            return;
-        }
-        // The full round moved σ: certified state equalities are gone.
-        self.incr.state_eq_prev = false;
-        self.incr.state_eq_prev2 = false;
-        // Re-anchor `full_obs` per dirty section (a clean section is
-        // already bitwise identical). The task section is adaptive: while
-        // backed off, skip its copy too and leave it stale, re-anchoring on
-        // the scheduled re-check so the compare can resume.
-        let incr = &mut self.incr;
-        if incr.dirty_mask & DIRTY_CHIP != 0 {
-            incr.full_obs.chip_power = obs.chip_power;
-        }
-        if incr.dirty_mask & DIRTY_CORES != 0 {
-            copy_vec(&mut incr.full_obs.cores, &obs.cores);
-        }
-        if incr.dirty_mask & DIRTY_CLUSTERS != 0 {
-            copy_vec(&mut incr.full_obs.clusters, &obs.clusters);
-        }
-        if incr.full_obs_tasks_stale {
-            if incr.until_task_check == 0 {
-                copy_vec(&mut incr.full_obs.tasks, &obs.tasks);
-                incr.full_obs_tasks_stale = false;
-            } else {
-                incr.until_task_check -= 1;
-            }
-        } else if incr.dirty_mask & DIRTY_TASKS != 0 {
-            if incr.task_dirty_streak >= DIFF_PATIENCE {
-                incr.full_obs_tasks_stale = true;
-                incr.until_task_check = TASK_CHECK_PERIOD;
-            } else {
-                copy_vec(&mut incr.full_obs.tasks, &obs.tasks);
-            }
-        }
-        incr.full_obs_valid = true;
-        if !retain {
-            return;
-        }
-        let incr = &mut self.incr;
-        std::mem::swap(&mut incr.prev, &mut incr.prev2);
-        copy_obs(&mut incr.prev.obs, obs);
-        copy_decision(&mut incr.prev.out, out);
-        std::mem::swap(&mut incr.prev.state_before, &mut incr.staging);
-        incr.prev.valid = true;
-    }
-
     /// The chip agent's Δ policy: emergency cuts gated by the cooldown,
     /// growth only when it can actually buy supply, threshold freeze.
     #[allow(clippy::too_many_arguments)]
@@ -2420,111 +1331,6 @@ mod tests {
         let d = b.market.round(&b.obs());
         assert!(d.orphans.is_empty());
         assert_eq!(d.tasks.len(), 2);
-    }
-
-    #[test]
-    fn steady_rounds_take_the_fast_path_bit_identically() {
-        // Drive an incremental and a force-full market through the same
-        // observation sequence: a steady phase (which must converge and
-        // start replaying), a demand perturbation (full recompute), and a
-        // second steady phase. Every decision must render byte-identically.
-        // Savings climb towards the (loose, 100×) cap before the bench
-        // scenario is truly stationary, so each steady phase runs long.
-        let mut inc = table_bench();
-        let mut full = table_bench();
-        full.market.set_incremental(false);
-        assert!(inc.market.incremental());
-        for i in 0..800 {
-            if i == 400 {
-                inc.demands[0] = 250.0;
-                full.demands[0] = 250.0;
-            }
-            let di = inc.round();
-            let df = full.round();
-            assert_eq!(format!("{di:?}"), format!("{df:?}"), "round {i}");
-            assert_eq!(inc.level, full.level);
-        }
-        assert!(
-            inc.market.fast_path_hits() > 0,
-            "steady phases must converge onto the fast path"
-        );
-        assert_eq!(
-            inc.market.fast_path_hits() + inc.market.full_recomputes(),
-            inc.market.rounds()
-        );
-        assert_eq!(full.market.fast_path_hits(), 0);
-    }
-
-    #[test]
-    fn fast_path_disarms_when_state_is_mutated_between_rounds() {
-        let mut b = table_bench();
-        // Converge onto the fast path (savings must reach their cap first).
-        for _ in 0..500 {
-            b.round();
-        }
-        assert!(b.market.last_round_fast());
-        // Removing a task mutates agent state outside a round: the retained
-        // rounds are stale, so the next round must recompute fully even
-        // though the observation bytes do not change.
-        b.market.remove_task(TaskId(1));
-        let hits = b.market.fast_path_hits();
-        let d = b.round();
-        assert_eq!(b.market.fast_path_hits(), hits, "must not replay");
-        // The departed task re-enters as a fresh agent (bid $1 again).
-        assert!(approx(d.tasks[1].bid.value(), 1.0, 1e-9));
-    }
-
-    #[test]
-    fn alternating_observations_hit_the_lag_2_fast_path() {
-        // A period-2 input drive: once the agent economy has settled, the
-        // chip power alternates between two values (both in the Normal
-        // band). No single previous round ever matches (lag 1 misses every
-        // round), but each round's inputs are bitwise those of two rounds
-        // ago — the lag-2 entry must replay them, bit-identically to an
-        // always-full market.
-        let mut inc = table_bench();
-        let mut full = table_bench();
-        full.market.set_incremental(false);
-        for _ in 0..800 {
-            inc.round();
-            full.round();
-        }
-        let base = inc.obs();
-        let hits_before = inc.market.fast_path_hits();
-        for i in 0..400u64 {
-            let mut obs = base.clone();
-            if i % 2 == 1 {
-                obs.chip_power = Watts(obs.chip_power.value() + 0.001);
-            }
-            let di = inc.market.round(&obs);
-            let df = full.market.round(&obs);
-            assert_eq!(format!("{di:?}"), format!("{df:?}"), "alt round {i}");
-        }
-        assert!(
-            inc.market.fast_path_hits() > hits_before,
-            "the lag-2 fast path must engage on a period-2 input drive"
-        );
-    }
-
-    #[test]
-    fn chip_power_wiggle_alone_forces_recompute() {
-        // Bitwise diffing is per-section: a chip-power flip dirties only
-        // that section, but the round must still recompute (allowance
-        // control reads it) and produce what a full market produces.
-        let mut inc = table_bench();
-        let mut full = table_bench();
-        full.market.set_incremental(false);
-        for _ in 0..20 {
-            inc.round();
-            full.round();
-        }
-        let mut obs = inc.obs();
-        obs.chip_power = Watts(obs.chip_power.value() + 0.001);
-        let di = inc.market.round(&obs);
-        let df = full.market.round(&obs);
-        assert!(!inc.market.last_round_fast());
-        assert_eq!(inc.market.last_round_dirty_sections(), 1);
-        assert_eq!(format!("{di:?}"), format!("{df:?}"));
     }
 
     #[test]

@@ -368,10 +368,12 @@ impl AggRegistry {
             w.p99_over_slo.observe(s.p99_over_slo);
             w.slo_bad_quanta += u64::from(s.slo_bad);
             w.over_tdp_quanta += u64::from(s.headroom_w < 0.0);
-            w.shed += shed;
-            w.degradation += degradation;
-            w.obs_dropped_rows += dropped;
-            w.obs_stream_lost += stream_lost;
+            // Counters saturate: the recorder's count columns are f64, so
+            // an absurd reading must clamp, not overflow.
+            w.shed = w.shed.saturating_add(shed);
+            w.degradation = w.degradation.saturating_add(degradation);
+            w.obs_dropped_rows = w.obs_dropped_rows.saturating_add(dropped);
+            w.obs_stream_lost = w.obs_stream_lost.saturating_add(stream_lost);
             if s.plan_ns > 0 {
                 w.plan_ns.record(s.plan_ns);
             }

@@ -452,37 +452,13 @@ fn validate_scrape(addr: &str) {
     validate_snapshot(&format!("{addr}/metrics.json"), &doc);
 }
 
-/// Domain check for the incremental-market telemetry: `market_fast_hit`
-/// must be 0/1 (or absent — `null`/empty before the first round) and
-/// `market_dirty_stages` an integer in 0..=4.
-fn check_market_columns(path: &str, row: &str, fast: Option<f64>, dirty: Option<f64>) {
-    if let Some(v) = fast {
-        if v != 0.0 && v != 1.0 {
-            fail(&format!("{path}: {row}: market_fast_hit {v} is not 0/1"));
-        }
-    }
-    if let Some(v) = dirty {
-        if v.fract() != 0.0 || !(0.0..=4.0).contains(&v) {
-            fail(&format!(
-                "{path}: {row}: market_dirty_stages {v} is not an integer in 0..=4"
-            ));
-        }
-    }
-}
-
 fn validate_jsonl(path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("{path}: read failed: {e}")));
     let mut rows = 0usize;
     for (n, line) in text.lines().enumerate() {
-        let doc = json::parse(line)
+        json::parse(line)
             .unwrap_or_else(|e| fail(&format!("{path}: line {}: invalid JSON: {e}", n + 1)));
-        check_market_columns(
-            path,
-            &format!("line {}", n + 1),
-            doc.get("market_fast_hit").and_then(Json::as_num),
-            doc.get("market_dirty_stages").and_then(Json::as_num),
-        );
         rows += 1;
     }
     println!("ok: {path}: {rows} JSONL rows");
@@ -496,17 +472,6 @@ fn validate_csv(path: &str) {
         .next()
         .unwrap_or_else(|| fail(&format!("{path}: empty CSV")));
     let cols = header.split(',').count();
-    let col_idx = |name: &str| header.split(',').position(|h| h == name);
-    let fast_col = col_idx("market_fast_hit");
-    let dirty_col = col_idx("market_dirty_stages");
-    let parse_cell = |line: &str, idx: Option<usize>| -> Option<f64> {
-        let cell = line.split(',').nth(idx?)?;
-        if cell.is_empty() {
-            None // NaN exports as the empty cell
-        } else {
-            cell.parse::<f64>().ok()
-        }
-    };
     let mut rows = 0usize;
     for (n, line) in lines.enumerate() {
         if line.split(',').count() != cols {
@@ -515,12 +480,6 @@ fn validate_csv(path: &str) {
                 n + 2
             ));
         }
-        check_market_columns(
-            path,
-            &format!("row {}", n + 2),
-            parse_cell(line, fast_col),
-            parse_cell(line, dirty_col),
-        );
         rows += 1;
     }
     println!("ok: {path}: {rows} CSV rows × {cols} columns");

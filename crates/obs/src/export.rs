@@ -21,7 +21,6 @@ pub fn csv_header(rec: &SeriesRecorder) -> String {
     let (n_cl, n_co, n_t) = rec.shape();
     let mut h = String::from(
         "t_s,chip_power_w,tdp_headroom_w,hottest_c,allowance,money_supply,\
-         market_fast_hit,market_dirty_stages,market_workers,\
          sensor_fallbacks,dvfs_retries,migration_retries,tasks_orphaned,\
          obs_dropped_rows,obs_alerts_firing,obs_stream_rows,obs_stream_lost,\
          obs_stream_flushes",
@@ -66,9 +65,6 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
         rec.hottest_c[i],
         rec.allowance[i],
         rec.money_supply[i],
-        rec.market_fast_hit[i],
-        rec.market_dirty_stages[i],
-        rec.market_workers[i],
     ] {
         line.push(',');
         line.push_str(&cell(v));
@@ -196,12 +192,30 @@ pub fn write_fleet_csv<W: Write>(recs: &[&SeriesRecorder], w: &mut W) -> io::Res
 }
 
 /// A JSON number, `null` for `NaN` (JSON has no NaN literal).
-fn jnum(v: f64) -> String {
+pub(crate) fn jnum(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
         "null".to_string()
     }
+}
+
+/// A JSON string literal: quotes, backslashes and control characters
+/// escaped.
+pub(crate) fn jstr(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Write the held rows as JSONL: one self-describing JSON object per
@@ -229,9 +243,6 @@ pub(crate) fn jsonl_row(rec: &SeriesRecorder, i: usize, line: &mut String) {
             ("hottest_c", rec.hottest_c[i]),
             ("allowance", rec.allowance[i]),
             ("money_supply", rec.money_supply[i]),
-            ("market_fast_hit", rec.market_fast_hit[i]),
-            ("market_dirty_stages", rec.market_dirty_stages[i]),
-            ("market_workers", rec.market_workers[i]),
         ] {
             line.push_str(&format!(",\"{k}\":{}", jnum(v)));
         }
@@ -312,7 +323,7 @@ fn counter(out: &mut Vec<String>, pid: usize, ts_us: f64, name: &str, series: &[
     }
     let args = finite
         .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .map(|(k, v)| format!("{}:{v}", jstr(k)))
         .collect::<Vec<_>>()
         .join(",");
     out.push(format!(
@@ -411,16 +422,6 @@ fn recorder_events(
                 ("supply".to_string(), rec.money_supply[i]),
             ],
         );
-        counter(
-            ev,
-            pid_counters,
-            ts,
-            "market_fast_path",
-            &[
-                ("fast_hit".to_string(), rec.market_fast_hit[i]),
-                ("dirty_stages".to_string(), rec.market_dirty_stages[i]),
-            ],
-        );
         let price: Vec<(String, f64)> = (0..n_co)
             .map(|c| (format!("core{c}"), rec.core_price[c][i]))
             .collect();
@@ -483,9 +484,7 @@ fn recorder_events(
         }
         let mut sub_cursor = plan_start;
         for p in [
-            Phase::MarketDiff,
             Phase::MarketBid,
-            Phase::MarketShard,
             Phase::MarketPrice,
             Phase::MarketDvfs,
             Phase::Lbt,
@@ -658,9 +657,9 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1 + 3);
         let cols = lines[0].split(',').count();
-        // 13 scalars + 5 obs self-metrics + 11 phases + 2·4 cluster
-        // + 3·2 core + 2·8 task = 59.
-        assert_eq!(cols, 59);
+        // 10 scalars + 5 obs self-metrics + 11 phases + 2·4 cluster
+        // + 3·2 core + 2·8 task = 56.
+        assert_eq!(cols, 56);
         for row in &lines[1..] {
             assert_eq!(row.split(',').count(), cols, "ragged row: {row}");
         }
@@ -692,9 +691,9 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1 + 3);
-        // 1 shared t_s + chip 0's 58 columns + chip 1's 44 columns.
+        // 1 shared t_s + chip 0's 55 columns + chip 1's 41 columns.
         let cols = lines[0].split(',').count();
-        assert_eq!(cols, 1 + 58 + 44);
+        assert_eq!(cols, 1 + 55 + 41);
         assert!(lines[0].starts_with("t_s,c0_chip_power_w,"));
         assert!(lines[0].contains(",c1_chip_power_w,"));
         assert!(lines[0].contains(",c1_cl0_freq_mhz,"));

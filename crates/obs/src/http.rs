@@ -22,6 +22,7 @@
 
 use crate::aggregate::{AggSnapshot, GaugeStat, WindowStats};
 use crate::alert::AlertSnapshot;
+use crate::export::{jnum, jstr};
 use crate::profiler::Hist;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
@@ -257,32 +258,6 @@ pub fn render_prometheus(s: &ScrapeSnapshot) -> String {
         );
         sample(&mut out, "ppm_alert_fired_total", "", al.fired_total as f64);
     }
-    out
-}
-
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -5,7 +5,9 @@
 //! tests) bring their own parser. It is a straightforward recursive
 //! descent over the full grammar — objects, arrays, strings with escapes,
 //! numbers, booleans, null — tuned for correctness and error messages,
-//! not speed; it only ever runs on test and CI artifacts.
+//! not speed. It also reads bodies fetched from a scrape endpoint, so its
+//! recursion is bounded by [`MAX_DEPTH`]: hostile input is an error, never
+//! a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,12 +81,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting deeper than [`MAX_DEPTH`] rejected).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         b: input.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -98,6 +104,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -138,8 +146,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -148,6 +156,17 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one container with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -226,10 +245,15 @@ impl Parser<'_> {
                             if self.i + 4 >= self.b.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits (`from_str_radix`
+                            // alone would also take a leading `+`).
+                            let hex = &self.b[self.i + 1..self.i + 5];
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("bad \\u escape"));
+                            }
+                            let cp = hex.iter().fold(0, |cp, &c| {
+                                cp * 16 + char::from(c).to_digit(16).expect("hex digit")
+                            });
                             // Surrogates render as U+FFFD — the exporters
                             // never emit them, validation only needs to not
                             // crash.
@@ -322,6 +346,30 @@ mod tests {
         }
         // NaN is not JSON — the exporters must omit/nullify it.
         assert!(parse("NaN").is_err());
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u00e9""#).unwrap(), Json::Str("é".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(parse(bad).is_err(), "should reject {bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&nest(100_000)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(100_000), "}".repeat(100_000));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

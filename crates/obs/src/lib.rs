@@ -204,7 +204,7 @@ impl Telemetry {
             }
             let shed = rec.task_shed[t][i];
             if shed.is_finite() {
-                shed_total += shed as u64;
+                shed_total = shed_total.saturating_add(shed as u64);
             }
         }
         let degradation_total = rec.sensor_fallbacks[i]

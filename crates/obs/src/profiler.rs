@@ -35,21 +35,16 @@ pub enum Phase {
     Step,
     /// The every-quantum invariant auditor, when attached.
     Audit,
-    /// Market sub-phase: observation diffing and fast-path replay — the
-    /// incremental engine's change detection (and, on a clean converged
-    /// round, the whole round).
+    /// Retired, always zero; kept for the benchmark's declared `market_diff` metrics.
     MarketDiff,
     /// Market sub-phase: slot placement, allowance distribution, task bids.
-    /// In a sharded round this covers the serial agent-slot prepass.
     MarketBid,
-    /// Market sub-phase: the parallel region of a sharded round — bidding,
-    /// price discovery, purchases and cluster agents fanned out over the
-    /// worker pool (zero in serial rounds).
+    /// Retired, always zero; kept for the benchmark's declared `market_shard` metrics.
     MarketShard,
-    /// Market sub-phase: core-agent price discovery and purchases. In a
-    /// sharded round this covers the slot-order merge and output sorts.
+    /// Market sub-phase: core-agent price discovery and purchases.
     MarketPrice,
-    /// Market sub-phase: cluster inflation/deflation and chip allowance.
+    /// Market sub-phase: cluster inflation/deflation and chip allowance
+    /// (the whole round when no task participates).
     MarketDvfs,
     /// The load-balancing module, on its cadence.
     Lbt,

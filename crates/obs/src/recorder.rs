@@ -28,15 +28,6 @@ pub struct PolicySample {
     pub allowance: f64,
     /// Allowance plus task-agent savings — the total money in circulation.
     pub money_supply: f64,
-    /// 1.0 when the last market round was a fast-path replay, 0.0 when it
-    /// was a full recompute, `NaN` without an incremental market.
-    pub market_fast_hit: f64,
-    /// Observation sections found dirty by the last round's diff (0–4),
-    /// `NaN` without an incremental market.
-    pub market_dirty_stages: f64,
-    /// Threads the market's full rounds fan out over (1 = serial, the pool
-    /// shard count with a worker pool attached), `NaN` without a market.
-    pub market_workers: f64,
     core_price: Vec<f64>,
 }
 
@@ -46,9 +37,6 @@ impl PolicySample {
         PolicySample {
             allowance: f64::NAN,
             money_supply: f64::NAN,
-            market_fast_hit: f64::NAN,
-            market_dirty_stages: f64::NAN,
-            market_workers: f64::NAN,
             core_price: Vec::new(),
         }
     }
@@ -59,9 +47,6 @@ impl PolicySample {
     pub fn reset(&mut self, cores: usize) {
         self.allowance = f64::NAN;
         self.money_supply = f64::NAN;
-        self.market_fast_hit = f64::NAN;
-        self.market_dirty_stages = f64::NAN;
-        self.market_workers = f64::NAN;
         if self.core_price.len() != cores {
             self.core_price.resize(cores, f64::NAN);
         }
@@ -101,9 +86,6 @@ pub struct SeriesRecorder {
     pub(crate) hottest_c: Col,
     pub(crate) allowance: Col,
     pub(crate) money_supply: Col,
-    pub(crate) market_fast_hit: Col,
-    pub(crate) market_dirty_stages: Col,
-    pub(crate) market_workers: Col,
     pub(crate) sensor_fallbacks: Vec<u64>,
     pub(crate) dvfs_retries: Vec<u64>,
     pub(crate) migration_retries: Vec<u64>,
@@ -156,9 +138,6 @@ impl SeriesRecorder {
             hottest_c: vec![f64::NAN; capacity],
             allowance: vec![f64::NAN; capacity],
             money_supply: vec![f64::NAN; capacity],
-            market_fast_hit: vec![f64::NAN; capacity],
-            market_dirty_stages: vec![f64::NAN; capacity],
-            market_workers: vec![f64::NAN; capacity],
             sensor_fallbacks: vec![0; capacity],
             dvfs_retries: vec![0; capacity],
             migration_retries: vec![0; capacity],
@@ -233,9 +212,6 @@ impl SeriesRecorder {
         self.hottest_c[i] = f64::NAN;
         self.allowance[i] = f64::NAN;
         self.money_supply[i] = f64::NAN;
-        self.market_fast_hit[i] = f64::NAN;
-        self.market_dirty_stages[i] = f64::NAN;
-        self.market_workers[i] = f64::NAN;
         self.sensor_fallbacks[i] = 0;
         self.dvfs_retries[i] = 0;
         self.migration_retries[i] = 0;
@@ -334,9 +310,6 @@ impl RowWriter<'_> {
     pub fn policy(&mut self, sample: &PolicySample) -> &mut Self {
         self.rec.allowance[self.i] = sample.allowance;
         self.rec.money_supply[self.i] = sample.money_supply;
-        self.rec.market_fast_hit[self.i] = sample.market_fast_hit;
-        self.rec.market_dirty_stages[self.i] = sample.market_dirty_stages;
-        self.rec.market_workers[self.i] = sample.market_workers;
         for c in 0..self.rec.n_cores {
             self.rec.core_price[c][self.i] = sample.core_price(c);
         }

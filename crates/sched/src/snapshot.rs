@@ -159,7 +159,7 @@ impl ClusterSnap {
 /// changed section clean), so the mask is advisory: use it to skip cheap
 /// bookkeeping or as a fast pre-filter, but any consumer that needs a hard
 /// bit-identity guarantee must confirm with an exact comparison of the data
-/// it depends on (the market's incremental fast path does exactly that).
+/// it depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangeMask {
     /// Chip scalars changed (power sample, hottest junction temperature).

@@ -31,9 +31,6 @@ cargo run --release --quiet -p ppm --bin ppm-sim -- \
 echo ">>> bench_sweep --check (parallel sweep == serial, bit-for-bit)"
 cargo run --release --quiet -p ppm-bench --bin bench_sweep -- --check
 
-echo ">>> bench_market --workers 4 --check quick (incremental == full == sharded, bit-for-bit)"
-cargo run --release --quiet -p ppm-bench --bin bench_market -- --workers 4 --check quick
-
 echo ">>> telemetry smoke (ppm-sim --trace/--metrics/--profile + artifact validation)"
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
@@ -66,7 +63,7 @@ cargo run --release --quiet -p ppm --bin ppm-sim -- \
   --stream "$obs_tmp/openloop.jsonl" > /dev/null
 cargo run --release --quiet -p ppm-obs --bin obs_validate -- "$obs_tmp/openloop.jsonl"
 
-echo ">>> bench_openloop --check (tape digest pinned, p99 within SLO, 1/2/4 workers bit-identical)"
+echo ">>> bench_openloop --check (tape digest pinned, p99 within SLO, auditor clean)"
 cargo run --release --quiet -p ppm-bench --bin bench_openloop -- --check
 
 echo ">>> live scrape smoke (serving fleet on port 0, obs_validate scrapes both endpoints)"

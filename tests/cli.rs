@@ -147,12 +147,30 @@ fn fleet_serve_endpoint_scrapes_live_and_lingers_until_scraped() {
         Some(4)
     );
 
-    // The served scrapes end the linger: the process exits 0 long before
-    // the 60 s ceiling (drain stdout so the child never blocks on a full
-    // pipe).
-    let _rest: Vec<String> = lines.map(|l| l.expect("stdout line")).collect();
-    let status = child.wait().expect("child exits");
+    // Only a scrape served after the run ends the linger, so wait for the
+    // audit report (printed just before the linger starts), then keep
+    // scraping — more than 250 ms apart, the linger's quiet window — until
+    // the process exits. It must exit 0 long before the 60 s ceiling.
+    lines
+        .by_ref()
+        .map(|l| l.expect("stdout line"))
+        .find(|l| l.starts_with("# fleet audit"))
+        .expect("audit report after the run");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            break status;
+        }
+        if std::time::Instant::now() >= deadline {
+            child.kill().expect("kill lingering child");
+            panic!("fleet serve run still lingering 15 s after its audit report");
+        }
+        // The endpoint may close between the poll and the fetch.
+        let _ = ppm::obs::http::fetch(&addr, "/metrics");
+        std::thread::sleep(std::time::Duration::from_millis(400));
+    };
     assert!(status.success(), "fleet serve run exited {status}");
+    let _rest: Vec<String> = lines.map(|l| l.expect("stdout line")).collect();
 }
 
 /// `--alerts` exit semantics at the CLI: a starved single-chip run fires

@@ -271,8 +271,8 @@ fn e2e_actuation_tapes_are_identical_across_threads() {
 
 /// One open-loop cell — seeded request arrivals, per-request Weibull
 /// service draws, queue dynamics, SLO pressure feeding the bids — reduced
-/// to bytes, with the market sharded over `workers` threads.
-fn openloop_tape(workers: usize) -> (String, String) {
+/// to bytes.
+fn openloop_tape() -> (String, String) {
     let set = ppm_bench::resolve_set("ol2").expect("ol2");
     let run = ppm_bench::run_workload_hardened(
         &set,
@@ -281,7 +281,6 @@ fn openloop_tape(workers: usize) -> (String, String) {
         SimDuration::from_secs(8),
         ppm_bench::Harness {
             tape: true,
-            market_workers: workers,
             ..ppm_bench::Harness::default()
         },
     );
@@ -289,17 +288,17 @@ fn openloop_tape(workers: usize) -> (String, String) {
 }
 
 #[test]
-fn openloop_runs_are_identical_across_worker_counts() {
+fn openloop_runs_are_identical_across_threads() {
     // Request traffic adds three fresh nondeterminism hazards — arrival
     // sampling, service-demand sampling, and the pressure feedback loop —
-    // and none may leak thread count into the trajectory: the same seed
-    // must produce byte-identical tapes at 1, 2, and 4 market workers.
-    let reference = openloop_tape(1);
-    for workers in [2usize, 4] {
-        let got = openloop_tape(workers);
-        assert_eq!(reference.0, got.0, "summary diverged at {workers} workers");
-        assert_eq!(reference.1, got.1, "tape diverged at {workers} workers");
-    }
+    // and none may leak thread state into the trajectory: the same seed
+    // must produce byte-identical tapes on every thread.
+    let reference = openloop_tape();
+    let got = std::thread::spawn(openloop_tape)
+        .join()
+        .expect("open-loop thread");
+    assert_eq!(reference.0, got.0, "summary diverged across threads");
+    assert_eq!(reference.1, got.1, "tape diverged across threads");
     assert!(!reference.1.is_empty(), "open-loop run recorded nothing");
 }
 

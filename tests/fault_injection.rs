@@ -102,10 +102,10 @@ fn harsh_faults_with_crashes_stay_consistent() {
 
 /// The two executor-lifecycle faults, cranked up: every cluster agent's
 /// clock drifts (up to 3 quanta) and half the plans are truncated by a
-/// mid-actuation death — with the sharded market on top. The run must
-/// actually inject both fault classes and still audit clean.
+/// mid-actuation death. The run must actually inject both fault classes and
+/// still audit clean.
 #[test]
-fn clock_drift_and_partial_plans_stay_clean_with_sharding() {
+fn clock_drift_and_partial_plans_stay_clean() {
     let seed = fault_seed();
     let mut config = FaultConfig::with_seed(seed);
     config.clock_drift_prob = 1.0;
@@ -120,7 +120,6 @@ fn clock_drift_and_partial_plans_stay_clean_with_sharding() {
         Harness {
             faults: Some(config),
             audit: true,
-            market_workers: 4,
             ..Harness::default()
         },
     );

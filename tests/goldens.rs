@@ -21,7 +21,7 @@ use std::path::PathBuf;
 
 use ppm::platform::units::{SimDuration, Watts};
 use ppm::workload::sets::set_by_name;
-use ppm_bench::{run_workload_hardened, run_workload_taped, Harness, Scheme};
+use ppm_bench::{run_workload_taped, Scheme};
 
 /// Workload sets in the fixtures: one light, one medium, one heavy.
 const SETS: [&str; 3] = ["l1", "m2", "h3"];
@@ -106,41 +106,5 @@ fn openloop_tapes_match_the_goldens() {
         let (summary, tape) =
             ppm_bench::run_workload_taped(&set, scheme, Some(Watts(4.0)), DURATION);
         check_bytes(&name, &format!("{summary:?}\n{tape}"));
-    }
-}
-
-/// The sharded market (DESIGN.md §13) reproduces the *same* committed
-/// goldens byte for byte: every PPM cell re-runs with a 4-shard worker
-/// pool against the fixtures the serial path wrote. No `UPDATE_GOLDENS`
-/// path here on purpose — sharding must never need its own fixtures.
-#[test]
-fn sharded_ppm_tapes_match_the_serial_goldens() {
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        return; // fixtures are (re)written by the serial tests above
-    }
-    for (fig, tdp) in [("fig4_fig5", None), ("fig6", Some(Watts(4.0)))] {
-        for set_name in SETS {
-            let name = format!("{fig}_{set_name}_ppm.tape");
-            let path = goldens_dir().join(&name);
-            let committed = fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run UPDATE_GOLDENS=1"));
-            let set = set_by_name(set_name).expect("known workload set");
-            let h = run_workload_hardened(
-                &set,
-                Scheme::Ppm,
-                tdp,
-                DURATION,
-                Harness {
-                    tape: true,
-                    market_workers: 4,
-                    ..Harness::default()
-                },
-            );
-            let fresh = format!("{:?}\n{}", h.summary, h.tape);
-            assert_eq!(
-                committed, fresh,
-                "sharded run diverged from the serial golden {name}"
-            );
-        }
     }
 }

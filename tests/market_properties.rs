@@ -1,13 +1,11 @@
 //! Property-based tests on the market's §3.2 invariants, driven by random
 //! task populations, demand trajectories, and power curves.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ppm::core::config::PpmConfig;
 use ppm::core::market::{ClusterObs, CoreObs, Market, MarketObs, TaskObs, VfStep};
-use ppm::core::{PowerState, WorkerPool};
+use ppm::core::PowerState;
 use ppm::platform::cluster::ClusterId;
 use ppm::platform::core::CoreId;
 use ppm::platform::units::{Money, ProcessingUnits, Watts};
@@ -74,32 +72,6 @@ impl World {
             }
         }
     }
-}
-
-/// One step of the incremental-equivalence drive: hold everything stable,
-/// perturb a demand or the chip power (fault-shaped observation noise),
-/// or churn the population (remove an agent / admit a new task).
-#[derive(Debug, Clone)]
-enum Churn {
-    Stable,
-    Demand(usize, f64),
-    Power(f64),
-    Remove(usize),
-    Add(u32, f64),
-}
-
-fn churn_strategy() -> impl Strategy<Value = Churn> {
-    // Weighted pick via a selector (the vendored proptest has no
-    // `prop_oneof`): stable rounds dominate so replays actually happen.
-    (0usize..9, 0usize..64, 20.0f64..900.0, 1u32..=8, 0.0f64..4.0).prop_map(|(sel, i, d, p, pw)| {
-        match sel {
-            0..=3 => Churn::Stable,
-            4 | 5 => Churn::Demand(i, d),
-            6 => Churn::Power(pw),
-            7 => Churn::Remove(i),
-            _ => Churn::Add(p, d),
-        }
-    })
 }
 
 fn world_strategy() -> impl Strategy<Value = World> {
@@ -213,144 +185,6 @@ proptest! {
             last_dvfs_round < 150,
             "market still switching V-F levels at round {last_dvfs_round}"
         );
-    }
-
-    /// The incremental engine (the default) is bit-identical to an
-    /// always-full-recompute market under random interleavings of task
-    /// churn, fault-perturbed observations, and stable rounds: every
-    /// decision renders byte-equal (`Debug` distinguishes `-0.0`/`NaN`)
-    /// and the money books (per-agent savings and bids) match bitwise
-    /// after every round. A long stable tail makes sure the fast path
-    /// actually engages inside the property, not just in unit tests.
-    #[test]
-    fn incremental_equals_full_recompute(
-        world in world_strategy(),
-        ops in proptest::collection::vec(churn_strategy(), 0..40),
-    ) {
-        let mut w = world;
-        let mut inc = Market::new(PpmConfig::tc2());
-        prop_assert!(inc.incremental(), "incremental mode must be the default");
-        let mut full = Market::new(PpmConfig::tc2());
-        full.set_incremental(false);
-        let mut power_bias = 0.0f64;
-        let stable_tail = std::iter::repeat_n(Churn::Stable, 60);
-        for (step, op) in ops.into_iter().chain(stable_tail).enumerate() {
-            match op {
-                Churn::Stable => {}
-                Churn::Demand(i, d) => {
-                    let n = w.demands.len();
-                    w.demands[i % n] = d;
-                }
-                Churn::Power(p) => power_bias = p,
-                Churn::Remove(i) => {
-                    let id = TaskId(i % w.demands.len());
-                    inc.remove_task(id);
-                    full.remove_task(id);
-                }
-                Churn::Add(p, d) => {
-                    w.priorities.push(p);
-                    w.demands.push(d);
-                }
-            }
-            let mut obs = w.obs();
-            obs.chip_power = Watts(obs.chip_power.value() + power_bias);
-            let di = inc.round(&obs);
-            let df = full.round(&obs);
-            prop_assert_eq!(
-                format!("{di:?}"), format!("{df:?}"),
-                "step {}: incremental decision diverged", step
-            );
-            for i in 0..w.demands.len() {
-                let id = TaskId(i);
-                prop_assert_eq!(
-                    inc.savings_of(id).value().to_bits(),
-                    full.savings_of(id).value().to_bits(),
-                    "step {}: savings of task {} diverged", step, i
-                );
-                prop_assert_eq!(
-                    inc.bid_of(id).value().to_bits(),
-                    full.bid_of(id).value().to_bits(),
-                    "step {}: bid of task {} diverged", step, i
-                );
-            }
-            w.apply(&di);
-        }
-    }
-
-    /// The sharded market (DESIGN.md §13) is bit-identical to the serial
-    /// path at every worker count, under the same churn interleavings the
-    /// incremental property uses: decisions render byte-equal and the
-    /// re-derived §3.2 money books (per-agent savings and bids) match
-    /// bitwise after every round. The sharded markets keep the incremental
-    /// fast path at its default (on), so this also proves sharding composes
-    /// with replay; the reference is an always-full serial market.
-    #[test]
-    fn sharded_equals_serial_bit_for_bit(
-        world in world_strategy(),
-        ops in proptest::collection::vec(churn_strategy(), 0..30),
-    ) {
-        let mut w = world;
-        let mut serial = Market::new(PpmConfig::tc2());
-        serial.set_incremental(false);
-        // market_workers ∈ {1, 2, 4, 8}: a pool of n−1 threads serves n
-        // shards (the dispatching thread runs shard 0).
-        let mut sharded: Vec<Market> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&n| {
-                let mut m = Market::new(PpmConfig::tc2());
-                m.attach_pool(Arc::new(WorkerPool::new(n - 1)));
-                m
-            })
-            .collect();
-        let mut power_bias = 0.0f64;
-        let stable_tail = std::iter::repeat_n(Churn::Stable, 40);
-        for (step, op) in ops.into_iter().chain(stable_tail).enumerate() {
-            match op {
-                Churn::Stable => {}
-                Churn::Demand(i, d) => {
-                    let n = w.demands.len();
-                    w.demands[i % n] = d;
-                }
-                Churn::Power(p) => power_bias = p,
-                Churn::Remove(i) => {
-                    let id = TaskId(i % w.demands.len());
-                    serial.remove_task(id);
-                    for m in &mut sharded {
-                        m.remove_task(id);
-                    }
-                }
-                Churn::Add(p, d) => {
-                    w.priorities.push(p);
-                    w.demands.push(d);
-                }
-            }
-            let mut obs = w.obs();
-            obs.chip_power = Watts(obs.chip_power.value() + power_bias);
-            let ds = serial.round(&obs);
-            let rendered = format!("{ds:?}");
-            for (mi, m) in sharded.iter_mut().enumerate() {
-                let workers = m.workers();
-                let dm = m.round(&obs);
-                prop_assert_eq!(
-                    format!("{dm:?}"), rendered.clone(),
-                    "step {}: {} shards diverged from serial", step, workers
-                );
-                for i in 0..w.demands.len() {
-                    let id = TaskId(i);
-                    prop_assert_eq!(
-                        m.savings_of(id).value().to_bits(),
-                        serial.savings_of(id).value().to_bits(),
-                        "step {}: savings of task {} diverged at market {}", step, i, mi
-                    );
-                    prop_assert_eq!(
-                        m.bid_of(id).value().to_bits(),
-                        serial.bid_of(id).value().to_bits(),
-                        "step {}: bid of task {} diverged at market {}", step, i, mi
-                    );
-                }
-            }
-            w.apply(&ds);
-        }
     }
 
     /// The chip agent's state classification matches the configured bands.

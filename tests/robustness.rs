@@ -1,9 +1,16 @@
 //! Robustness: the market must tolerate imperfect sensors and odd
-//! configurations without thrashing or violating its invariants.
+//! configurations without thrashing or violating its invariants, and the
+//! operator-facing JSON parser must survive hostile input.
+
+use proptest::prelude::*;
 
 use ppm::core::config::PpmConfig;
 use ppm::core::manager::tc2_ppm_system;
 use ppm::core::market::{ClusterObs, CoreObs, Market, MarketObs, TaskObs};
+use ppm::obs::export::{write_fleet_chrome_trace, CounterSample};
+use ppm::obs::{
+    json, render_json, write_chrome_trace, write_jsonl, Phase, PolicySample, Telemetry,
+};
 use ppm::platform::cluster::ClusterId;
 use ppm::platform::core::CoreId;
 use ppm::platform::units::{ProcessingUnits, SimDuration, Watts};
@@ -119,4 +126,141 @@ fn noisy_sensors_near_the_tdp_do_not_collapse_the_market() {
     let (miss, power, _vf) = run_with_noise(0.05, Some(tdp));
     assert!(power < 4.0, "cap must hold on average: {power:.2} W");
     assert!(miss < 0.5, "flicker starved the workload: {miss:.2}");
+}
+
+/// Fragments that steer random text towards the edges of the JSON grammar;
+/// selectors past the end draw an arbitrary scalar value instead.
+const JSON_BITS: [&str; 26] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "\\",
+    "\\u",
+    "\\u00",
+    "0",
+    "7",
+    "-",
+    "+",
+    ".",
+    "e",
+    "true",
+    "false",
+    "null",
+    " ",
+    "\n",
+    "\"k\":",
+    "\u{e9}",
+    "\u{1f600}",
+    "a",
+    "f",
+];
+
+/// Random text: JSON-shaped fragments mixed with arbitrary characters.
+fn json_ish_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0usize..JSON_BITS.len() + 6, 0u32..0x11_0000), 0..48).prop_map(
+        |parts| {
+            parts
+                .into_iter()
+                .map(|(sel, cp)| match JSON_BITS.get(sel) {
+                    Some(bit) => bit.to_string(),
+                    None => char::from_u32(cp).unwrap_or('?').to_string(),
+                })
+                .collect()
+        },
+    )
+}
+
+/// A telemetry value, biased towards the ones JSON cannot spell directly.
+fn telemetry_value() -> impl Strategy<Value = f64> {
+    (0usize..10, -1e6f64..1e6).prop_map(|(sel, v)| match sel {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => f64::MAX,
+        5 => f64::MIN_POSITIVE / 4.0,
+        _ => v,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The parser reads scrape bodies from the network: whatever the
+    /// bytes, it returns, and never panics.
+    #[test]
+    fn json_parse_never_panics(text in json_ish_text()) {
+        let _ = json::parse(&text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every JSON document the exporters and the scrape endpoint write
+    /// parses back, whatever the recorded values (NaN, infinities, -0,
+    /// extremes) and whatever the chip label and series names hold.
+    #[test]
+    fn exported_documents_parse_back(
+        label in json_ish_text(),
+        values in proptest::collection::vec(telemetry_value(), 12..96),
+    ) {
+        let mut tel = Telemetry::new(8)
+            .with_profiling()
+            .with_aggregation(2_000)
+            .with_alerts()
+            .with_label(&label);
+        tel.recorder.ensure_shape(2, 3, 2);
+        let mut policy = PolicySample::new();
+        for (q, v) in values.chunks_exact(12).enumerate() {
+            policy.reset(3);
+            policy.allowance = v[3];
+            policy.money_supply = v[4];
+            policy.set_core_price(q % 3, v[5]);
+            let mut phases = [0u64; Phase::COUNT];
+            phases[q % Phase::COUNT] = v[6].abs().min(1e12) as u64;
+            let mut row = tel.recorder.push_row((q as u64 + 1) * 1_000);
+            row.chip(v[0], v[1], v[2])
+                .policy(&policy)
+                .phases(&phases)
+                .cluster(q % 2, v[7], v[8], v[9], v[10])
+                .core_supply(q % 3, v[11])
+                .task(q % 2, v[0], v[1], v[2], v[3])
+                .task_latency(q % 2, v[4], v[5], v[6], v[7])
+                .obs_stream(v[8], v[9], v[10]);
+            tel.roll_forward();
+        }
+
+        let mut jsonl = Vec::new();
+        write_jsonl(&tel.recorder, &mut jsonl).expect("in-memory write");
+        for (n, line) in String::from_utf8(jsonl).expect("utf-8").lines().enumerate() {
+            let parsed = json::parse(line);
+            prop_assert!(parsed.is_ok(), "JSONL line {}: {:?}\n{}", n + 1, parsed, line);
+        }
+
+        let mut trace = Vec::new();
+        write_chrome_trace(&tel.recorder, &mut trace, 1).expect("in-memory write");
+        let trace = String::from_utf8(trace).expect("utf-8");
+        prop_assert!(json::parse(&trace).is_ok(), "chrome trace: {:?}", json::parse(&trace));
+
+        let exchange = [CounterSample {
+            t_us: 5_000,
+            series: vec![(label.clone(), values[0]), ("cap".to_string(), values[1])],
+        }];
+        let mut fleet = Vec::new();
+        write_fleet_chrome_trace(&[&tel.recorder, &tel.recorder], &exchange, &mut fleet, 1)
+            .expect("in-memory write");
+        let fleet = String::from_utf8(fleet).expect("utf-8");
+        prop_assert!(json::parse(&fleet).is_ok(), "fleet trace: {:?}", json::parse(&fleet));
+
+        let snapshot = render_json(&tel.scrape_snapshot());
+        prop_assert!(
+            json::parse(&snapshot).is_ok(),
+            "scrape snapshot: {:?}\n{}", json::parse(&snapshot), snapshot
+        );
+    }
 }

@@ -129,21 +129,14 @@ fn steady_state_market_round_does_not_allocate() {
         market.round_into(&snapshot, &mut out);
     }
 
-    let hits_before = market.fast_path_hits();
     assert_no_alloc("steady-state rounds", || {
         for _ in 0..100 {
             market.round_into(&snapshot, &mut out);
         }
     });
-    // Sanity: the rounds actually ran an economy, and the measured block
-    // exercised the incremental fast path (so the dirty-tracking
-    // bookkeeping itself is proven allocation-free, not just the stages).
+    // Sanity: the rounds actually ran an economy.
     assert_eq!(out.tasks.len(), snapshot.tasks.len());
     assert!(out.allowance.value() > 0.0);
-    assert!(
-        market.fast_path_hits() > hits_before,
-        "steady block must replay through the fast path"
-    );
 
     // Also steady under demand drift (same populations, different numbers):
     // only values change, so capacities hold and no allocation happens.
@@ -172,10 +165,9 @@ fn steady_state_market_round_does_not_allocate() {
     });
 }
 
-/// The churn path — full recomputes with the incremental engine's capture
-/// and ring rotation running every round, plus agent removal/re-admission —
-/// must also be allocation-free once the arenas, free list, and retention
-/// buffers are warm.
+/// The churn path — demand changes every round plus agent
+/// removal/re-admission — must also be allocation-free once the arenas and
+/// the free list are warm.
 #[test]
 fn market_churn_rounds_do_not_allocate_after_warmup() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -184,7 +176,7 @@ fn market_churn_rounds_do_not_allocate_after_warmup() {
     let mut out = MarketDecision::default();
 
     // Warm-up includes one remove/re-admit cycle so the free list reaches
-    // its steady capacity alongside the arenas and retained buffers.
+    // its steady capacity alongside the arenas.
     for _ in 0..50 {
         market.round_into(&snapshot, &mut out);
     }
@@ -193,12 +185,10 @@ fn market_churn_rounds_do_not_allocate_after_warmup() {
         market.round_into(&snapshot, &mut out);
     }
 
-    let full_before = market.full_recomputes();
     assert_no_alloc("churn rounds", || {
         for round in 0..100u64 {
-            // Per-round demand churn dirties the task section (full engine
-            // with capture/rotation every round); periodic agent churn
-            // exercises the slot free list and ring invalidation.
+            // Per-round demand churn; periodic agent churn exercises the
+            // slot free list.
             let k = (round as usize * 17) % snapshot.tasks.len();
             let t = &mut snapshot.tasks[k];
             let delta = if round % 2 == 0 { 1.0 } else { -1.0 };
@@ -209,48 +199,7 @@ fn market_churn_rounds_do_not_allocate_after_warmup() {
             market.round_into(&snapshot, &mut out);
         }
     });
-    assert!(
-        market.full_recomputes() - full_before >= 100,
-        "every churn round must run the full engine"
-    );
-}
-
-/// Sharded steady-state rounds (DESIGN.md §13) are allocation-free too:
-/// after warm-up has sized the per-shard output buffers, the traversal
-/// CSRs, and the prepass epoch map, dispatching a round over the persistent
-/// pool touches the allocator exactly zero times — parked threads wake via
-/// the condvar, the job is a borrowed closure, and every shard writes into
-/// retained capacity. The measured block churns demands every round so the
-/// sharded full-recompute path itself is what runs, not the fast path.
-#[test]
-fn steady_state_sharded_market_round_does_not_allocate() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut snapshot = obs(4, 4, 8);
-    let mut market = Market::new(PpmConfig::tc2());
-    // 3 workers + the dispatching thread = 4 shards, one per cluster.
-    market.attach_pool(std::sync::Arc::new(ppm::core::WorkerPool::new(3)));
-    assert_eq!(market.workers(), 4);
-    let mut out = MarketDecision::default();
-
-    for _ in 0..50 {
-        market.round_into(&snapshot, &mut out);
-    }
-
-    let full_before = market.full_recomputes();
-    assert_no_alloc("sharded steady-state rounds", || {
-        for round in 0..100 {
-            for (i, t) in snapshot.tasks.iter_mut().enumerate() {
-                t.demand = ProcessingUnits(10.0 + ((i * 13 + round * 5) % 41) as f64);
-            }
-            market.round_into(&snapshot, &mut out);
-        }
-    });
-    assert!(
-        market.full_recomputes() - full_before >= 100,
-        "every measured round must run the sharded full engine"
-    );
     assert_eq!(out.tasks.len(), snapshot.tasks.len());
-    assert!(out.allowance.value() > 0.0);
 }
 
 /// A manager that plans every quantum — shares cycle between two values and
