@@ -15,7 +15,7 @@
 use ppm_platform::cluster::ClusterId;
 use ppm_platform::core::{CoreClass, CoreId};
 use ppm_platform::units::{SimDuration, SimTime, Watts};
-use ppm_sched::executor::{AllocationPolicy, PowerManager, System};
+use ppm_sched::executor::{AllocationPolicy, PhaseProfiler, PowerManager, System};
 use ppm_sched::governor::{FrequencyGovernor, Ondemand};
 use ppm_sched::plan::ActuationPlan;
 use ppm_sched::snapshot::SystemSnapshot;
@@ -266,7 +266,13 @@ impl PowerManager for HlManager {
         }
     }
 
-    fn plan(&mut self, snap: &SystemSnapshot, dt: SimDuration, plan: &mut ActuationPlan) {
+    fn plan(
+        &mut self,
+        snap: &SystemSnapshot,
+        dt: SimDuration,
+        plan: &mut ActuationPlan,
+        _prof: Option<&mut PhaseProfiler>,
+    ) {
         // Governors run every tick (each has its own sampling period).
         while self.governors.len() < snap.clusters.len() {
             self.governors.push(Ondemand::new());

@@ -24,7 +24,7 @@
 use ppm_platform::core::{CoreClass, CoreId};
 use ppm_platform::units::{ProcessingUnits, SimDuration, SimTime, Watts};
 use ppm_platform::vf::VfLevel;
-use ppm_sched::executor::{AllocationPolicy, PowerManager, System};
+use ppm_sched::executor::{AllocationPolicy, PhaseProfiler, PowerManager, System};
 use ppm_sched::metrics::Degradation;
 use ppm_sched::plan::ActuationPlan;
 use ppm_sched::snapshot::SystemSnapshot;
@@ -399,7 +399,13 @@ impl PowerManager for HpmManager {
         }
     }
 
-    fn plan(&mut self, snap: &SystemSnapshot, _dt: SimDuration, plan: &mut ActuationPlan) {
+    fn plan(
+        &mut self,
+        snap: &SystemSnapshot,
+        _dt: SimDuration,
+        plan: &mut ActuationPlan,
+        _prof: Option<&mut PhaseProfiler>,
+    ) {
         let now = snap.now;
         if now >= self.next_task {
             self.next_task = now + self.config.task_period;

@@ -94,9 +94,9 @@ fn bench_round_into(cr: &mut Criterion) {
                 let mut out = MarketDecision::default();
                 // Warm the scratch arenas so the loop measures steady state.
                 for _ in 0..3 {
-                    market.round_into(snapshot, &mut out);
+                    market.round_into(snapshot, &mut out, None);
                 }
-                b.iter(|| market.round_into(snapshot, &mut out));
+                b.iter(|| market.round_into(snapshot, &mut out, None));
             },
         );
     }

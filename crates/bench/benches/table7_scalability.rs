@@ -228,9 +228,9 @@ mod market_full {
                     let mut market = Market::new(PpmConfig::tc2());
                     let mut out = MarketDecision::default();
                     for _ in 0..3 {
-                        market.round_into(snapshot, &mut out);
+                        market.round_into(snapshot, &mut out, None);
                     }
-                    b.iter(|| market.round_into(snapshot, &mut out));
+                    b.iter(|| market.round_into(snapshot, &mut out, None));
                 },
             );
         }

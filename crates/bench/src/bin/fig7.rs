@@ -38,30 +38,24 @@ fn run_case(swaptions_priority: u32) {
         CoreId(0),
     );
     let mgr = PpmManager::new(PpmConfig::tc2().without_lbt());
-    let mut sim = Simulation::new(sys, mgr)
-        .with_warmup(SimDuration::from_secs(5))
-        .with_trace(SimDuration::from_secs(1));
-    sim.run_for(SimDuration::from_secs(300));
+    let mut sim = Simulation::new(sys, mgr).with_warmup(SimDuration::from_secs(5));
 
     println!(
         "\n## priorities: swaptions={swaptions_priority}, bodytrack=1  \
          (goal band [0.95, 1.05])\n"
     );
     println!("time_s,swaptions_native,bodytrack_native");
-    for s in sim.metrics().trace() {
-        let hr = |id: TaskId| {
-            s.normalized_heart_rate
-                .iter()
-                .find(|(t, _)| *t == id)
-                .map_or(0.0, |&(_, v)| v)
-        };
-        println!(
-            "{:.0},{:.3},{:.3}",
-            s.at.as_secs_f64(),
-            hr(TaskId(0)),
-            hr(TaskId(1))
-        );
+    // One row after the first quantum, then one per second of the 300 s run.
+    sim.run_for(SimDuration::from_millis(1));
+    for second in 0..300 {
+        if second > 0 {
+            sim.run_for(SimDuration::from_secs(1));
+        }
+        let hr = |id: TaskId| sim.system().task(id).normalized_heart_rate();
+        println!("{second},{:.3},{:.3}", hr(TaskId(0)), hr(TaskId(1)));
     }
+    // Finish the 300 s run before reading the out-of-range totals.
+    sim.run_for(SimDuration::from_millis(999));
     let m = sim.metrics();
     let swap = m.task(TaskId(0)).expect("t0").out_of_range_fraction();
     let body = m.task(TaskId(1)).expect("t1").out_of_range_fraction();

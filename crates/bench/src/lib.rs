@@ -152,16 +152,13 @@ pub struct Harness {
     pub audit: bool,
     /// Record the actuation tape.
     pub tape: bool,
-    /// Attach the per-quantum time-series [`Telemetry`](ppm_obs::Telemetry)
-    /// recorder (capacity sized to the run duration, so nothing wraps).
-    pub telemetry: bool,
-    /// Also profile manager phases (implies `telemetry`).
+    /// Profile manager phases. Attaches the per-quantum time-series
+    /// [`Telemetry`](ppm_obs::Telemetry) recorder (capacity sized to the
+    /// run duration, so nothing wraps).
     pub profile: bool,
-    /// Fold every recorded row into tumbling windowed rollups (implies
-    /// `telemetry`; window = [`ppm_obs::DEFAULT_AGG_WINDOW_US`]).
-    pub aggregate: bool,
-    /// Evaluate the default burn-rate alert rules over the rollups
-    /// (implies `aggregate`).
+    /// Evaluate the default burn-rate alert rules over tumbling windowed
+    /// rollups (window = [`ppm_obs::DEFAULT_AGG_WINDOW_US`]). Attaches the
+    /// recorder.
     pub alerts: bool,
     /// Drive the run through a one-chip [`ppm_fleet::Fleet`] (no exchange)
     /// instead of calling `Simulation::run_for` directly. Must be
@@ -195,9 +192,8 @@ pub struct HardenedRun {
     pub audit_report: String,
     /// Fault counters (zeroes unless [`Harness::faults`]).
     pub fault_stats: FaultStats,
-    /// Recorded telemetry (present iff [`Harness::telemetry`],
-    /// [`Harness::profile`], [`Harness::aggregate`], or
-    /// [`Harness::alerts`]).
+    /// Recorded telemetry (present iff [`Harness::profile`] or
+    /// [`Harness::alerts`]; each attaches the recorder).
     pub telemetry: Option<ppm_obs::Telemetry>,
     /// End-of-run request-queue state for every open-loop task, in task-id
     /// order (empty for closed-loop sets).
@@ -322,13 +318,10 @@ fn run<M: PowerManager + Send>(
     if let Some(fc) = harness.faults.clone() {
         sim = sim.with_faults(FaultPlan::new(fc));
     }
-    if harness.telemetry || harness.profile || harness.aggregate || harness.alerts {
+    if harness.profile || harness.alerts {
         let mut tel = ppm_obs::Telemetry::new(telemetry_capacity(duration));
         if harness.profile {
             tel = tel.with_profiling();
-        }
-        if harness.aggregate || harness.alerts {
-            tel = tel.with_aggregation(ppm_obs::DEFAULT_AGG_WINDOW_US);
         }
         if harness.alerts {
             tel = tel.with_alerts();

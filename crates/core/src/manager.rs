@@ -718,94 +718,13 @@ impl PowerManager for PpmManager {
         self.manage_gating_now(sys);
     }
 
-    fn plan(&mut self, snap: &SystemSnapshot, _dt: SimDuration, plan: &mut ActuationPlan) {
-        self.plan_inner(snap, plan, None);
-    }
-
-    fn plan_profiled(
+    /// One bidding round on cadence, timing the market's bid /
+    /// price-discovery / DVFS sections and the LBT module when `prof` is
+    /// given. Timing never feeds back into any decision.
+    fn plan(
         &mut self,
         snap: &SystemSnapshot,
         _dt: SimDuration,
-        plan: &mut ActuationPlan,
-        prof: &mut PhaseProfiler,
-    ) {
-        self.plan_inner(snap, plan, Some(prof));
-    }
-
-    fn sample_policy(&self, out: &mut PolicySample) {
-        out.reset(self.obs_buf.cores.len());
-        if let Some(a) = self.market.allowance() {
-            out.allowance = a.value();
-            // Money supply = allowance in circulation + every live agent's
-            // savings (exiting tasks take their savings with them).
-            let savings: f64 = self
-                .known_tasks
-                .iter()
-                .map(|&t| self.market.savings_of(t).value())
-                .sum();
-            out.money_supply = a.value() + savings;
-        }
-        if let Some(d) = &self.last_decision {
-            for &(core, price) in &d.prices {
-                out.set_core_price(core.0, price.value());
-            }
-        }
-    }
-
-    fn degradation(&self) -> Degradation {
-        self.degradation
-    }
-
-    fn audit(&mut self, _snap: &SystemSnapshot, auditor: &mut Auditor) {
-        self.audit_impl(auditor);
-    }
-
-    /// Equilibrium marginal utility for the fleet exchange: the discovered
-    /// per-core price mass per observed watt. When the chip's TDP is
-    /// squeezed, supply shrinks, prices rise, and the chip bids higher for
-    /// budget — exactly the §3.2 scarcity signal, one level up. `desired`
-    /// scales the draw by the demand/supply imbalance (slew-bounded the
-    /// way the chip agent's Δ is).
-    fn fleet_bid(&self) -> Option<FleetBid> {
-        let d = self.last_decision.as_ref()?;
-        let power = self.obs_buf.chip_power;
-        let price_mass: f64 = d.prices.iter().map(|&(_, p)| p.value()).sum();
-        let value_per_watt = price_mass / power.value().max(1e-6);
-        let imbalance = if d.total_supply.is_positive() {
-            (d.total_demand.value() / d.total_supply.value()).clamp(0.5, 2.0)
-        } else {
-            1.0
-        };
-        Some(FleetBid {
-            value_per_watt,
-            power,
-            desired: power * imbalance,
-        })
-    }
-
-    /// Adopt the exchange's cleared allowance as the chip TDP. The
-    /// threshold keeps its configured ratio below the TDP, so the buffer
-    /// zone scales with the budget. Bitwise-equal budgets are recognised
-    /// as no-ops inside the market.
-    fn set_power_budget(&mut self, tdp: Watts) -> bool {
-        let ratio = self.config.threshold.value() / self.config.tdp.value();
-        let threshold = Watts(tdp.value() * ratio);
-        if self.market.set_power_budget(tdp, threshold) {
-            self.config.tdp = tdp;
-            self.config.threshold = threshold;
-        }
-        true
-    }
-}
-
-impl PpmManager {
-    /// The body behind [`PowerManager::plan`] / `plan_profiled`: one
-    /// bidding round on cadence, optionally timing the market's bid /
-    /// price-discovery / DVFS sections and the LBT module. Timing never
-    /// feeds back into any decision.
-    fn plan_inner(
-        &mut self,
-        snap: &SystemSnapshot,
         plan: &mut ActuationPlan,
         mut prof: Option<&mut PhaseProfiler>,
     ) {
@@ -853,12 +772,8 @@ impl PpmManager {
         }
         // Run the round into the recycled decision buffer.
         let mut decision = self.last_decision.take().unwrap_or_default();
-        match prof.as_deref_mut() {
-            Some(p) => self
-                .market
-                .round_into_profiled(&self.obs_buf, &mut decision, p),
-            None => self.market.round_into(&self.obs_buf, &mut decision),
-        }
+        self.market
+            .round_into(&self.obs_buf, &mut decision, prof.as_deref_mut());
         self.events.push(
             now,
             Event::Round {
@@ -931,6 +846,73 @@ impl PpmManager {
         self.manage_gating(snap, plan);
     }
 
+    fn sample_policy(&self, out: &mut PolicySample) {
+        out.reset(self.obs_buf.cores.len());
+        if let Some(a) = self.market.allowance() {
+            out.allowance = a.value();
+            // Money supply = allowance in circulation + every live agent's
+            // savings (exiting tasks take their savings with them).
+            let savings: f64 = self
+                .known_tasks
+                .iter()
+                .map(|&t| self.market.savings_of(t).value())
+                .sum();
+            out.money_supply = a.value() + savings;
+        }
+        if let Some(d) = &self.last_decision {
+            for &(core, price) in &d.prices {
+                out.set_core_price(core.0, price.value());
+            }
+        }
+    }
+
+    fn degradation(&self) -> Degradation {
+        self.degradation
+    }
+
+    fn audit(&mut self, _snap: &SystemSnapshot, auditor: &mut Auditor) {
+        self.audit_impl(auditor);
+    }
+
+    /// Equilibrium marginal utility for the fleet exchange: the discovered
+    /// per-core price mass per observed watt. When the chip's TDP is
+    /// squeezed, supply shrinks, prices rise, and the chip bids higher for
+    /// budget — exactly the §3.2 scarcity signal, one level up. `desired`
+    /// scales the draw by the demand/supply imbalance (slew-bounded the
+    /// way the chip agent's Δ is).
+    fn fleet_bid(&self) -> Option<FleetBid> {
+        let d = self.last_decision.as_ref()?;
+        let power = self.obs_buf.chip_power;
+        let price_mass: f64 = d.prices.iter().map(|&(_, p)| p.value()).sum();
+        let value_per_watt = price_mass / power.value().max(1e-6);
+        let imbalance = if d.total_supply.is_positive() {
+            (d.total_demand.value() / d.total_supply.value()).clamp(0.5, 2.0)
+        } else {
+            1.0
+        };
+        Some(FleetBid {
+            value_per_watt,
+            power,
+            desired: power * imbalance,
+        })
+    }
+
+    /// Adopt the exchange's cleared allowance as the chip TDP. The
+    /// threshold keeps its configured ratio below the TDP, so the buffer
+    /// zone scales with the budget. Bitwise-equal budgets are recognised
+    /// as no-ops inside the market.
+    fn set_power_budget(&mut self, tdp: Watts) -> bool {
+        let ratio = self.config.threshold.value() / self.config.tdp.value();
+        let threshold = Watts(tdp.value() * ratio);
+        if self.market.set_power_budget(tdp, threshold) {
+            self.config.tdp = tdp;
+            self.config.threshold = threshold;
+        }
+        true
+    }
+}
+
+impl PpmManager {
     /// The sorted merge-diff behind task-churn handling: retire departed
     /// tasks' market agents, log admissions, and refresh `known_tasks`.
     fn diff_task_churn(&mut self, now: SimTime) {

@@ -466,7 +466,7 @@ impl Market {
     /// hold a reusable [`MarketDecision`] buffer instead.
     pub fn round(&mut self, obs: &MarketObs) -> MarketDecision {
         let mut out = MarketDecision::default();
-        self.round_into(obs, &mut out);
+        self.round_into(obs, &mut out, None);
         out
     }
 
@@ -484,25 +484,13 @@ impl Market {
     /// Tasks whose core (or its cluster) is absent from the snapshot do not
     /// participate this round and are reported in [`MarketDecision::orphans`]
     /// instead of panicking.
-    pub fn round_into(&mut self, obs: &MarketObs, out: &mut MarketDecision) {
-        self.round_impl(obs, out, None);
-    }
-
-    /// Like [`Market::round_into`], but reporting wall-time spans for the
-    /// bid / price-discovery / DVFS sections into `prof` (as
+    ///
+    /// With `prof` given, wall-time spans for the bid / price-discovery /
+    /// DVFS sections are reported into it (as
     /// [`Phase::MarketBid`](ppm_obs::Phase), `MarketPrice`, `MarketDvfs`).
     /// Timing is observation-only: the decision computed is bit-identical
-    /// to [`Market::round_into`] (the golden tapes prove it).
-    pub fn round_into_profiled(
-        &mut self,
-        obs: &MarketObs,
-        out: &mut MarketDecision,
-        prof: &mut PhaseProfiler,
-    ) {
-        self.round_impl(obs, out, Some(prof));
-    }
-
-    fn round_impl(
+    /// either way (the golden tapes prove it).
+    pub fn round_into(
         &mut self,
         obs: &MarketObs,
         out: &mut MarketDecision,
@@ -1343,7 +1331,7 @@ mod tests {
         for i in 0..40 {
             let obs = a.obs();
             let d1 = a.market.round(&obs);
-            b.market.round_into(&obs, &mut buf);
+            b.market.round_into(&obs, &mut buf, None);
             assert_eq!(format!("{d1:?}"), format!("{buf:?}"), "round {i}");
             for (_, step) in &d1.dvfs {
                 match step {

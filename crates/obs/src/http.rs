@@ -29,7 +29,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything one scrape returns: the fleet rollup, the per-chip rollups
 /// it was absorbed from (a single-chip run publishes one chip that
@@ -446,13 +446,20 @@ impl Drop for ScrapeServer {
 }
 
 fn handle_conn(mut stream: TcpStream, hub: &SnapshotHub) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(2000)))?;
     // Read until the end of the request head (or the buffer fills — any
-    // real scrape GET fits comfortably).
+    // real scrape GET fits comfortably). One deadline bounds the whole
+    // head, not each read, so a client dribbling bytes cannot hold the
+    // single-threaded accept loop.
+    let deadline = Instant::now() + Duration::from_millis(500);
     let mut buf = [0u8; 2048];
     let mut n = 0;
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let got = stream.read(&mut buf[n..])?;
         if got == 0 {
             break;
@@ -625,6 +632,32 @@ mod tests {
         assert!(crate::json::parse(&json).is_ok());
         assert!(fetch(&addr, "/nope").is_err(), "404 surfaces as error");
         assert!(server.served() >= 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dribbling_client_cannot_stall_other_scrapes() {
+        let hub = SnapshotHub::new();
+        hub.publish(populated_snapshot());
+        let server = ScrapeServer::serve("127.0.0.1:0", Arc::clone(&hub)).expect("bind");
+        let addr = server.local_addr().to_string();
+        // Queued first, this client sends one byte every 100 ms for 3 s and
+        // never finishes its request head.
+        let mut slow = TcpStream::connect(&addr).expect("connect");
+        let dribbler = std::thread::spawn(move || {
+            for _ in 0..30 {
+                if slow.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let start = Instant::now();
+        let prom = fetch(&addr, "/metrics").expect("scrape behind a slow client");
+        let waited = start.elapsed();
+        assert!(prom.contains("ppm_up 1"));
+        assert!(waited < Duration::from_secs(2), "scrape waited {waited:?}");
+        dribbler.join().expect("dribbler");
         server.shutdown();
     }
 

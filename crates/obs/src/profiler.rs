@@ -20,8 +20,8 @@ use std::time::Instant;
 ///
 /// The first block are executor stages (disjoint, in quantum order); the
 /// `Market*` and `Lbt` entries are sub-phases *inside* [`Phase::Plan`]
-/// reported by managers that implement
-/// `PowerManager::plan_profiled` — their sum is bounded by `Plan`.
+/// reported by managers through the profiler `PowerManager::plan` is
+/// handed while profiling — their sum is bounded by `Plan`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {

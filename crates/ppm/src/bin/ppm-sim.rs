@@ -9,7 +9,6 @@
 //!   --tdp WATTS              enable a power cap
 //!   --no-lbt                 disable load balancing / migration (PPM only)
 //!   --online                 online demand estimation (PPM only)
-//!   --sample SECS            print a CSV sample every SECS
 //!   --trace PATH             write a Chrome trace_event JSON (Perfetto)
 //!   --metrics PATH           write the per-quantum time-series (.csv/.jsonl)
 //!   --profile                profile manager phases, print the summary table
@@ -68,8 +67,6 @@ struct Args {
     tdp: Option<f64>,
     no_lbt: bool,
     online: bool,
-    /// Print a CSV sample to stdout every this many simulated seconds.
-    sample: Option<u64>,
     /// Write a Chrome `trace_event` JSON (load in Perfetto / `chrome://tracing`).
     trace: Option<String>,
     /// Write the per-quantum time-series (`.jsonl` → JSON lines, else CSV).
@@ -107,7 +104,6 @@ impl Args {
             tdp: None,
             no_lbt: false,
             online: false,
-            sample: None,
             trace: None,
             metrics: None,
             stream: None,
@@ -145,13 +141,6 @@ impl Args {
                     )
                 }
                 "--audit" => args.audit = true,
-                "--sample" => {
-                    args.sample = Some(
-                        value("--sample")?
-                            .parse()
-                            .map_err(|e| format!("--sample: {e}"))?,
-                    )
-                }
                 "--trace" => args.trace = Some(value("--trace")?),
                 "--metrics" => args.metrics = Some(value("--metrics")?),
                 "--stream" => args.stream = Some(value("--stream")?),
@@ -187,7 +176,6 @@ const HELP: &str = "ppm-sim — simulate a power manager on a big.LITTLE chip
   --tdp WATTS              enable a power cap
   --no-lbt                 disable load balancing / migration (PPM only)
   --online                 online demand estimation (PPM only)
-  --sample SECS            print a CSV sample every SECS
   --trace PATH             write a Chrome trace_event JSON of the run
                            (open in Perfetto or chrome://tracing)
   --metrics PATH           write the per-quantum time-series; `.jsonl`
@@ -355,30 +343,7 @@ fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, S
         }
         None => None,
     };
-    if let Some(every) = args.sample {
-        println!("time_s,power_w,hottest_c,task_hr_normalized...");
-        let mut elapsed = 0;
-        while elapsed < args.duration {
-            let step = every.min(args.duration - elapsed);
-            sim.run_for(SimDuration::from_secs(step));
-            elapsed += step;
-            let s = sim.system();
-            let hrs: Vec<String> = s
-                .task_ids()
-                .iter()
-                .map(|&t| format!("{:.2}", s.task(t).normalized_heart_rate()))
-                .collect();
-            println!(
-                "{},{:.2},{:.1},{}",
-                elapsed,
-                s.chip_power().value(),
-                s.thermal().map_or(0.0, |t| t.hottest().value()),
-                hrs.join(",")
-            );
-        }
-    } else {
-        sim.run_for(SimDuration::from_secs(args.duration));
-    }
+    sim.run_for(SimDuration::from_secs(args.duration));
 
     let peak_temp = sim.system().thermal().map(|t| t.peak());
     let m = sim.metrics();

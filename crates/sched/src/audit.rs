@@ -448,6 +448,7 @@ mod tests {
             _snap: &crate::snapshot::SystemSnapshot,
             _dt: SimDuration,
             plan: &mut crate::plan::ActuationPlan,
+            _prof: Option<&mut ppm_obs::PhaseProfiler>,
         ) {
             plan.set_nice(TaskId(1), crate::nice::Nice::new(0));
         }

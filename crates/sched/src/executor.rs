@@ -21,12 +21,16 @@ use ppm_workload::task::{Task, TaskId};
 
 use crate::affinity::CpuMask;
 use crate::audit::Auditor;
-use crate::metrics::{Degradation, RunMetrics, TraceSample};
+use crate::metrics::{Degradation, RunMetrics};
 use crate::nice::Nice;
 use crate::pelt::PeltTracker;
 use crate::plan::{Action, ActuationPlan, Tape};
 use crate::runqueue::{fair_allocate_into, market_allocate_into, AllocScratch, Claimant};
 use crate::snapshot::SystemSnapshot;
+
+/// The profiler [`PowerManager::plan`] reports sub-phase spans into,
+/// re-exported so implementers need no `ppm-obs` dependency of their own.
+pub use ppm_obs::PhaseProfiler;
 
 /// How a core's supply is divided among its tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -669,25 +673,6 @@ impl System {
             }
         }
     }
-
-    /// Capture a trace sample of the current state.
-    fn sample_trace(&mut self) {
-        let levels = self.chip.clusters().iter().map(|c| c.level()).collect();
-        let nhr = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.active)
-            .map(|(i, e)| (TaskId(i), e.task.normalized_heart_rate()))
-            .collect();
-        let sample = TraceSample {
-            at: self.now,
-            chip_power: self.last_chip_power,
-            levels,
-            normalized_heart_rate: nhr,
-        };
-        self.metrics.push_trace(sample);
-    }
 }
 
 /// A chip's bid into a fleet-level power-budget exchange: the §3.2 money
@@ -727,23 +712,19 @@ pub trait PowerManager {
     /// Observe the snapshot and queue actuations for this quantum. To read
     /// your own queued-but-unapplied decisions (e.g. a share set earlier in
     /// this same invocation), use the plan's overlay queries.
-    fn plan(&mut self, snap: &SystemSnapshot, dt: SimDuration, plan: &mut ActuationPlan);
-
-    /// Like [`PowerManager::plan`], but with a profiler to report wall-time
-    /// sub-phase spans into ([`Phase::MarketBid`](ppm_obs::Phase),
-    /// `MarketPrice`, `MarketDvfs`, `Lbt`). Called instead of `plan` when
-    /// the simulation profiles; timing must be observation-only — the plan
-    /// produced must be byte-identical to what `plan` would produce. The
-    /// default ignores the profiler.
-    fn plan_profiled(
+    ///
+    /// `prof` is `Some` only while the simulation profiles: a policy may
+    /// report wall-time sub-phase spans into it
+    /// ([`Phase::MarketBid`](ppm_obs::Phase), `MarketPrice`, `MarketDvfs`,
+    /// `Lbt`) or ignore it. Timing must be observation-only — the plan
+    /// produced must be byte-identical either way.
+    fn plan(
         &mut self,
         snap: &SystemSnapshot,
         dt: SimDuration,
         plan: &mut ActuationPlan,
-        _prof: &mut ppm_obs::PhaseProfiler,
-    ) {
-        self.plan(snap, dt, plan);
-    }
+        prof: Option<&mut PhaseProfiler>,
+    );
 
     /// Report the policy-side market state (allowance, money supply,
     /// discovered per-core prices) into a telemetry row. Called once per
@@ -791,18 +772,24 @@ impl PowerManager for NullManager {
         "none"
     }
 
-    fn plan(&mut self, _snap: &SystemSnapshot, _dt: SimDuration, _plan: &mut ActuationPlan) {}
+    fn plan(
+        &mut self,
+        _snap: &SystemSnapshot,
+        _dt: SimDuration,
+        _plan: &mut ActuationPlan,
+        _prof: Option<&mut PhaseProfiler>,
+    ) {
+    }
 }
 
-/// Simulation driver: owns the [`System`] and a manager, advances time in
-/// fixed quanta, and optionally records decimated traces.
+/// Simulation driver: owns the [`System`] and a manager, and advances time
+/// in fixed quanta with optional tape, faults, auditor, telemetry and
+/// stream attached.
 pub struct Simulation<M> {
     system: System,
     manager: M,
     quantum: SimDuration,
     warmup: SimDuration,
-    trace_period: Option<SimDuration>,
-    next_trace: SimTime,
     initialized: bool,
     /// Reused snapshot handed to the manager each quantum.
     snap: SystemSnapshot,
@@ -837,8 +824,6 @@ impl<M: PowerManager> Simulation<M> {
             manager,
             quantum: Self::DEFAULT_QUANTUM,
             warmup: SimDuration::ZERO,
-            trace_period: None,
-            next_trace: SimTime::ZERO,
             initialized: false,
             snap: SystemSnapshot::new(),
             plan: ActuationPlan::new(),
@@ -866,12 +851,6 @@ impl<M: PowerManager> Simulation<M> {
     /// (heart-rate windows need to fill before misses are meaningful).
     pub fn with_warmup(mut self, warmup: SimDuration) -> Simulation<M> {
         self.warmup = warmup;
-        self
-    }
-
-    /// Record a trace sample every `period`.
-    pub fn with_trace(mut self, period: SimDuration) -> Simulation<M> {
-        self.trace_period = Some(period);
         self
     }
 
@@ -1064,13 +1043,11 @@ impl<M: PowerManager> Simulation<M> {
                 Phase::Capture,
             );
             self.plan.clear();
-            match &mut self.telemetry {
-                Some(tel) if profiling => {
-                    self.manager
-                        .plan_profiled(&self.snap, dt, &mut self.plan, &mut tel.profiler)
-                }
-                _ => self.manager.plan(&self.snap, dt, &mut self.plan),
-            }
+            let prof = match &mut self.telemetry {
+                Some(tel) if profiling => Some(&mut tel.profiler),
+                _ => None,
+            };
+            self.manager.plan(&self.snap, dt, &mut self.plan, prof);
             lap(
                 self.telemetry.as_mut().map(|t| &mut t.profiler),
                 &mut mark,
@@ -1170,12 +1147,6 @@ impl<M: PowerManager> Simulation<M> {
                 tel.roll_forward();
                 if let Some(stream) = &mut self.stream {
                     stream.pump(&tel.recorder);
-                }
-            }
-            if let Some(p) = self.trace_period {
-                if self.system.now() >= self.next_trace {
-                    self.system.sample_trace();
-                    self.next_trace = self.system.now() + p;
                 }
             }
         }
@@ -1418,15 +1389,6 @@ mod tests {
         sim.run_for(SimDuration::from_secs(3));
         // Metrics only cover the post-warm-up 2 s.
         assert_eq!(sim.metrics().total_time(), SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn trace_sampling_is_decimated() {
-        let sys = simple_system();
-        let mut sim = Simulation::new(sys, NullManager).with_trace(SimDuration::from_millis(100));
-        sim.run_for(SimDuration::from_secs(1));
-        let n = sim.metrics().trace().len();
-        assert!((9..=11).contains(&n), "{n} samples");
     }
 
     #[test]

@@ -226,7 +226,13 @@ mod tests {
         fn name(&self) -> &'static str {
             "governor-test"
         }
-        fn plan(&mut self, snap: &SystemSnapshot, dt: SimDuration, plan: &mut ActuationPlan) {
+        fn plan(
+            &mut self,
+            snap: &SystemSnapshot,
+            dt: SimDuration,
+            plan: &mut ActuationPlan,
+            _prof: Option<&mut ppm_obs::PhaseProfiler>,
+        ) {
             for ci in 0..snap.clusters.len() {
                 if let Some(level) = self.0.govern(snap, ClusterId(ci), dt) {
                     plan.request_level(ClusterId(ci), level);

@@ -43,7 +43,7 @@ pub use crate::affinity::CpuMask;
 pub use crate::audit::{Auditor, Violation};
 pub use crate::executor::{AllocationPolicy, NullManager, PowerManager, Simulation, System};
 pub use crate::governor::{Conservative, FrequencyGovernor, Ondemand, Performance, Powersave};
-pub use crate::metrics::{Degradation, RunMetrics, TaskMetrics, TraceSample};
+pub use crate::metrics::{Degradation, RunMetrics, TaskMetrics};
 pub use crate::nice::Nice;
 pub use crate::pelt::PeltTracker;
 pub use crate::plan::{Action, ActuationPlan, Tape, TapeRecord};

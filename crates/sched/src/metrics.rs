@@ -1,13 +1,13 @@
-//! Run metrics: QoS misses, power/energy, migrations, and time-series traces.
+//! Run metrics: QoS misses, power/energy, migrations, and V-F residency.
 //!
 //! These implement the measurements behind the paper's evaluation figures:
 //! "percentage of time the reference heart rate range of any task in the
-//! workload is not met" (Figures 4 and 6), average power (Figure 5), and the
-//! normalized heart-rate traces (Figures 7 and 8).
+//! workload is not met" (Figures 4 and 6) and average power (Figure 5). The
+//! normalized heart-rate traces of Figures 7 and 8 are read from the live
+//! tasks between `Simulation::run_for` slices.
 
 use ppm_platform::power::EnergyMeter;
-use ppm_platform::units::{Joules, SimDuration, SimTime, Watts};
-use ppm_platform::vf::VfLevel;
+use ppm_platform::units::{Joules, SimDuration, Watts};
 use ppm_workload::task::TaskId;
 
 /// Per-task QoS accounting.
@@ -46,19 +46,6 @@ impl TaskMetrics {
     }
 }
 
-/// One decimated trace sample (Figures 7/8 style).
-#[derive(Debug, Clone)]
-pub struct TraceSample {
-    /// Sample time.
-    pub at: SimTime,
-    /// Instantaneous chip power.
-    pub chip_power: Watts,
-    /// Per-cluster V-F levels.
-    pub levels: Vec<VfLevel>,
-    /// Per-task normalized heart rate (1.0 = on target), keyed by task.
-    pub normalized_heart_rate: Vec<(TaskId, f64)>,
-}
-
 /// Aggregated metrics for one simulation run.
 ///
 /// All storage is dense and index-ordered (no `HashMap`s): iteration never
@@ -92,7 +79,6 @@ pub struct RunMetrics {
     /// Graceful-degradation totals rolled up from the manager's live
     /// counters (no event-stream replay needed).
     pub degradation: Degradation,
-    trace: Vec<TraceSample>,
 }
 
 /// Totals of the manager's graceful-degradation paths: how often it fell
@@ -228,16 +214,6 @@ impl RunMetrics {
     /// Total accounted time.
     pub fn total_time(&self) -> SimDuration {
         self.total
-    }
-
-    /// Append a trace sample.
-    pub fn push_trace(&mut self, sample: TraceSample) {
-        self.trace.push(sample);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &[TraceSample] {
-        &self.trace
     }
 
     /// All tasks seen, sorted by id.

@@ -43,10 +43,6 @@ cargo run --release --quiet -p ppm --bin ppm-sim -- \
 cargo run --release --quiet -p ppm-obs --bin obs_validate -- \
   "$obs_tmp/m1.trace.json" "$obs_tmp/m1.csv" "$obs_tmp/m1.jsonl"
 
-echo ">>> bench_obs (recorder overhead trajectory -> BENCH_obs.json)"
-cargo run --release --quiet -p ppm-bench --bin bench_obs -- "$obs_tmp/BENCH_obs.json"
-cargo run --release --quiet -p ppm-obs --bin obs_validate -- "$obs_tmp/BENCH_obs.json"
-
 echo ">>> fleet smoke (pinned-seed faulted fleet, exchange books + chip auditors clean)"
 cargo run --release --quiet -p ppm --bin ppm-sim -- fleet \
   --chips 4 --cap 12 --duration 5 --faults 165 --threads 2 \

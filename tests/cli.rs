@@ -215,11 +215,12 @@ fn alert_exit_codes_reflect_the_tape() {
 /// 2, in both single-chip and fleet modes.
 #[test]
 fn incoherent_flags_fail_fast() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 5] = [
         &["--linger", "5"],
         &["fleet", "--linger", "5"],
         &["fleet", "--chips", "0"],
         &["--serve", "256.256.256.256:1", "--duration", "1"],
+        &["--sample", "5"],
     ];
     for args in cases {
         let out = ppm_sim().args(args).output().expect("run ppm-sim");

@@ -121,7 +121,7 @@ fn market_trace() -> String {
             obs.tasks[7].core = CoreId(7 / t);
         }
 
-        market.round_into(&obs, &mut out);
+        market.round_into(&obs, &mut out, None);
         for (cl, step) in &out.dvfs {
             match step {
                 VfStep::Up => levels[cl.0] = (levels[cl.0] + 1).min(ladder.len() - 1),

@@ -29,7 +29,6 @@ fn instrumented(set_name: &str, scheme: Scheme, tdp: Option<Watts>) -> HardenedR
         DURATION,
         Harness {
             tape: true,
-            telemetry: true,
             profile: true,
             ..Harness::default()
         },
@@ -262,9 +261,19 @@ fn chrome_trace_is_valid_and_spans_are_complete_events() {
             phase.name()
         );
     }
-    // PPM actuates, so its plan sub-phases must appear too.
-    assert!(phase_names.contains(Phase::MarketBid.name()));
-    assert!(phase_names.contains(Phase::Lbt.name()));
+    // PPM actuates, so every plan sub-phase must appear too.
+    for phase in [
+        Phase::MarketBid,
+        Phase::MarketPrice,
+        Phase::MarketDvfs,
+        Phase::Lbt,
+    ] {
+        assert!(
+            phase_names.contains(phase.name()),
+            "missing {} spans",
+            phase.name()
+        );
+    }
 }
 
 /// JSONL export: every line is a standalone JSON object with a timestamp.

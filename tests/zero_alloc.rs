@@ -126,12 +126,12 @@ fn steady_state_market_round_does_not_allocate() {
     // Warm-up: arena growth, scratch sizing, output-buffer capacity, and
     // enough rounds for bids/prices/DVFS dynamics to reach regime.
     for _ in 0..50 {
-        market.round_into(&snapshot, &mut out);
+        market.round_into(&snapshot, &mut out, None);
     }
 
     assert_no_alloc("steady-state rounds", || {
         for _ in 0..100 {
-            market.round_into(&snapshot, &mut out);
+            market.round_into(&snapshot, &mut out, None);
         }
     });
     // Sanity: the rounds actually ran an economy.
@@ -146,7 +146,7 @@ fn steady_state_market_round_does_not_allocate() {
             for (i, t) in drifting.tasks.iter_mut().enumerate() {
                 t.demand = ProcessingUnits(10.0 + ((i * 13 + round * 5) % 41) as f64);
             }
-            market.round_into(&drifting, &mut out);
+            market.round_into(&drifting, &mut out, None);
         }
     });
 
@@ -156,11 +156,11 @@ fn steady_state_market_round_does_not_allocate() {
     shrunk.tasks.truncate(8);
     assert_no_alloc("shrinking and idle rounds", || {
         for _ in 0..50 {
-            market.round_into(&shrunk, &mut out);
+            market.round_into(&shrunk, &mut out, None);
         }
         shrunk.tasks.clear();
         for _ in 0..50 {
-            market.round_into(&shrunk, &mut out);
+            market.round_into(&shrunk, &mut out, None);
         }
     });
 }
@@ -178,11 +178,11 @@ fn market_churn_rounds_do_not_allocate_after_warmup() {
     // Warm-up includes one remove/re-admit cycle so the free list reaches
     // its steady capacity alongside the arenas.
     for _ in 0..50 {
-        market.round_into(&snapshot, &mut out);
+        market.round_into(&snapshot, &mut out, None);
     }
     market.remove_task(TaskId(3));
     for _ in 0..4 {
-        market.round_into(&snapshot, &mut out);
+        market.round_into(&snapshot, &mut out, None);
     }
 
     assert_no_alloc("churn rounds", || {
@@ -196,7 +196,7 @@ fn market_churn_rounds_do_not_allocate_after_warmup() {
             if round % 10 == 0 {
                 market.remove_task(TaskId(k));
             }
-            market.round_into(&snapshot, &mut out);
+            market.round_into(&snapshot, &mut out, None);
         }
     });
     assert_eq!(out.tasks.len(), snapshot.tasks.len());
@@ -220,6 +220,7 @@ impl ppm::sched::PowerManager for TogglingManager {
         snap: &ppm::sched::SystemSnapshot,
         _dt: SimDuration,
         plan: &mut ppm::sched::ActuationPlan,
+        _prof: Option<&mut ppm::obs::PhaseProfiler>,
     ) {
         for t in &snap.tasks {
             plan.set_share(t.id, ProcessingUnits(if self.flip { 140.0 } else { 220.0 }));
@@ -294,8 +295,9 @@ impl ppm::sched::PowerManager for ShufflingManager {
         snap: &ppm::sched::SystemSnapshot,
         dt: SimDuration,
         plan: &mut ppm::sched::ActuationPlan,
+        prof: Option<&mut ppm::obs::PhaseProfiler>,
     ) {
-        self.inner.plan(snap, dt, plan);
+        self.inner.plan(snap, dt, plan, prof);
         let to = if plan.core_of(snap, TaskId(0)) == CoreId(0) {
             CoreId(1)
         } else {
