@@ -3,13 +3,19 @@
 //! (one row per quantum — ready to regenerate the paper's figures), and a
 //! human-readable phase summary table.
 //!
-//! Exporting runs strictly after (or outside) the simulation hot path, so
-//! these functions allocate freely; what they must not do is lie —
+//! The CSV and JSONL row serializers also run *during* the simulation, at
+//! every [`TelemetryStream`](crate::stream::TelemetryStream) flush, so
+//! they write straight into the caller's buffer and copy each cell whose
+//! value has not changed since the previous row from a per-cell render
+//! cache instead of formatting it again; once the cache is warm a row
+//! allocates nothing. The Chrome trace and summary writers run only after
+//! the run and allocate freely. What none of them may do is lie —
 //! wrapped-away rows are reported via [`SeriesRecorder::dropped`], `NaN`
 //! cells export as empty/`null` and are *omitted* from the Chrome trace
 //! (JSON has no NaN), and span durations are the measured wall
 //! nanoseconds, not invented.
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::profiler::{Phase, PhaseProfiler};
@@ -45,20 +51,134 @@ pub fn csv_header(rec: &SeriesRecorder) -> String {
     h
 }
 
-/// A CSV cell: shortest round-trip decimal, empty for `NaN`.
-fn cell(v: f64) -> String {
-    if v.is_nan() {
-        String::new()
-    } else {
-        format!("{v}")
+/// Write `v` as a CSV cell: shortest round-trip decimal, empty for `NaN`.
+pub(crate) fn cell(out: &mut String, v: f64) {
+    if !v.is_nan() {
+        let _ = write!(out, "{v}");
     }
+}
+
+/// Write `v` as a JSON number, `null` when non-finite (JSON has no NaN or
+/// infinity literal).
+pub(crate) fn jnum(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Write `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped.
+pub(crate) fn jstr(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Rendered text of every cell position of the last row written, keyed by
+/// the value's bits: consecutive quanta repeat most cells (cluster
+/// frequencies, prices, SLOs, counters), so an unchanged cell is copied
+/// instead of formatted again. Bits, not `==`, decide a hit, so `-0.0`
+/// and `0.0` keep their own text. Non-finite values bypass the cache and
+/// write their format's literal.
+///
+/// Positions are only meaningful under one recorder shape; the cache
+/// empties itself when the shape changes (entity admission). Use one cache
+/// per recorder and format.
+#[derive(Debug, Default)]
+pub(crate) struct RowCache {
+    shape: (usize, usize, usize),
+    /// `(bits, text)` per cell position. `text` renders `bits` whenever
+    /// they are a finite `f64` or a `u64`; a non-finite entry is a
+    /// placeholder no lookup ever matches.
+    cells: Vec<(u64, String)>,
+    /// Position of the next cell in the row being written.
+    next: usize,
+}
+
+/// Room for a typical rendered number, so cache entries rarely grow.
+const CELL_TEXT_CAPACITY: usize = 32;
+
+impl RowCache {
+    /// Start a row of `rec`: rewind to the first cell, emptying the cache
+    /// when `rec`'s shape differs from the one it was filled under.
+    fn begin(&mut self, rec: &SeriesRecorder) {
+        let shape = rec.shape();
+        if shape != self.shape {
+            self.shape = shape;
+            self.cells.clear();
+        }
+        self.next = 0;
+    }
+
+    /// Append the text of the cell whose value has `bits`, rendering it
+    /// only when the position last held different bits.
+    fn put(&mut self, out: &mut String, bits: u64, render: impl FnOnce(&mut String)) {
+        let k = self.next;
+        self.next += 1;
+        if let Some((cached, text)) = self.cells.get_mut(k) {
+            if *cached != bits {
+                *cached = bits;
+                text.clear();
+                render(text);
+            }
+            out.push_str(text);
+        } else {
+            let mut text = String::with_capacity(CELL_TEXT_CAPACITY);
+            render(&mut text);
+            out.push_str(&text);
+            self.cells.push((bits, text));
+        }
+    }
+
+    /// Append a float cell: finite values through the cache, non-finite
+    /// ones through the format's `literal` writer ([`cell`] or [`jnum`]).
+    fn num(&mut self, out: &mut String, v: f64, literal: fn(&mut String, f64)) {
+        if v.is_finite() {
+            self.put(out, v.to_bits(), |t| {
+                let _ = write!(t, "{v}");
+            });
+        } else {
+            if self.next == self.cells.len() {
+                self.cells
+                    .push((v.to_bits(), String::with_capacity(CELL_TEXT_CAPACITY)));
+            }
+            self.next += 1;
+            literal(out, v);
+        }
+    }
+
+    /// Append an integer cell through the cache.
+    fn int(&mut self, out: &mut String, v: u64) {
+        self.put(out, v, |t| {
+            let _ = write!(t, "{v}");
+        });
+    }
+}
+
+/// Append the simulated time of row `i` in seconds. It changes every row,
+/// so it is formatted directly rather than through a cache.
+fn t_s(out: &mut String, rec: &SeriesRecorder, i: usize) {
+    let _ = write!(out, "{}", rec.t_us[i] as f64 / 1e6);
 }
 
 /// Append row `i`'s cells — everything after `t_s` — to `line`. Shared by
 /// the single-recorder CSV and the fleet join, so the two stay
 /// column-for-column consistent.
-fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
+fn csv_row_cells(rec: &SeriesRecorder, i: usize, cache: &mut RowCache, line: &mut String) {
     let (n_cl, n_co, n_t) = rec.shape();
+    cache.begin(rec);
     for v in [
         rec.chip_power_w[i],
         rec.tdp_headroom_w[i],
@@ -67,7 +187,7 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
         rec.money_supply[i],
     ] {
         line.push(',');
-        line.push_str(&cell(v));
+        cache.num(line, v, cell);
     }
     for v in [
         rec.sensor_fallbacks[i],
@@ -77,7 +197,8 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
         rec.obs_dropped_rows[i],
         rec.obs_alerts_firing[i],
     ] {
-        line.push_str(&format!(",{v}"));
+        line.push(',');
+        cache.int(line, v);
     }
     for v in [
         rec.obs_stream_rows[i],
@@ -85,10 +206,11 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
         rec.obs_stream_flushes[i],
     ] {
         line.push(',');
-        line.push_str(&cell(v));
+        cache.num(line, v, cell);
     }
     for p in 0..Phase::COUNT {
-        line.push_str(&format!(",{}", rec.phase_ns[p][i]));
+        line.push(',');
+        cache.int(line, rec.phase_ns[p][i]);
     }
     for c in 0..n_cl {
         for v in [
@@ -98,13 +220,13 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
             rec.cluster_temp_c[c][i],
         ] {
             line.push(',');
-            line.push_str(&cell(v));
+            cache.num(line, v, cell);
         }
     }
     for c in 0..n_co {
         for v in [rec.core_supply[c][i], rec.core_price[c][i]] {
             line.push(',');
-            line.push_str(&cell(v));
+            cache.num(line, v, cell);
         }
     }
     for t in 0..n_t {
@@ -119,7 +241,7 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
             rec.task_shed[t][i],
         ] {
             line.push(',');
-            line.push_str(&cell(v));
+            cache.num(line, v, cell);
         }
     }
 }
@@ -128,19 +250,20 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
 /// Shared by [`write_csv`] and the incremental
 /// [`TelemetryStream`](crate::stream::TelemetryStream), so streamed output
 /// is byte-identical to a post-run export.
-pub(crate) fn csv_row(rec: &SeriesRecorder, i: usize, line: &mut String) {
-    line.push_str(&format!("{}", rec.t_us[i] as f64 / 1e6));
-    csv_row_cells(rec, i, line);
+pub(crate) fn csv_row(rec: &SeriesRecorder, i: usize, cache: &mut RowCache, line: &mut String) {
+    t_s(line, rec, i);
+    csv_row_cells(rec, i, cache, line);
 }
 
 /// Write the held rows as CSV, oldest first: the header, then one row per
 /// recorded quantum.
 pub fn write_csv<W: Write>(rec: &SeriesRecorder, w: &mut W) -> io::Result<()> {
     writeln!(w, "{}", csv_header(rec))?;
+    let mut cache = RowCache::default();
     let mut line = String::new();
     for i in rec.row_indices() {
         line.clear();
-        csv_row(rec, i, &mut line);
+        csv_row(rec, i, &mut cache, &mut line);
         writeln!(w, "{line}")?;
     }
     Ok(())
@@ -179,52 +302,27 @@ pub fn write_fleet_csv<W: Write>(recs: &[&SeriesRecorder], w: &mut W) -> io::Res
     }
     writeln!(w, "{}", fleet_csv_header(recs))?;
     let indices: Vec<Vec<usize>> = recs.iter().map(|r| r.row_indices().collect()).collect();
+    let mut caches: Vec<RowCache> = recs.iter().map(|_| RowCache::default()).collect();
     let mut line = String::new();
     for (k, &row) in indices[0].iter().enumerate() {
         line.clear();
-        line.push_str(&format!("{}", first.t_us[row] as f64 / 1e6));
+        t_s(&mut line, first, row);
         for (chip, rec) in recs.iter().enumerate() {
-            csv_row_cells(rec, indices[chip][k], &mut line);
+            csv_row_cells(rec, indices[chip][k], &mut caches[chip], &mut line);
         }
         writeln!(w, "{line}")?;
     }
     Ok(())
 }
 
-/// A JSON number, `null` for `NaN` (JSON has no NaN literal).
-pub(crate) fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal: quotes, backslashes and control characters
-/// escaped.
-pub(crate) fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Write the held rows as JSONL: one self-describing JSON object per
 /// quantum (entity columns as arrays), oldest first.
 pub fn write_jsonl<W: Write>(rec: &SeriesRecorder, w: &mut W) -> io::Result<()> {
+    let mut cache = RowCache::default();
     let mut line = String::new();
     for i in rec.row_indices() {
         line.clear();
-        jsonl_row(rec, i, &mut line);
+        jsonl_row(rec, i, &mut cache, &mut line);
         writeln!(w, "{line}")?;
     }
     Ok(())
@@ -232,103 +330,97 @@ pub fn write_jsonl<W: Write>(rec: &SeriesRecorder, w: &mut W) -> io::Result<()> 
 
 /// Append row `i` as one JSONL object to `line`. Shared by [`write_jsonl`]
 /// and the incremental [`TelemetryStream`](crate::stream::TelemetryStream).
-pub(crate) fn jsonl_row(rec: &SeriesRecorder, i: usize, line: &mut String) {
+pub(crate) fn jsonl_row(rec: &SeriesRecorder, i: usize, cache: &mut RowCache, line: &mut String) {
     let (n_cl, n_co, n_t) = rec.shape();
-    line.push('{');
-    line.push_str(&format!("\"t_s\":{}", rec.t_us[i] as f64 / 1e6));
-    {
-        for (k, v) in [
-            ("chip_power_w", rec.chip_power_w[i]),
-            ("tdp_headroom_w", rec.tdp_headroom_w[i]),
-            ("hottest_c", rec.hottest_c[i]),
-            ("allowance", rec.allowance[i]),
-            ("money_supply", rec.money_supply[i]),
-        ] {
-            line.push_str(&format!(",\"{k}\":{}", jnum(v)));
+    cache.begin(rec);
+    line.push_str("{\"t_s\":");
+    t_s(line, rec, i);
+    for (k, v) in [
+        (",\"chip_power_w\":", rec.chip_power_w[i]),
+        (",\"tdp_headroom_w\":", rec.tdp_headroom_w[i]),
+        (",\"hottest_c\":", rec.hottest_c[i]),
+        (",\"allowance\":", rec.allowance[i]),
+        (",\"money_supply\":", rec.money_supply[i]),
+    ] {
+        line.push_str(k);
+        cache.num(line, v, jnum);
+    }
+    for (k, v) in [
+        (",\"sensor_fallbacks\":", rec.sensor_fallbacks[i]),
+        (",\"dvfs_retries\":", rec.dvfs_retries[i]),
+        (",\"migration_retries\":", rec.migration_retries[i]),
+        (",\"tasks_orphaned\":", rec.tasks_orphaned[i]),
+        (",\"obs_dropped_rows\":", rec.obs_dropped_rows[i]),
+        (",\"obs_alerts_firing\":", rec.obs_alerts_firing[i]),
+    ] {
+        line.push_str(k);
+        cache.int(line, v);
+    }
+    for (k, v) in [
+        (",\"obs_stream_rows\":", rec.obs_stream_rows[i]),
+        (",\"obs_stream_lost\":", rec.obs_stream_lost[i]),
+        (",\"obs_stream_flushes\":", rec.obs_stream_flushes[i]),
+    ] {
+        line.push_str(k);
+        cache.num(line, v, jnum);
+    }
+    line.push_str(",\"phase_ns\":{");
+    for (k, p) in Phase::ALL.iter().enumerate() {
+        if k > 0 {
+            line.push(',');
         }
-        for (k, v) in [
-            ("sensor_fallbacks", rec.sensor_fallbacks[i]),
-            ("dvfs_retries", rec.dvfs_retries[i]),
-            ("migration_retries", rec.migration_retries[i]),
-            ("tasks_orphaned", rec.tasks_orphaned[i]),
-            ("obs_dropped_rows", rec.obs_dropped_rows[i]),
-            ("obs_alerts_firing", rec.obs_alerts_firing[i]),
-        ] {
-            line.push_str(&format!(",\"{k}\":{v}"));
-        }
-        for (k, v) in [
-            ("obs_stream_rows", rec.obs_stream_rows[i]),
-            ("obs_stream_lost", rec.obs_stream_lost[i]),
-            ("obs_stream_flushes", rec.obs_stream_flushes[i]),
-        ] {
-            line.push_str(&format!(",\"{k}\":{}", jnum(v)));
-        }
-        line.push_str(",\"phase_ns\":{");
-        for (k, p) in Phase::ALL.iter().enumerate() {
-            if k > 0 {
+        line.push('"');
+        line.push_str(p.name());
+        line.push_str("\":");
+        cache.int(line, rec.phase_ns[k][i]);
+    }
+    line.push('}');
+    let mut arr = |line: &mut String, key: &str, column: &[Vec<f64>], n: usize| {
+        line.push_str(key);
+        for (e, values) in column[..n].iter().enumerate() {
+            if e > 0 {
                 line.push(',');
             }
-            line.push_str(&format!("\"{}\":{}", p.name(), rec.phase_ns[k][i]));
+            cache.num(line, values[i], jnum);
         }
-        line.push('}');
-        let arr = |line: &mut String, key: &str, get: &dyn Fn(usize) -> f64, n: usize| {
-            line.push_str(&format!(",\"{key}\":["));
-            for e in 0..n {
-                if e > 0 {
-                    line.push(',');
-                }
-                line.push_str(&jnum(get(e)));
-            }
-            line.push(']');
-        };
-        arr(
-            line,
-            "cluster_freq_mhz",
-            &|c| rec.cluster_freq_mhz[c][i],
-            n_cl,
-        );
-        arr(
-            line,
-            "cluster_volt_mv",
-            &|c| rec.cluster_volt_mv[c][i],
-            n_cl,
-        );
-        arr(
-            line,
-            "cluster_power_w",
-            &|c| rec.cluster_power_w[c][i],
-            n_cl,
-        );
-        arr(line, "cluster_temp_c", &|c| rec.cluster_temp_c[c][i], n_cl);
-        arr(line, "core_supply_pu", &|c| rec.core_supply[c][i], n_co);
-        arr(line, "core_price", &|c| rec.core_price[c][i], n_co);
-        arr(line, "task_share_pu", &|t| rec.task_share[t][i], n_t);
-        arr(line, "task_granted_pu", &|t| rec.task_granted[t][i], n_t);
-        arr(line, "task_hr", &|t| rec.task_hr[t][i], n_t);
-        arr(line, "task_hr_norm", &|t| rec.task_hr_norm[t][i], n_t);
-        arr(line, "task_queue", &|t| rec.task_queue[t][i], n_t);
-        arr(line, "task_p99_ms", &|t| rec.task_p99_ms[t][i], n_t);
-        arr(line, "task_slo_ms", &|t| rec.task_slo_ms[t][i], n_t);
-        arr(line, "task_shed", &|t| rec.task_shed[t][i], n_t);
-    }
+        line.push(']');
+    };
+    arr(line, ",\"cluster_freq_mhz\":[", &rec.cluster_freq_mhz, n_cl);
+    arr(line, ",\"cluster_volt_mv\":[", &rec.cluster_volt_mv, n_cl);
+    arr(line, ",\"cluster_power_w\":[", &rec.cluster_power_w, n_cl);
+    arr(line, ",\"cluster_temp_c\":[", &rec.cluster_temp_c, n_cl);
+    arr(line, ",\"core_supply_pu\":[", &rec.core_supply, n_co);
+    arr(line, ",\"core_price\":[", &rec.core_price, n_co);
+    arr(line, ",\"task_share_pu\":[", &rec.task_share, n_t);
+    arr(line, ",\"task_granted_pu\":[", &rec.task_granted, n_t);
+    arr(line, ",\"task_hr\":[", &rec.task_hr, n_t);
+    arr(line, ",\"task_hr_norm\":[", &rec.task_hr_norm, n_t);
+    arr(line, ",\"task_queue\":[", &rec.task_queue, n_t);
+    arr(line, ",\"task_p99_ms\":[", &rec.task_p99_ms, n_t);
+    arr(line, ",\"task_slo_ms\":[", &rec.task_slo_ms, n_t);
+    arr(line, ",\"task_shed\":[", &rec.task_shed, n_t);
     line.push('}');
 }
 
 /// One Chrome counter event on `pid`: `name` at `ts_us` with the finite
 /// `(series, value)` pairs. Emits nothing when every value is NaN.
 fn counter(out: &mut Vec<String>, pid: usize, ts_us: f64, name: &str, series: &[(String, f64)]) {
-    let finite: Vec<&(String, f64)> = series.iter().filter(|(_, v)| v.is_finite()).collect();
-    if finite.is_empty() {
+    if !series.iter().any(|(_, v)| v.is_finite()) {
         return;
     }
-    let args = finite
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", jstr(k)))
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push(format!(
-        "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{ts_us},\"name\":\"{name}\",\"args\":{{{args}}}}}"
-    ));
+    let mut e = format!(
+        "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{ts_us},\"name\":\"{name}\",\"args\":{{"
+    );
+    for (n, (k, v)) in series.iter().filter(|(_, v)| v.is_finite()).enumerate() {
+        if n > 0 {
+            e.push(',');
+        }
+        jstr(&mut e, k);
+        e.push(':');
+        jnum(&mut e, *v);
+    }
+    e.push_str("}}");
+    out.push(e);
 }
 
 /// Write a Chrome `trace_event` JSON document (the `{"traceEvents": [...]}`

@@ -261,18 +261,19 @@ pub fn render_prometheus(s: &ScrapeSnapshot) -> String {
     out
 }
 
-fn gauge_json(g: &GaugeStat) -> String {
-    format!(
-        "{{\"n\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-        g.n,
-        jnum(g.mean()),
-        jnum(g.min),
-        jnum(g.max)
-    )
+fn gauge_json(out: &mut String, g: &GaugeStat) {
+    let _ = write!(out, "{{\"n\":{},\"mean\":", g.n);
+    jnum(out, g.mean());
+    out.push_str(",\"min\":");
+    jnum(out, g.min);
+    out.push_str(",\"max\":");
+    jnum(out, g.max);
+    out.push('}');
 }
 
-fn hist_json(h: &Hist) -> String {
-    format!(
+fn hist_json(out: &mut String, h: &Hist) {
+    let _ = write!(
+        out,
         "{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
         h.count(),
         h.sum_ns(),
@@ -280,92 +281,105 @@ fn hist_json(h: &Hist) -> String {
         h.percentile_ns(50.0),
         h.percentile_ns(95.0),
         h.percentile_ns(99.0)
-    )
+    );
 }
 
-fn window_json(w: &WindowStats) -> String {
-    format!(
-        "{{\"quanta\":{},\"power_w\":{},\"tdp_headroom_w\":{},\"hottest_c\":{},\
-         \"p99_over_slo\":{},\"slo_bad_quanta\":{},\"over_tdp_quanta\":{},\"shed\":{},\
-         \"degradation\":{},\"obs_dropped_rows\":{},\"obs_stream_lost\":{},\
-         \"plan_ns\":{},\"task_p99_ns\":{}}}",
-        w.quanta,
-        gauge_json(&w.power_w),
-        gauge_json(&w.headroom_w),
-        gauge_json(&w.hottest_c),
-        gauge_json(&w.p99_over_slo),
+fn window_json(out: &mut String, w: &WindowStats) {
+    let _ = write!(out, "{{\"quanta\":{},\"power_w\":", w.quanta);
+    gauge_json(out, &w.power_w);
+    out.push_str(",\"tdp_headroom_w\":");
+    gauge_json(out, &w.headroom_w);
+    out.push_str(",\"hottest_c\":");
+    gauge_json(out, &w.hottest_c);
+    out.push_str(",\"p99_over_slo\":");
+    gauge_json(out, &w.p99_over_slo);
+    let _ = write!(
+        out,
+        ",\"slo_bad_quanta\":{},\"over_tdp_quanta\":{},\"shed\":{},\"degradation\":{},\
+         \"obs_dropped_rows\":{},\"obs_stream_lost\":{},\"plan_ns\":",
         w.slo_bad_quanta,
         w.over_tdp_quanta,
         w.shed,
         w.degradation,
         w.obs_dropped_rows,
         w.obs_stream_lost,
-        hist_json(&w.plan_ns),
-        hist_json(&w.task_p99_ns)
-    )
+    );
+    hist_json(out, &w.plan_ns);
+    out.push_str(",\"task_p99_ns\":");
+    hist_json(out, &w.task_p99_ns);
+    out.push('}');
 }
 
-fn agg_json(a: &AggSnapshot) -> String {
-    let last = match &a.last {
-        Some(w) => format!(
-            "{{\"start_us\":{},\"end_us\":{},\"stats\":{}}}",
-            w.start_us,
-            w.end_us,
-            window_json(&w.stats)
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"label\":{},\"window_us\":{},\"windows_closed\":{},\"now_us\":{},\
-         \"last_window\":{},\"totals\":{}}}",
-        jstr(&a.label),
-        a.window_us,
-        a.windows_closed,
-        a.now_us,
-        last,
-        window_json(&a.totals)
-    )
+fn agg_json(out: &mut String, a: &AggSnapshot) {
+    out.push_str("{\"label\":");
+    jstr(out, &a.label);
+    let _ = write!(
+        out,
+        ",\"window_us\":{},\"windows_closed\":{},\"now_us\":{},\"last_window\":",
+        a.window_us, a.windows_closed, a.now_us
+    );
+    match &a.last {
+        Some(w) => {
+            let _ = write!(
+                out,
+                "{{\"start_us\":{},\"end_us\":{},\"stats\":",
+                w.start_us, w.end_us
+            );
+            window_json(out, &w.stats);
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"totals\":");
+    window_json(out, &a.totals);
+    out.push('}');
 }
 
 /// Render a snapshot as the JSON document `obs_validate` checks: an
 /// object with `at_us`, an `aggregate` section (`fleet` + `chips`), and
 /// an `alert` section.
 pub fn render_json(s: &ScrapeSnapshot) -> String {
-    let fleet = s.fleet.as_ref().map_or("null".to_string(), agg_json);
-    let chips: Vec<String> = s.chips.iter().map(agg_json).collect();
-    let alert = match &s.alerts {
-        Some(al) => {
-            let rules: Vec<String> = al
-                .rules
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"alert\":{},\"firing\":{},\"fast_burn\":{},\"slow_burn\":{},\
-                         \"threshold\":{}}}",
-                        jstr(r.name),
-                        r.firing,
-                        jnum(r.fast_burn),
-                        jnum(r.slow_burn),
-                        jnum(r.threshold)
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"rules\":[{}],\"events_total\":{},\"fired_total\":{}}}",
-                rules.join(","),
-                al.events_total,
-                al.fired_total
-            )
+    let mut out = String::with_capacity(4096);
+    let _ = write!(out, "{{\"at_us\":{},\"aggregate\":{{\"fleet\":", s.at_us);
+    match &s.fleet {
+        Some(f) => agg_json(&mut out, f),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"chips\":[");
+    for (k, c) in s.chips.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
         }
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"at_us\":{},\"aggregate\":{{\"fleet\":{},\"chips\":[{}]}},\"alert\":{}}}\n",
-        s.at_us,
-        fleet,
-        chips.join(","),
-        alert
-    )
+        agg_json(&mut out, c);
+    }
+    out.push_str("]},\"alert\":");
+    match &s.alerts {
+        Some(al) => {
+            out.push_str("{\"rules\":[");
+            for (k, r) in al.rules.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"alert\":");
+                jstr(&mut out, r.name);
+                let _ = write!(out, ",\"firing\":{},\"fast_burn\":", r.firing);
+                jnum(&mut out, r.fast_burn);
+                out.push_str(",\"slow_burn\":");
+                jnum(&mut out, r.slow_burn);
+                out.push_str(",\"threshold\":");
+                jnum(&mut out, r.threshold);
+                out.push('}');
+            }
+            let _ = write!(
+                out,
+                "],\"events_total\":{},\"fired_total\":{}}}",
+                al.events_total, al.fired_total
+            );
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str("}\n");
+    out
 }
 
 /// The scrape server: owns a listener thread serving the hub's current

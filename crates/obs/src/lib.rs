@@ -16,7 +16,10 @@
 //!   JSONL time-series, and a human-readable summary table. [`json`] is
 //!   the minimal parser the validation tooling uses on those artifacts.
 //!   [`stream::TelemetryStream`] flushes the same rows incrementally to
-//!   disk during the run, so an undersized ring loses no history.
+//!   disk during the run, so an undersized ring loses no history. Row
+//!   serialization writes into reused chunk buffers through a per-cell
+//!   render cache (unchanged cells are copied, not re-formatted), so a
+//!   steady-state flush allocates nothing either.
 //! - [`aggregate`] — live tumbling-window rollups over the recorder's
 //!   columns (gauges, counter deltas, log2 sketch quantiles), mergeable
 //!   per-chip → fleet the way the auditor's reports absorb.
@@ -42,6 +45,8 @@ pub mod http;
 pub mod json;
 pub mod profiler;
 pub mod recorder;
+#[cfg(test)]
+mod render_identity;
 pub mod stream;
 
 pub use crate::aggregate::{

@@ -4,27 +4,30 @@
 //!
 //! The hot-path contract mirrors the rest of this crate: the per-quantum
 //! [`TelemetryStream::pump`] is two integer compares until a flush boundary
-//! is crossed; only then does it serialize the pending rows (allocating the
-//! chunk it hands off) and send them to a dedicated writer thread over a
-//! **bounded** channel. A slow disk therefore back-pressures the simulation
-//! instead of growing an unbounded queue, and the simulation never blocks
-//! on `write(2)` itself in the common case.
+//! is crossed; only then does it serialize the pending rows into a chunk
+//! buffer and send it to a dedicated writer thread over a **bounded**
+//! channel. A slow disk therefore back-pressures the simulation instead of
+//! growing an unbounded queue, and the simulation never blocks on
+//! `write(2)` itself in the common case. The writer hands each written
+//! chunk back over a second bounded channel, and the stream keeps a
+//! per-cell render cache, so after warm-up a flush allocates nothing: it
+//! copies unchanged cells and formats only the ones that moved.
 //!
 //! Loss accounting: rows the ring overwrote before they could be flushed
 //! are counted in [`StreamStats::lost`], never silently skipped. With
-//! `flush_every ≤ ring capacity` (enforced at the first pump) and a pump
-//! every quantum, no row is ever lost — the acceptance test drives an
-//! undersized ring for exactly this property. Streamed bytes reuse the
-//! same per-row serializers as the post-run exporters, so `obs_validate`
-//! accepts streamed artifacts unchanged.
+//! `flush_every ≤ ring capacity` (checked at the first flush, in every
+//! build profile) and a pump every quantum, no row is ever lost — the
+//! acceptance test drives an undersized ring for exactly this property.
+//! Streamed bytes reuse the same per-row serializers as the post-run
+//! exporters, so `obs_validate` accepts streamed artifacts unchanged.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use crate::export;
+use crate::export::{self, RowCache};
 use crate::recorder::SeriesRecorder;
 
 /// On-disk format of a stream, chosen from the target path's extension.
@@ -52,15 +55,23 @@ pub struct StreamStats {
 /// writer (bounded back-pressure, not an unbounded queue).
 const CHANNEL_DEPTH: usize = 4;
 
+/// How many written chunks the return channel holds for reuse: every
+/// chunk that can be in flight (the queued ones, the one being written,
+/// the one being filled), so the writer never has to drop one.
+const SPARE_DEPTH: usize = CHANNEL_DEPTH + 2;
+
 /// An incremental exporter bound to one output file. Create before the
 /// run, [`TelemetryStream::pump`] after every recorded row, and
 /// [`TelemetryStream::finish`] after the run to flush the tail and join
 /// the writer thread.
 #[derive(Debug)]
 pub struct TelemetryStream {
-    tx: Option<SyncSender<Vec<u8>>>,
+    tx: Option<SyncSender<String>>,
+    /// Written chunks coming back from the writer, ready for reuse.
+    spare: Receiver<String>,
     writer: Option<JoinHandle<io::Result<()>>>,
     format: StreamFormat,
+    cache: RowCache,
     flush_every: usize,
     /// Absolute row count already serialized (or counted lost).
     cursor: u64,
@@ -103,18 +114,24 @@ impl TelemetryStream {
         flush_every: usize,
     ) -> TelemetryStream {
         assert!(flush_every > 0, "flush_every must be positive");
-        let (tx, rx) = sync_channel::<Vec<u8>>(CHANNEL_DEPTH);
+        let (tx, rx) = sync_channel::<String>(CHANNEL_DEPTH);
+        let (spare_tx, spare) = sync_channel::<String>(SPARE_DEPTH);
         let writer = std::thread::spawn(move || -> io::Result<()> {
             let mut out = BufWriter::new(sink);
             while let Ok(chunk) = rx.recv() {
-                out.write_all(&chunk)?;
+                out.write_all(chunk.as_bytes())?;
+                // Hand the buffer back; it is simply dropped once the
+                // stream is gone.
+                let _ = spare_tx.try_send(chunk);
             }
             out.flush()
         });
         TelemetryStream {
             tx: Some(tx),
+            spare,
             writer: Some(writer),
             format,
+            cache: RowCache::default(),
             flush_every,
             cursor: 0,
             header_sent: false,
@@ -135,32 +152,39 @@ impl TelemetryStream {
 
     /// Note `rec`'s growth and flush once per completed `flush_every`-row
     /// window. Cheap when no boundary was crossed: two integer compares.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first flush when `flush_every` exceeds `rec`'s ring
+    /// capacity: rows would wrap away before they could be flushed.
     pub fn pump(&mut self, rec: &SeriesRecorder) {
-        debug_assert!(
-            self.flush_every <= rec.capacity(),
-            "flush_every {} must not exceed the ring capacity {} or rows wrap away unflushed",
-            self.flush_every,
-            rec.capacity()
-        );
         while rec.total_rows() - self.cursor >= self.flush_every as u64 {
             self.flush(rec);
         }
     }
 
-    /// Serialize every not-yet-flushed row still in the ring and send it.
+    /// Serialize every not-yet-flushed row still in the ring into a reused
+    /// chunk and send it.
     fn flush(&mut self, rec: &SeriesRecorder) {
         let total = rec.total_rows();
+        if self.cursor >= total {
+            return;
+        }
+        assert!(
+            self.flush_every <= rec.capacity(),
+            "flush_every {} must not exceed the ring capacity {} or rows wrap away unflushed",
+            self.flush_every,
+            rec.capacity()
+        );
         // Rows older than the ring's oldest surviving row are gone.
         let oldest = total.saturating_sub(rec.capacity() as u64);
         if self.cursor < oldest {
             self.stats.lost += oldest - self.cursor;
             self.cursor = oldest;
         }
-        if self.cursor >= total {
-            return;
-        }
         let cap = rec.capacity() as u64;
-        let mut chunk = String::new();
+        let mut chunk = self.spare.try_recv().unwrap_or_default();
+        chunk.clear();
         if self.format == StreamFormat::Csv && !self.header_sent {
             chunk.push_str(&crate::csv_header(rec));
             chunk.push('\n');
@@ -169,8 +193,8 @@ impl TelemetryStream {
         for abs in self.cursor..total {
             let i = (abs % cap) as usize;
             match self.format {
-                StreamFormat::Csv => export::csv_row(rec, i, &mut chunk),
-                StreamFormat::Jsonl => export::jsonl_row(rec, i, &mut chunk),
+                StreamFormat::Csv => export::csv_row(rec, i, &mut self.cache, &mut chunk),
+                StreamFormat::Jsonl => export::jsonl_row(rec, i, &mut self.cache, &mut chunk),
             }
             chunk.push('\n');
         }
@@ -180,7 +204,7 @@ impl TelemetryStream {
         if let Some(tx) = &self.tx {
             // A send error means the writer thread died on an I/O error;
             // remember it and surface the underlying error in `finish`.
-            if tx.send(chunk.into_bytes()).is_err() {
+            if tx.send(chunk).is_err() {
                 self.broken = true;
             }
         }
@@ -318,6 +342,16 @@ mod tests {
         stream.pump(&rec);
         assert_eq!(stream.stats().flushes, 0);
         drop(stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed the ring capacity")]
+    fn flush_interval_above_ring_capacity_panics_in_every_profile() {
+        // A 4-row ring cannot hold an 8-row flush window: the first
+        // boundary crossing must refuse rather than count rows lost.
+        let rec = filled(8, 4);
+        let mut stream = TelemetryStream::with_writer(Vec::new(), StreamFormat::Csv, 8);
+        stream.pump(&rec);
     }
 
     #[test]

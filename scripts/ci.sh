@@ -56,8 +56,21 @@ cargo run --release --quiet -p ppm-obs --bin obs_validate -- "$obs_tmp/BENCH_fle
 echo ">>> open-loop smoke (pinned-seed request traffic: auditor clean, stream whole)"
 cargo run --release --quiet -p ppm --bin ppm-sim -- \
   --scheme ppm --workload openloop --duration 10 --audit \
-  --stream "$obs_tmp/openloop.jsonl" > /dev/null
+  --stream "$obs_tmp/openloop.jsonl" --metrics "$obs_tmp/openloop.post.jsonl" > /dev/null
 cargo run --release --quiet -p ppm-obs --bin obs_validate -- "$obs_tmp/openloop.jsonl"
+# Streamed during the run == exported after it, byte for byte.
+cmp "$obs_tmp/openloop.jsonl" "$obs_tmp/openloop.post.jsonl"
+
+echo ">>> pinned stream bytes (streamed JSONL and CSV of the open-loop run)"
+for pinned in \
+  "jsonl 481d324b449add56c65c11911ad2c4959b4d74147f75c834014fa814c515abac" \
+  "csv 33143f70fa880b3d5b5dab5c8e36432f8d67f54d22c49536378a38a7e09eb356"; do
+  ext="${pinned%% *}"
+  cargo run --release --quiet -p ppm --bin ppm-sim -- \
+    --scheme ppm --workload openloop --duration 10 \
+    --stream "$obs_tmp/pinned.$ext" > /dev/null
+  echo "${pinned#* }  $obs_tmp/pinned.$ext" | sha256sum --check --quiet -
+done
 
 echo ">>> bench_openloop --check (tape digest pinned, p99 within SLO, auditor clean)"
 cargo run --release --quiet -p ppm-bench --bin bench_openloop -- --check

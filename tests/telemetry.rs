@@ -389,3 +389,86 @@ fn obs_self_metrics_report_drops_and_stream_totals() {
     // No alert engine attached: the firing gauge stays zero.
     assert_eq!(num("obs_alerts_firing"), 0.0);
 }
+
+/// A `Write` sink the test can read back after the stream's writer thread
+/// has been joined.
+#[derive(Clone, Default)]
+struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("sink lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Stream the seeded `ol2` serving cell — TC2 at 4 W under PPM with a
+/// 4096-row ring, 1 s aggregation, the default burn-rate alerts, and
+/// 64-row flushes — into memory for 6 sim-s (the ring wraps), returning
+/// the streamed bytes and the stream totals.
+fn stream_ol2(format: ppm::obs::StreamFormat) -> (Vec<u8>, ppm::obs::StreamStats) {
+    use ppm::core::config::PpmConfig;
+    use ppm::core::manager::{place_on_little, PpmManager};
+    use ppm::obs::{TelemetryStream, DEFAULT_AGG_WINDOW_US};
+    use ppm::platform::chip::Chip;
+    use ppm::platform::core::CoreId;
+    use ppm::sched::{AllocationPolicy, Simulation, System};
+    use ppm::workload::task::Priority;
+    use ppm::workload::{bursty_template, openloop_family};
+
+    let tdp = Watts(4.0);
+    let set = openloop_family("ol2", bursty_template(), 1303);
+    let mut sys = System::new(Chip::tc2(), AllocationPolicy::Market);
+    for task in set.spawn(0, Priority::NORMAL) {
+        sys.add_task(task, CoreId(0));
+    }
+    place_on_little(&mut sys);
+    sys.set_tdp_accounting(tdp);
+    let sink = SharedSink::default();
+    let tel = Telemetry::new(4096)
+        .with_aggregation(DEFAULT_AGG_WINDOW_US)
+        .with_alerts();
+    let mut sim = Simulation::new(sys, PpmManager::new(PpmConfig::tc2_with_tdp(tdp)))
+        .with_telemetry(tel)
+        .with_stream(TelemetryStream::with_writer(sink.clone(), format, 64));
+    sim.run_for(SimDuration::from_secs(6));
+    let stats = sim
+        .finish_stream()
+        .expect("stream attached")
+        .expect("writer clean");
+    let bytes = sink.0.lock().expect("sink lock").clone();
+    (bytes, stats)
+}
+
+/// The streamed bytes of the real serving workload are pinned: any change
+/// to the row serializers (caching, buffer reuse, number formatting) must
+/// reproduce them exactly, for both formats.
+#[test]
+fn ol2_stream_bytes_are_pinned() {
+    use ppm::obs::StreamFormat;
+
+    for (format, digest) in [
+        (StreamFormat::Jsonl, 12_675_621_358_017_408_072),
+        (StreamFormat::Csv, 13_920_699_874_424_794_978),
+    ] {
+        let (bytes, stats) = stream_ol2(format);
+        assert_eq!((stats.rows, stats.lost), (6000, 0), "{format:?}");
+        assert_eq!(
+            fnv1a(&bytes),
+            digest,
+            "{format:?} stream drifted ({} bytes)",
+            bytes.len()
+        );
+    }
+}

@@ -483,12 +483,13 @@ fn steady_state_openloop_quantum_does_not_allocate() {
     assert!(measured > 0, "no task measured a p99 — nothing was served");
 }
 
-/// Streaming telemetry allocates only at flush boundaries: with
-/// `flush_every` not yet reached, every pumped quantum is two integer
-/// compares, so a measured block that stays inside one flush window
-/// performs zero allocations even with the stream attached.
+/// Streaming telemetry does not allocate in steady state, flushes
+/// included: the per-row render cache copies unchanged cells into the
+/// chunk instead of formatting them, and the writer thread hands every
+/// written chunk back for reuse, so once the warm-up has grown the chunks
+/// and the cache a 64-row JSONL flush touches no allocator.
 #[test]
-fn stream_pump_below_flush_boundary_does_not_allocate() {
+fn stream_flushes_do_not_allocate_after_warmup() {
     use ppm::obs::{StreamFormat, Telemetry, TelemetryStream};
     use ppm::platform::chip::Chip;
     use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
@@ -507,28 +508,27 @@ fn stream_pump_below_flush_boundary_does_not_allocate() {
             CoreId(i % 5),
         );
     }
-    // Ring and flush window both 8192: the 2 s warm-up (2000 rows) and the
-    // measured 1 s blocks (1000 rows each, up to three attempts) together
-    // stay below the first boundary, so every measured pump must be pure
-    // compares.
+    // A 256-row ring flushed every 64 rows, as `ppm-sim --stream` runs:
+    // the 2 s warm-up crosses 31 flush boundaries, each measured 1 s block
+    // (up to three attempts) another 15.
     let mut sim = Simulation::new(sys, TogglingManager { flip: false })
-        .with_telemetry(Telemetry::new(8192))
+        .with_telemetry(Telemetry::new(256))
         .with_stream(TelemetryStream::with_writer(
             std::io::sink(),
-            StreamFormat::Csv,
-            8192,
+            StreamFormat::Jsonl,
+            64,
         ));
     sim.run_for(SimDuration::from_secs(2));
 
-    assert_no_alloc("pumping below the flush boundary", || {
+    assert_no_alloc("streaming with 64-row flushes", || {
         sim.run_for(SimDuration::from_secs(1));
     });
-    // The tail flush still delivers every row, so nothing was lost by
-    // keeping the hot path quiet.
+    // Every row reached the writer through the reused chunks.
     let stats = sim
         .finish_stream()
         .expect("stream attached")
         .expect("writer clean");
     assert_eq!(stats.lost, 0);
     assert!(stats.rows >= 3000, "all quanta reached the file");
+    assert!(stats.flushes >= 3000 / 64, "flushed every 64 rows");
 }
