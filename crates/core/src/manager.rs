@@ -708,10 +708,14 @@ impl PowerManager for PpmManager {
         // Until the first round distributes real shares, let every task
         // claim a fair slice so nothing starves during the first 31.7 ms.
         let ids = sys.task_ids();
+        let mut residents = vec![0_usize; sys.chip().cores().len()];
+        for &id in &ids {
+            residents[sys.core_of(id).0] += 1;
+        }
         for id in ids {
             let core = sys.core_of(id);
             let supply = sys.chip().core_supply(core);
-            let n = sys.tasks_on(core).len().max(1) as f64;
+            let n = residents[core.0].max(1) as f64;
             sys.set_share(id, supply / n);
         }
         self.cache_lbt_profiles(sys);
@@ -751,11 +755,11 @@ impl PowerManager for PpmManager {
         // sorted merge-diff replaces HashSet differences, so churn events
         // fire in task-id order on every run.
         //
-        // Fast path: the snapshot's advisory change mask says the task
-        // section kept its digest, and an exact in-order id comparison
-        // (the hard guarantee — digests are probabilistic) confirms the
-        // membership is the same as last round's, so the sort + merge-diff
-        // is skipped entirely. `snap.tasks` (hence `obs_buf.tasks`) is
+        // Fast path: the snapshot's change mask says the task section is
+        // bitwise what the previous capture held, and an exact in-order id
+        // comparison confirms the membership is the same as last round's
+        // (the previous capture need not have been a round), so the sort +
+        // merge-diff is skipped entirely. `snap.tasks` (hence `obs_buf.tasks`) is
         // ascending by id, and `known_tasks` is sorted, so a zip compare
         // is exact.
         let now = snap.now;

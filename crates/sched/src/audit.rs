@@ -37,7 +37,6 @@
 
 use std::fmt::Write as _;
 
-use ppm_platform::cluster::ClusterId;
 use ppm_platform::units::{SimDuration, SimTime, Watts};
 
 use crate::executor::System;
@@ -98,6 +97,8 @@ pub struct Auditor {
     clusters: Vec<ClusterWatch>,
     /// Scratch: per-core granted sums.
     grants: Vec<f64>,
+    /// Scratch: per-cluster "some active task is mapped here".
+    occupied: Vec<bool>,
 }
 
 impl Auditor {
@@ -317,9 +318,20 @@ impl Auditor {
         if self.clusters.len() != n {
             self.clusters.resize(n, ClusterWatch::default());
         }
+        // Occupancy costs one pass over the tasks, paid only once a gated
+        // cluster needs it.
+        let mut occupancy_known = false;
         for ci in 0..n {
-            let id = ClusterId(ci);
-            let stranded = sys.chip().clusters()[ci].is_off() && sys.cluster_has_tasks(id);
+            let off = sys.chip().clusters()[ci].is_off();
+            if off && !occupancy_known {
+                self.occupied.clear();
+                self.occupied.resize(n, false);
+                for id in sys.task_iter() {
+                    self.occupied[sys.chip().core(sys.core_of(id)).cluster().0] = true;
+                }
+                occupancy_known = true;
+            }
+            let stranded = off && self.occupied[ci];
             let watch = &mut self.clusters[ci];
             if !stranded {
                 watch.gated_with_tasks_since = None;
@@ -414,6 +426,29 @@ mod tests {
             "{}",
             aud.render()
         );
+    }
+
+    #[test]
+    fn gated_cluster_is_flagged_only_while_occupied() {
+        // busy_system keeps every task on LITTLE: gating the empty big
+        // cluster is legal. Stranding one task there afterwards is not.
+        let mut sim = Simulation::new(busy_system(), NullManager).with_auditor();
+        sim.system_mut()
+            .power_off(ppm_platform::cluster::ClusterId(1));
+        sim.run_for(SimDuration::from_millis(400));
+        let aud = sim.auditor().expect("auditor attached");
+        assert!(aud.is_clean(), "{}", aud.render());
+
+        let _ = sim.system_mut().migrate(TaskId(3), CoreId(3));
+        sim.run_for(SimDuration::from_millis(400));
+        let aud = sim.auditor().expect("auditor attached");
+        let stranded: Vec<&Violation> = aud
+            .violations()
+            .iter()
+            .filter(|v| v.invariant == "stranded-on-gated-cluster")
+            .collect();
+        assert_eq!(stranded.len(), 1, "{}", aud.render());
+        assert!(stranded[0].detail.starts_with("cluster 1 gated"));
     }
 
     #[test]

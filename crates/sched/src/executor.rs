@@ -58,15 +58,24 @@ struct TaskEntry {
 
 /// Reused buffers for [`System::step`]: once capacities have warmed up, a
 /// steady-state quantum performs no heap allocation.
+///
+/// The quantum's runnable tasks are bucketed by core once, up front, in a
+/// CSR (compressed sparse row) layout: core `c`'s runnable ids are
+/// `by_core[start[c]..start[c + 1]]`, ascending. One counting sort over the
+/// task entries fills both vectors, so finding every core's run queue costs
+/// O(tasks + cores) per quantum rather than O(cores × tasks).
 #[derive(Debug, Default)]
 struct StepScratch {
     /// Per-cluster true (noise-free) power for the quantum.
     power: Vec<Watts>,
-    /// Runnable task ids on the core being processed.
-    ids: Vec<TaskId>,
-    /// Their allocation claims, index-aligned with `ids`.
+    /// CSR row offsets into `by_core`, `cores + 1` long.
+    start: Vec<usize>,
+    /// Runnable task ids grouped by core, ascending within each core.
+    by_core: Vec<TaskId>,
+    /// Allocation claims of the core being processed, index-aligned with
+    /// its `by_core` row.
     claims: Vec<Claimant>,
-    /// Their grants, index-aligned with `ids`.
+    /// Their grants, index-aligned with `claims`.
     grants: Vec<ProcessingUnits>,
     /// Per-core utilizations of the cluster being processed.
     utils: Vec<f64>,
@@ -470,7 +479,7 @@ impl System {
 
         // 2. Allocate and execute per core. All working sets live in
         // `self.scratch` — the steady state allocates nothing.
-        let now = self.now;
+        self.sort_runnable_by_core(dt, end);
         let n_clusters = self.chip.clusters().len();
         self.scratch.power.clear();
         self.scratch.power.resize(n_clusters, Watts::ZERO);
@@ -483,18 +492,11 @@ impl System {
             self.scratch.cluster_tasks.clear();
             let cores = self.chip.cores_of(cluster_id);
             for &core in cores {
-                self.scratch.ids.clear();
-                self.scratch.ids.extend(
-                    self.entries
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.core == core && e.active && e.stalled_until <= now)
-                        .map(|(i, _)| TaskId(i)),
-                );
+                let row = self.scratch.start[core.0]..self.scratch.start[core.0 + 1];
                 self.scratch.claims.clear();
                 self.scratch
                     .claims
-                    .extend(self.scratch.ids.iter().map(|&id| {
+                    .extend(self.scratch.by_core[row.clone()].iter().map(|&id| {
                         let e = &self.entries[id.0];
                         Claimant {
                             task: id,
@@ -522,8 +524,7 @@ impl System {
                 let point = self.chip.cluster(cluster_id).point();
                 let watts_per_pu = self.chip.power_model().params(class).dynamic_coeff
                     * point.voltage.volts().powi(2);
-                for k in 0..self.scratch.ids.len() {
-                    let id = self.scratch.ids[k];
+                for (k, &id) in self.scratch.by_core[row].iter().enumerate() {
                     let grant = self.scratch.grants[k];
                     let e = &mut self.entries[id.0];
                     e.granted = grant;
@@ -571,16 +572,6 @@ impl System {
                 }
             }
             self.scratch.power[ci] = power;
-        }
-        // Stalled tasks make no progress but time passes for them. One pass
-        // over the entries: the per-entry effects touch only that entry, so
-        // they are independent of cluster processing order.
-        for e in self.entries.iter_mut() {
-            if e.active && e.stalled_until > now {
-                e.granted = ProcessingUnits::ZERO;
-                e.task.record_idle(end);
-                e.pelt.update(dt, 1.0); // still runnable, just not running
-            }
         }
 
         // 3. Power sensors, meters, and the thermal model.
@@ -630,6 +621,48 @@ impl System {
         }
 
         self.now = end;
+    }
+
+    /// Bucket this quantum's runnable entries (active, not stalled) by core
+    /// into the scratch CSR with one counting sort, in ascending id order
+    /// within each core. Stalled entries are idled in the same pass: they
+    /// make no progress but time passes for them, and those effects touch
+    /// only the entry itself.
+    fn sort_runnable_by_core(&mut self, dt: SimDuration, end: SimTime) {
+        let now = self.now;
+        let n_cores = self.chip.cores().len();
+        // Counts land two slots up, so that after the prefix sum
+        // `start[c + 1]` is core `c`'s first slot and can serve as its fill
+        // cursor; filling leaves it at core `c`'s end, i.e. `c + 1`'s start.
+        let start = &mut self.scratch.start;
+        start.clear();
+        start.resize(n_cores + 2, 0);
+        for e in self.entries.iter_mut() {
+            if !e.active {
+                continue;
+            }
+            if e.stalled_until <= now {
+                start[e.core.0 + 2] += 1;
+            } else {
+                e.granted = ProcessingUnits::ZERO;
+                e.task.record_idle(end);
+                e.pelt.update(dt, 1.0); // still runnable, just not running
+            }
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let by_core = &mut self.scratch.by_core;
+        by_core.clear();
+        by_core.resize(start[n_cores + 1], TaskId(0));
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.active && e.stalled_until <= now {
+                let slot = &mut start[e.core.0 + 1];
+                by_core[*slot] = TaskId(i);
+                *slot += 1;
+            }
+        }
+        start.pop();
     }
 
     /// Validate and apply a manager's plan, action by action, in plan order.
@@ -1013,11 +1046,10 @@ impl<M: PowerManager> Simulation<M> {
             } else {
                 None
             };
-            // Snapshot in, plan out, apply in one place. Without a fault
-            // plan nothing perturbs the snapshot's copies between captures,
-            // so the dynamic sections may be digest-gated like the task
-            // section; faulted runs keep the always-re-read path.
-            self.snap.capture_gated(&self.system, self.faults.is_none());
+            // Snapshot in, plan out, apply in one place. Capture overwrites
+            // whatever the fault plan perturbed last quantum with live
+            // values.
+            self.snap.capture(&self.system);
             if let Some(f) = &mut self.faults {
                 // Observation faults: perturb only what the manager sees.
                 // Cluster readings additionally pass through each agent's
@@ -1243,11 +1275,16 @@ fn record_telemetry_row(
 #[cfg(test)]
 impl System {
     /// Flip the sign bits of a task's share and grant in place: a state no
-    /// public setter reaches, used to probe the snapshot's change digests.
+    /// public setter reaches, used to probe the snapshot's change mask.
     pub(crate) fn flip_share_and_grant_signs(&mut self, id: TaskId) {
         let e = &mut self.entries[id.0];
         e.share = ProcessingUnits(-e.share.0);
         e.granted = ProcessingUnits(-e.granted.0);
+    }
+
+    /// Core `core`'s row of the runnable CSR the last `step` built.
+    fn runnable_on(&self, core: CoreId) -> &[TaskId] {
+        &self.scratch.by_core[self.scratch.start[core.0]..self.scratch.start[core.0 + 1]]
     }
 }
 
@@ -1602,5 +1639,63 @@ mod sensor_noise_tests {
         assert_eq!(total, SimDuration::from_secs(5).as_micros());
         assert!(res[0] >= SimDuration::from_secs(3));
         assert!(res[5] >= SimDuration::from_millis(1900));
+    }
+}
+
+#[cfg(test)]
+mod runnable_csr_tests {
+    use super::*;
+    use ppm_workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
+    use ppm_workload::task::Priority;
+
+    proptest::proptest! {
+        /// The runnable CSR that `step` builds with one counting sort holds,
+        /// per core and in order, exactly what a per-core filter over every
+        /// entry finds — under placements, migrations (whose stalls span
+        /// several quanta at this step size), removals and gated clusters.
+        #[test]
+        fn runnable_buckets_match_a_per_core_filter(
+            placement in proptest::collection::vec(0usize..12, 1..24),
+            steps in proptest::collection::vec((0u8..5, 0usize..24, 0usize..12), 0..60),
+        ) {
+            let chip = ppm_platform::chip::synthetic_chip(4, 3);
+            let mut sys = System::new(chip, AllocationPolicy::Market);
+            for (i, &core) in placement.iter().enumerate() {
+                sys.add_task(
+                    Task::new(TaskId(i), BenchmarkSpec::of(Benchmark::Swaptions, Input::Large).expect("variant"), Priority(1)),
+                    CoreId(core),
+                );
+                sys.set_share(TaskId(i), ProcessingUnits(50.0));
+            }
+            let n = placement.len();
+            for &(kind, task, core) in &steps {
+                let id = TaskId(task % n);
+                let cluster = sys.chip().core(CoreId(core)).cluster();
+                match kind {
+                    0 => {
+                        sys.migrate(id, CoreId(core));
+                    }
+                    1 => sys.remove_task(id),
+                    2 => sys.power_off(cluster),
+                    3 => sys.power_on(cluster),
+                    _ => {}
+                }
+                let now = sys.now();
+                let expected: Vec<Vec<TaskId>> = (0..12)
+                    .map(|c| {
+                        sys.entries
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, e)| e.core == CoreId(c) && e.active && e.stalled_until <= now)
+                            .map(|(i, _)| TaskId(i))
+                            .collect()
+                    })
+                    .collect();
+                sys.step(SimDuration(200), true);
+                for (c, want) in expected.iter().enumerate() {
+                    proptest::prop_assert_eq!(sys.runnable_on(CoreId(c)), want.as_slice());
+                }
+            }
+        }
     }
 }

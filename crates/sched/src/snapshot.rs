@@ -10,15 +10,13 @@
 //!
 //! Capture reuses all buffers: after the first few quanta (static topology
 //! vectors are built once) a steady-state capture performs **zero heap
-//! allocation** — see `tests/zero_alloc.rs`. Every dynamic section is
-//! additionally gated on a live-state sub-digest, so a capture whose
-//! telemetry has not moved skips the refresh entirely. The chip-scalar,
-//! core, and cluster gates only engage when the caller vouches that the
-//! snapshot's copies were not perturbed since the previous capture
-//! ([`SystemSnapshot::capture_gated`] with `sections_trusted`) — the
-//! executor passes that exactly when no `FaultPlan` is attached, because
-//! observation faults rewrite chip power, cluster powers, and `hottest`
-//! in place after capture; faulted runs keep the always-re-read path.
+//! allocation** — see `tests/zero_alloc.rs`. It is one in-place pass per
+//! section: each live value is compared bitwise with the snapshot's copy
+//! as it overwrites it, which yields the exact per-section
+//! [`ChangeMask`] at no extra pass over the system. Observation faults
+//! rewrite chip power, cluster powers and `hottest` in the snapshot after
+//! capture; the next capture sees those copies differ from the live values
+//! and restores them like any other change.
 
 use ppm_platform::cluster::ClusterId;
 use ppm_platform::core::{CoreClass, CoreId};
@@ -63,6 +61,34 @@ pub struct TaskSnap {
 }
 
 impl TaskSnap {
+    /// True when every field of `self` and `other` has the same bits.
+    fn same_bits(&self, other: &TaskSnap) -> bool {
+        let open_loop = match (self.open_loop, other.open_loop) {
+            (Some(a), Some(b)) => {
+                a.queue_depth == b.queue_depth
+                    && same(a.p99_ms, b.p99_ms)
+                    && same(a.slo_ms, b.slo_ms)
+                    && a.shed == b.shed
+            }
+            (None, None) => true,
+            _ => false,
+        };
+        open_loop
+            && self.id == other.id
+            && self.core == other.core
+            && self.priority == other.priority
+            && same(self.share.value(), other.share.value())
+            && same(self.granted.value(), other.granted.value())
+            && same(self.pelt_load, other.pelt_load)
+            && self.stalled == other.stalled
+            && same(self.heart_rate, other.heart_rate)
+            && same(self.target_rate, other.target_rate)
+            && same(self.demand.value(), other.demand.value())
+            && same(self.demand_little.value(), other.demand_little.value())
+            && same(self.demand_big.value(), other.demand_big.value())
+            && self.cost_per_beat.map(f64::to_bits) == other.cost_per_beat.map(f64::to_bits)
+    }
+
     /// Profiled demand for `class`.
     pub fn profiled_demand(&self, class: CoreClass) -> ProcessingUnits {
         match class {
@@ -151,15 +177,13 @@ impl ClusterSnap {
 
 /// Per-section "what changed since the previous capture" mask.
 ///
-/// Derived from per-section word-wise sub-digests compared across consecutive
-/// [`SystemSnapshot::capture`] calls. Capture time (`now`) is deliberately
-/// excluded — it advances every quantum and carries no decision input.
-///
-/// Digest equality is **probabilistic** (a 64-bit collision could mark a
-/// changed section clean), so the mask is advisory: use it to skip cheap
-/// bookkeeping or as a fast pre-filter, but any consumer that needs a hard
-/// bit-identity guarantee must confirm with an exact comparison of the data
-/// it depends on.
+/// Exact: [`SystemSnapshot::capture`] compares every value it stores
+/// bitwise (`f64::to_bits`, so `-0.0` differs from `0.0`) with the copy it
+/// overwrites, and a section is dirty iff any of its values, or its length,
+/// differed. Capture time (`now`) is deliberately excluded — it advances
+/// every quantum and carries no decision input. The comparison is against
+/// the snapshot's own previous copy, so a copy perturbed in place after the
+/// previous capture also reads as dirty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangeMask {
     /// Chip scalars changed (power sample, hottest junction temperature).
@@ -216,15 +240,10 @@ pub struct SystemSnapshot {
     pub cores: Vec<CoreSnap>,
     /// All clusters, indexed by cluster id.
     pub clusters: Vec<ClusterSnap>,
-    /// What changed since the previous capture (advisory — see [`ChangeMask`]).
+    /// What changed since the previous capture (see [`ChangeMask`]).
     pub changed: ChangeMask,
-    /// Previous capture's per-section sub-digests, `None` before the first.
-    prev_sections: Option<[u64; 4]>,
-    /// How many captures actually rebuilt the task section (stat).
-    task_rebuilds: u64,
-    /// How many captures refreshed any of the chip/core/cluster dynamic
-    /// sections (stat; untrusted captures always count).
-    dynamic_refreshes: u64,
+    /// Whether a previous capture exists to compare against.
+    captured: bool,
 }
 
 impl SystemSnapshot {
@@ -233,23 +252,14 @@ impl SystemSnapshot {
         SystemSnapshot::default()
     }
 
-    /// Capture `sys` into this snapshot, reusing all buffers. Equivalent
-    /// to [`SystemSnapshot::capture_gated`] with `sections_trusted` false
-    /// — the safe default for callers that may mutate the snapshot's
-    /// copies between captures.
+    /// Capture `sys` into this snapshot, reusing all buffers, in one pass
+    /// per section: each value read from the live system is compared
+    /// bitwise with the copy it overwrites, and [`SystemSnapshot::changed`]
+    /// records which sections differed. A copy a caller perturbed since the
+    /// previous capture (observation faults rewrite chip power, cluster
+    /// powers and `hottest` in place) compares as dirty and is overwritten
+    /// with the live value.
     pub fn capture(&mut self, sys: &System) {
-        self.capture_gated(sys, false);
-    }
-
-    /// Capture `sys`, additionally gating the chip-scalar, core, and
-    /// cluster refreshes on live-state sub-digests when `sections_trusted`
-    /// is true. Trusted means: nothing mutated this snapshot's copies
-    /// since the previous `capture*` call (the executor vouches for that
-    /// exactly when no fault plan is attached — observation faults rewrite
-    /// chip power, cluster powers, and `hottest` in place). The task
-    /// section is always digest-gated; its live values are never perturbed
-    /// in place. All gates share [`ChangeMask`]'s 64-bit collision caveat.
-    pub fn capture_gated(&mut self, sys: &System, sections_trusted: bool) {
         let chip = sys.chip();
         self.now = sys.now();
 
@@ -285,295 +295,100 @@ impl SystemSnapshot {
                 })
                 .collect();
         }
-        // Dynamic sections: the live-side digests double as the section
-        // digests below (they hash exactly the fields a refresh would
-        // store, in exactly the same order), so a trusted capture whose
-        // digest matches the previous one skips the refresh entirely — the
-        // snapshot already holds those bytes.
-        let chip_digest = Self::live_chip_digest(sys);
-        let cores_digest = Self::live_cores_digest(sys);
-        let clusters_digest = Self::live_clusters_digest(sys);
-        let trusted_prev = if sections_trusted {
-            self.prev_sections
-        } else {
-            None
-        };
-        let chip_clean = trusted_prev.is_some_and(|p| p[0] == chip_digest);
-        let cores_clean = trusted_prev.is_some_and(|p| p[2] == cores_digest);
-        let clusters_clean = trusted_prev.is_some_and(|p| p[3] == clusters_digest);
-        if !(chip_clean && cores_clean && clusters_clean) {
-            self.dynamic_refreshes += 1;
+
+        let chip_power = sys.chip_power();
+        let hottest = sys.thermal().map(|t| t.hottest());
+        let chip_dirty = !(same(self.chip_power.value(), chip_power.value())
+            && self.hottest.map(|c| c.value().to_bits()) == hottest.map(|c| c.value().to_bits()));
+        self.chip_power = chip_power;
+        self.hottest = hottest;
+
+        let mut clusters_dirty = false;
+        for (snap, cl) in self.clusters.iter_mut().zip(chip.clusters()) {
+            let level = cl.level().0;
+            let effective_target = cl.effective_target().0;
+            let off = cl.is_off();
+            let supply_per_core = cl.supply_per_core();
+            let power = sys.cluster_power(cl.id());
+            clusters_dirty |= !(snap.level == level
+                && snap.effective_target == effective_target
+                && snap.off == off
+                && same(snap.supply_per_core.value(), supply_per_core.value())
+                && same(snap.power.value(), power.value()));
+            snap.level = level;
+            snap.effective_target = effective_target;
+            snap.off = off;
+            snap.supply_per_core = supply_per_core;
+            snap.power = power;
         }
-        if !chip_clean {
-            self.chip_power = sys.chip_power();
-            self.hottest = sys.thermal().map(|t| t.hottest());
+
+        let mut cores_dirty = false;
+        for (snap, d) in self.cores.iter_mut().zip(chip.cores()) {
+            let utilization = sys.core_utilization(d.id());
+            let supply = chip.core_supply(d.id());
+            cores_dirty |=
+                !(same(snap.utilization, utilization) && same(snap.supply.value(), supply.value()));
+            snap.utilization = utilization;
+            snap.supply = supply;
         }
-        if !clusters_clean {
-            for (snap, cl) in self.clusters.iter_mut().zip(chip.clusters()) {
-                snap.level = cl.level().0;
-                snap.effective_target = cl.effective_target().0;
-                snap.off = cl.is_off();
-                snap.supply_per_core = cl.supply_per_core();
-                snap.power = sys.cluster_power(cl.id());
-            }
-        }
-        if !cores_clean {
-            for (snap, d) in self.cores.iter_mut().zip(chip.cores()) {
-                snap.utilization = sys.core_utilization(d.id());
-                snap.supply = chip.core_supply(d.id());
-            }
-        }
-        debug_assert_eq!(
-            chip_digest,
-            self.chip_digest(),
-            "live and snapshot chip digests drifted apart"
-        );
-        debug_assert_eq!(
-            cores_digest,
-            self.cores_digest(),
-            "live and snapshot core digests drifted apart"
-        );
-        debug_assert_eq!(
-            clusters_digest,
-            self.clusters_digest(),
-            "live and snapshot cluster digests drifted apart"
-        );
 
-        // Task section: the rebuild walks every task through half a dozen
-        // telemetry accessors, so it is gated on a digest of the *live*
-        // values (never the snapshot's own copy, which observation faults
-        // may have perturbed after the previous capture — those only touch
-        // chip power, cluster powers, and `hottest`, all refreshed above).
-        // In steady state telemetry converges and the section digest stops
-        // moving, so the common case is one read-only pass and no writes.
-        // The gate shares ChangeMask's 64-bit-collision caveat.
-        let tasks_digest = Self::live_tasks_digest(sys);
-        let tasks_clean = self
-            .prev_sections
-            .is_some_and(|prev| prev[1] == tasks_digest);
-        if !tasks_clean {
-            self.task_rebuilds += 1;
-            self.tasks.clear();
-            self.tasks.extend(sys.task_iter().map(|id| {
-                let task = sys.task(id);
-                let core = sys.core_of(id);
-                let class = chip.core(core).class();
-                TaskSnap {
-                    id,
-                    core,
-                    priority: task.priority().value(),
-                    share: sys.share_of(id),
-                    granted: sys.granted(id),
-                    pelt_load: sys.pelt_load(id),
-                    stalled: sys.is_stalled(id),
-                    heart_rate: task.heart_rate(),
-                    target_rate: task.spec().target_range().target(),
-                    demand: task.demand(class, class),
-                    // Pressure-scaled for open-loop tasks (== raw profile
-                    // for closed-loop, so committed digests are untouched).
-                    demand_little: task.planning_demand(CoreClass::Little),
-                    demand_big: task.planning_demand(CoreClass::Big),
-                    cost_per_beat: task.measured_cost_per_beat(),
-                    open_loop: task.open_loop_snap(),
-                }
-            }));
-        }
-        debug_assert_eq!(
-            tasks_digest,
-            Self::tasks_section_digest(&self.tasks),
-            "live and snapshot task digests drifted apart"
-        );
-
-        let sections = [chip_digest, tasks_digest, cores_digest, clusters_digest];
-        self.changed = match self.prev_sections {
-            Some(prev) => ChangeMask {
-                chip: sections[0] != prev[0],
-                tasks: sections[1] != prev[1],
-                cores: sections[2] != prev[2],
-                clusters: sections[3] != prev[3],
-            },
-            None => ChangeMask::ALL,
-        };
-        self.prev_sections = Some(sections);
-    }
-
-    /// How many captures so far rebuilt the task section (the rest were
-    /// digest-gated to a read-only pass).
-    pub fn task_rebuilds(&self) -> u64 {
-        self.task_rebuilds
-    }
-
-    /// How many captures so far refreshed any of the chip-scalar, core, or
-    /// cluster dynamic sections (untrusted captures always refresh; see
-    /// [`SystemSnapshot::capture_gated`]).
-    pub fn dynamic_refreshes(&self) -> u64 {
-        self.dynamic_refreshes
-    }
-
-    // Per-section sub-digests: chip scalars, tasks, cores, clusters. `now`
-    // is excluded (see [`ChangeMask`]); otherwise these cover the same
-    // fields as [`SystemSnapshot::digest`]. They hash a word at a time
-    // ([`WordHash`]); `digest` stays byte-wise FNV-1a so tape digests are
-    // unaffected.
-
-    fn chip_digest(&self) -> u64 {
-        let mut chip = WordHash::new();
-        chip.f64(self.chip_power.value());
-        match self.hottest {
-            Some(c) => {
-                chip.u64(1);
-                chip.f64(c.value());
-            }
-            None => chip.u64(0),
-        }
-        chip.finish()
-    }
-
-    /// Chip-scalar digest streamed straight from the live system —
-    /// [`Self::chip_digest`] is its snapshot-side twin.
-    fn live_chip_digest(sys: &System) -> u64 {
-        let mut h = WordHash::new();
-        h.f64(sys.chip_power().value());
-        match sys.thermal().map(|t| t.hottest()) {
-            Some(c) => {
-                h.u64(1);
-                h.f64(c.value());
-            }
-            None => h.u64(0),
-        }
-        h.finish()
-    }
-
-    /// Core-section digest streamed straight from the live system —
-    /// [`Self::cores_digest`] is its snapshot-side twin.
-    fn live_cores_digest(sys: &System) -> u64 {
-        let chip = sys.chip();
-        let mut h = WordHash::new();
-        h.u64(chip.cores().len() as u64);
-        for d in chip.cores() {
-            h.f64(sys.core_utilization(d.id()));
-            h.f64(chip.core_supply(d.id()).value());
-        }
-        h.finish()
-    }
-
-    /// Cluster-section digest streamed straight from the live system —
-    /// [`Self::clusters_digest`] is its snapshot-side twin.
-    fn live_clusters_digest(sys: &System) -> u64 {
-        let chip = sys.chip();
-        let mut h = WordHash::new();
-        h.u64(chip.clusters().len() as u64);
-        for cl in chip.clusters() {
-            h.u64(cl.level().0 as u64);
-            h.u64(cl.effective_target().0 as u64);
-            h.u64(u64::from(cl.is_off()));
-            h.f64(cl.supply_per_core().value());
-            h.f64(sys.cluster_power(cl.id()).value());
-        }
-        h.finish()
-    }
-
-    /// Task-section digest streamed straight from the live system, hashing
-    /// exactly the fields (in exactly the order) a rebuild would store —
-    /// [`Self::tasks_section_digest`] is its snapshot-side twin, and
-    /// `capture` debug-asserts the two stay in lockstep.
-    fn live_tasks_digest(sys: &System) -> u64 {
-        let chip = sys.chip();
-        let mut h = WordHash::new();
-        // Length prefix counts *active* tasks (`task_count` also counts
-        // removed ids, which stay allocated).
-        h.u64(sys.task_iter().count() as u64);
+        // Task section: slot `k` holds the k-th active task, so a steady
+        // population overwrites in place and only a membership change
+        // grows or truncates the vector.
+        let mut tasks_dirty = false;
+        let mut n = 0;
         for id in sys.task_iter() {
             let task = sys.task(id);
             let core = sys.core_of(id);
             let class = chip.core(core).class();
-            h.u64(id.0 as u64);
-            h.u64(core.0 as u64);
-            h.u64(u64::from(task.priority().value()));
-            h.f64(sys.share_of(id).value());
-            h.f64(sys.granted(id).value());
-            h.f64(sys.pelt_load(id));
-            h.u64(u64::from(sys.is_stalled(id)));
-            h.f64(task.heart_rate());
-            h.f64(task.spec().target_range().target());
-            h.f64(task.demand(class, class).value());
-            h.f64(task.planning_demand(CoreClass::Little).value());
-            h.f64(task.planning_demand(CoreClass::Big).value());
-            match task.measured_cost_per_beat() {
-                Some(c) => {
-                    h.u64(1);
-                    h.f64(c);
+            let live = TaskSnap {
+                id,
+                core,
+                priority: task.priority().value(),
+                share: sys.share_of(id),
+                granted: sys.granted(id),
+                pelt_load: sys.pelt_load(id),
+                stalled: sys.is_stalled(id),
+                heart_rate: task.heart_rate(),
+                target_rate: task.spec().target_range().target(),
+                demand: task.demand(class, class),
+                // Pressure-scaled for open-loop tasks (== raw profile for
+                // closed-loop, so committed digests are untouched).
+                demand_little: task.planning_demand(CoreClass::Little),
+                demand_big: task.planning_demand(CoreClass::Big),
+                cost_per_beat: task.measured_cost_per_beat(),
+                open_loop: task.open_loop_snap(),
+            };
+            match self.tasks.get_mut(n) {
+                Some(slot) => {
+                    if !slot.same_bits(&live) {
+                        *slot = live;
+                        tasks_dirty = true;
+                    }
                 }
-                None => h.u64(0),
-            }
-            // Hashed only when present so closed-loop digests (and the
-            // committed golden tapes built from them) are byte-unchanged.
-            if let Some(o) = task.open_loop_snap() {
-                h.u64(1);
-                h.u64(u64::from(o.queue_depth));
-                h.f64(o.p99_ms);
-                h.f64(o.slo_ms);
-                h.u64(o.shed);
-            }
-        }
-        h.finish()
-    }
-
-    fn tasks_section_digest(tasks: &[TaskSnap]) -> u64 {
-        let mut h = WordHash::new();
-        h.u64(tasks.len() as u64);
-        for t in tasks {
-            h.u64(t.id.0 as u64);
-            h.u64(t.core.0 as u64);
-            h.u64(u64::from(t.priority));
-            h.f64(t.share.value());
-            h.f64(t.granted.value());
-            h.f64(t.pelt_load);
-            h.u64(u64::from(t.stalled));
-            h.f64(t.heart_rate);
-            h.f64(t.target_rate);
-            h.f64(t.demand.value());
-            h.f64(t.demand_little.value());
-            h.f64(t.demand_big.value());
-            match t.cost_per_beat {
-                Some(c) => {
-                    h.u64(1);
-                    h.f64(c);
+                None => {
+                    self.tasks.push(live);
+                    tasks_dirty = true;
                 }
-                None => h.u64(0),
             }
-            if let Some(o) = t.open_loop {
-                h.u64(1);
-                h.u64(u64::from(o.queue_depth));
-                h.f64(o.p99_ms);
-                h.f64(o.slo_ms);
-                h.u64(o.shed);
+            n += 1;
+        }
+        if self.tasks.len() != n {
+            self.tasks.truncate(n);
+            tasks_dirty = true;
+        }
+
+        self.changed = if self.captured {
+            ChangeMask {
+                chip: chip_dirty,
+                tasks: tasks_dirty,
+                cores: cores_dirty,
+                clusters: clusters_dirty,
             }
-        }
-        h.finish()
-    }
-
-    fn cores_digest(&self) -> u64 {
-        let mut cores = WordHash::new();
-        cores.u64(self.cores.len() as u64);
-        for c in &self.cores {
-            cores.f64(c.utilization);
-            cores.f64(c.supply.value());
-        }
-        cores.finish()
-    }
-
-    fn clusters_digest(&self) -> u64 {
-        let mut clusters = WordHash::new();
-        clusters.u64(self.clusters.len() as u64);
-        for cl in &self.clusters {
-            clusters.u64(cl.level as u64);
-            clusters.u64(cl.effective_target as u64);
-            clusters.u64(u64::from(cl.off));
-            clusters.f64(cl.supply_per_core.value());
-            clusters.f64(cl.power.value());
-        }
-        clusters.finish()
+        } else {
+            ChangeMask::ALL
+        };
+        self.captured = true;
     }
 
     /// The snapshot of `task`, if active (binary search — tasks are sorted).
@@ -688,30 +503,10 @@ impl Fnv {
     }
 }
 
-/// Word-at-a-time hash for the change-detection sub-digests: one multiply
-/// per field where byte-wise FNV-1a spends eight dependent ones. The
-/// xor-shift after each multiply folds the high half back down; without it
-/// (bare `h ^= w; h *= prime`) a difference confined to bit 63 stays in
-/// bit 63 forever, so two sign flips would cancel.
-struct WordHash(u64);
-
-impl WordHash {
-    fn new() -> WordHash {
-        WordHash(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 ^= self.0 >> 32;
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Bitwise `f64` equality: `-0.0 != 0.0`, and a NaN equals only the same
+/// NaN payload.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 #[cfg(test)]
@@ -823,9 +618,9 @@ mod tests {
         snap.capture(&sys);
         snap.capture(&sys);
         assert!(!snap.changed.tasks);
-        // Share and grant are hashed back to back and now differ only in
-        // bit 63. Bare word-wise FNV keeps a bit-63 difference in bit 63,
-        // so the second flip would cancel the first.
+        // Share and grant are stored back to back and now differ only in
+        // bit 63; an XOR-folding change detector would let the second flip
+        // cancel the first.
         sys.flip_share_and_grant_signs(TaskId(0));
         snap.capture(&sys);
         assert!(snap.changed.tasks, "two sign flips must dirty the tasks");
@@ -863,83 +658,128 @@ mod tests {
     }
 
     #[test]
-    fn steady_recapture_skips_the_task_rebuild() {
+    fn identical_recapture_is_clean() {
+        let mut sys = sys_with_tasks(3);
+        sys.set_share(TaskId(1), ProcessingUnits(17.0));
+        let mut snap = SystemSnapshot::new();
+        snap.capture(&sys);
+        let frozen = format!("{:?} {:?} {:?}", snap.tasks, snap.cores, snap.clusters);
+        for _ in 0..3 {
+            snap.capture(&sys);
+            assert_eq!(snap.changed.dirty_sections(), 0, "{:?}", snap.changed);
+        }
+        assert_eq!(
+            format!("{:?} {:?} {:?}", snap.tasks, snap.cores, snap.clusters),
+            frozen
+        );
+    }
+
+    #[test]
+    fn zero_share_sign_flip_dirties_the_tasks() {
+        // A fresh task's share and grant are +0.0, which compare equal to
+        // -0.0 as floats; the bitwise comparison must still see the flip.
+        let mut sys = sys_with_tasks(2);
+        let mut snap = SystemSnapshot::new();
+        snap.capture(&sys);
+        snap.capture(&sys);
+        assert!(!snap.changed.tasks);
+        sys.flip_share_and_grant_signs(TaskId(1));
+        snap.capture(&sys);
+        assert!(snap.changed.tasks, "0.0 -> -0.0 must dirty the tasks");
+        let t1 = snap.task(TaskId(1)).expect("t1");
+        assert!(t1.share.value().is_sign_negative());
+        assert!(t1.granted.value().is_sign_negative());
+        assert!(!snap.changed.chip && !snap.changed.cores && !snap.changed.clusters);
+    }
+
+    #[test]
+    fn removing_a_task_dirties_the_tasks() {
         let mut sys = sys_with_tasks(3);
         let mut snap = SystemSnapshot::new();
         snap.capture(&sys);
-        assert_eq!(snap.task_rebuilds(), 1, "first capture always rebuilds");
-        let frozen = format!("{:?}", snap.tasks);
-
         snap.capture(&sys);
+        assert!(!snap.changed.tasks);
+        sys.remove_task(TaskId(2));
         snap.capture(&sys);
-        assert_eq!(snap.task_rebuilds(), 1, "identical recaptures are gated");
-        assert_eq!(format!("{:?}", snap.tasks), frozen);
-
-        sys.set_share(TaskId(2), ProcessingUnits(17.0));
-        snap.capture(&sys);
-        assert_eq!(snap.task_rebuilds(), 2, "a task change forces a rebuild");
-        assert_eq!(
-            snap.task(TaskId(2)).expect("t2").share,
-            ProcessingUnits(17.0)
-        );
-
-        sys.remove_task(TaskId(0));
-        snap.capture(&sys);
-        assert_eq!(
-            snap.task_rebuilds(),
-            3,
-            "membership change forces a rebuild"
-        );
+        assert!(snap.changed.tasks, "a departure must dirty the tasks");
         assert_eq!(snap.tasks.len(), 2);
+        assert!(snap.task(TaskId(2)).is_none());
+        snap.capture(&sys);
+        assert!(!snap.changed.tasks, "the shorter section then reads clean");
     }
 
     #[test]
-    fn trusted_recapture_skips_the_dynamic_refresh() {
+    fn perturbed_chip_and_cluster_power_are_restored() {
         let mut sys = sys_with_tasks(2);
+        sys.set_share(TaskId(0), ProcessingUnits(80.0));
+        let mut reference = SystemSnapshot::new();
+        reference.capture(&sys);
         let mut snap = SystemSnapshot::new();
-        snap.capture_gated(&sys, true);
-        assert_eq!(
-            snap.dynamic_refreshes(),
-            1,
-            "first capture always refreshes"
-        );
-        let frozen = format!("{:?} {:?}", snap.cores, snap.clusters);
+        snap.capture(&sys);
 
-        snap.capture_gated(&sys, true);
-        snap.capture_gated(&sys, true);
+        snap.chip_power = Watts(123.0);
+        snap.capture(&sys);
+        assert!(snap.changed.chip, "a perturbed chip power reads dirty");
+        assert!(!snap.changed.tasks && !snap.changed.cores && !snap.changed.clusters);
         assert_eq!(
-            snap.dynamic_refreshes(),
-            1,
-            "steady trusted recaptures are gated"
+            snap.chip_power.value().to_bits(),
+            sys.chip_power().value().to_bits()
         );
-        assert_eq!(format!("{:?} {:?}", snap.cores, snap.clusters), frozen);
+        assert_eq!(snap.digest(), reference.digest());
 
-        sys.power_off(ClusterId(1));
-        snap.capture_gated(&sys, true);
-        assert_eq!(snap.dynamic_refreshes(), 2, "gating forces a refresh");
-        assert!(snap.cluster(ClusterId(1)).off);
+        snap.clusters[1].power = Watts(-0.0);
+        snap.capture(&sys);
+        assert!(
+            snap.changed.clusters,
+            "a perturbed cluster power reads dirty"
+        );
+        assert!(!snap.changed.chip && !snap.changed.tasks && !snap.changed.cores);
+        assert_eq!(
+            snap.cluster(ClusterId(1)).power.value().to_bits(),
+            sys.cluster_power(ClusterId(1)).value().to_bits()
+        );
+        assert_eq!(snap.digest(), reference.digest());
+
+        snap.capture(&sys);
+        assert!(!snap.changed.any(), "restored copies then read clean");
     }
 
     #[test]
-    fn untrusted_recapture_always_refreshes() {
-        let sys = sys_with_tasks(1);
+    fn every_perturbed_task_field_is_restored() {
+        let mut sys = sys_with_tasks(2);
+        sys.set_share(TaskId(0), ProcessingUnits(80.0));
         let mut snap = SystemSnapshot::new();
         snap.capture(&sys);
-        snap.capture(&sys);
-        snap.capture_gated(&sys, false);
-        assert_eq!(snap.dynamic_refreshes(), 3);
-    }
-
-    #[test]
-    fn live_and_snapshot_task_digests_agree() {
-        let mut sys = sys_with_tasks(4);
-        sys.set_share(TaskId(1), ProcessingUnits(3.5));
-        let mut snap = SystemSnapshot::new();
-        snap.capture(&sys);
-        assert_eq!(
-            SystemSnapshot::live_tasks_digest(&sys),
-            SystemSnapshot::tasks_section_digest(&snap.tasks)
-        );
+        let reference = snap.digest();
+        let perturb: [fn(&mut TaskSnap); 14] = [
+            |t| t.id = TaskId(9),
+            |t| t.core = CoreId(4),
+            |t| t.priority += 1,
+            |t| t.share = ProcessingUnits(-t.share.value()),
+            |t| t.granted = ProcessingUnits(-t.granted.value()),
+            |t| t.pelt_load = -t.pelt_load,
+            |t| t.stalled = !t.stalled,
+            |t| t.heart_rate = -t.heart_rate,
+            |t| t.target_rate += 1.0,
+            |t| t.demand = ProcessingUnits(-t.demand.value()),
+            |t| t.demand_little += ProcessingUnits(1.0),
+            |t| t.demand_big += ProcessingUnits(1.0),
+            |t| t.cost_per_beat = Some(t.cost_per_beat.unwrap_or(0.0) + 1.0),
+            |t| {
+                t.open_loop = Some(OpenLoopSnap {
+                    queue_depth: 1,
+                    p99_ms: 2.0,
+                    slo_ms: 3.0,
+                    shed: 4,
+                })
+            },
+        ];
+        for (k, f) in perturb.iter().enumerate() {
+            f(&mut snap.tasks[0]);
+            snap.capture(&sys);
+            assert!(snap.changed.tasks, "field {k}: perturbation unseen");
+            assert_eq!(snap.digest(), reference, "field {k}: not restored");
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@ cargo test -q
 echo ">>> cargo test -q --release"
 cargo test -q --release
 
+echo ">>> 256-chip V64/C8 acceptance epochs (ignored in tier-1; release only)"
+cargo test -q --release -p ppm-fleet large_fleet_epoch_is_auditor_clean -- --ignored
+cargo test -q --release --test fleet openloop_fleet_256_chips_is_auditor_clean -- --ignored
+
 echo ">>> benchmark package tests (workload smokes + digest self-checks)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

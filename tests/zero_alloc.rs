@@ -353,6 +353,62 @@ fn steady_state_audited_quantum_does_not_allocate() {
     );
 }
 
+/// The linear substrate on a many-core chip: 32 cores (8 clusters × 4) with
+/// two tasks each and one migration per quantum, so every quantum buckets
+/// its runnable tasks into the step's CSR with a row that shrinks and grows
+/// as the migrating task stalls and resumes, and every capture overwrites
+/// the task, core and cluster sections in place. None of it may allocate
+/// once the buffers have warmed up.
+#[test]
+fn many_core_quantum_does_not_allocate() {
+    use ppm::fleet::scenario::graded_chip;
+    use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
+    use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
+    use ppm::workload::task::{Priority, Task};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let chip = graded_chip(8, 4, 1.0);
+    let cores = chip.cores().len();
+    assert_eq!(cores, 32);
+    let mut sys = SimSystem::new(chip, AllocationPolicy::Market);
+    let benches = [
+        (Benchmark::Blackscholes, Input::Large),
+        (Benchmark::Swaptions, Input::Large),
+        (Benchmark::X264, Input::Native),
+        (Benchmark::Bodytrack, Input::Native),
+    ];
+    for i in 0..2 * cores {
+        let (b, input) = benches[i % benches.len()];
+        sys.add_task(
+            Task::new(
+                TaskId(i),
+                BenchmarkSpec::of(b, input).expect("variant"),
+                Priority(1 + (i % 3) as u32),
+            ),
+            CoreId(i % cores),
+        );
+    }
+    let mut sim = Simulation::new(
+        sys,
+        ShufflingManager {
+            inner: TogglingManager { flip: false },
+        },
+    )
+    .with_auditor();
+    sim.run_for(SimDuration::from_secs(2));
+
+    assert_no_alloc("many-core steady-state quanta", || {
+        sim.run_for(SimDuration::from_secs(1));
+    });
+    let aud = sim.auditor().expect("auditor attached");
+    assert!(aud.is_clean(), "{}", aud.render());
+    assert!(
+        sim.metrics().migrations_intra >= 3000,
+        "every quantum migrated"
+    );
+    assert_eq!(sim.system().task_iter().count(), 2 * cores);
+}
+
 /// Telemetry attached (recorder + phase profiling): all allocation happens
 /// at setup. The ring capacity (512) is far below the quanta executed, so
 /// the buffer wraps both during warm-up and during the measured block —
