@@ -6,7 +6,8 @@
 //! **deterministic result ordering**: results land in per-job slots, so the
 //! output order matches the job order no matter which thread finishes first.
 //! Simulations share no mutable state, so parallel results are bit-identical
-//! to serial ones (asserted by `bench_sweep` and the determinism tests).
+//! to serial ones (asserted by `parallel_matches_serial_and_preserves_order`
+//! below and by the determinism tests).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -265,7 +266,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_and_preserves_order() {
-        let jobs: Vec<SweepJob> = comparative_grid(None, SimDuration::from_secs(1))
+        let jobs: Vec<SweepJob> = comparative_grid(None, SimDuration::from_secs(2))
             .into_iter()
             .take(4)
             .collect();

@@ -490,7 +490,7 @@ where
                 if all_meet {
                     // Power goal (Figure 3, left branch): the profiled
                     // power estimate must drop while performance does not.
-                    // (The formal criterion is spend(M′) < spend(M); the
+                    // (The formal condition is spend(M′) < spend(M); the
                     // implementation speculates with profiled power per
                     // core type, as §5.2 describes, which also prices the
                     // fixed cost of keeping a cluster online.)

@@ -5,16 +5,17 @@
 //!               SNAPSHOT.json|METRICS.prom]...
 //! ```
 //!
-//! Each argument is validated by extension. `.json` documents parse in
-//! full; when they carry trace events (a `traceEvents` object or the bare
-//! array form) the events are checked too — complete `"X"` events need a
-//! non-negative `dur`, any `"B"`/`"E"` pairs must balance per `(pid,
-//! tid)`, and counter arguments must be finite numbers. Documents with an
-//! `aggregate`/`alert` section (the scrape endpoint's JSON snapshot) get
-//! a domain check instead: window invariants, gauge-stat coherence,
-//! percentile ordering, and alert-rule sanity. `.prom` (or `.txt`) files
-//! validate as Prometheus 0.0.4 text exposition. `.jsonl` parses
-//! line-by-line; `.csv` must be rectangular with a header.
+//! Each argument is validated by extension. A `.json` document must be
+//! either a trace (a `traceEvents` object or the bare array form of the
+//! trace_event spec) or a scrape snapshot; any other document fails. Trace
+//! events are checked: complete `"X"` events need a non-negative `dur`,
+//! any `"B"`/`"E"` pairs must balance per `(pid, tid)`, and counter
+//! arguments must be finite numbers. Documents with an `aggregate`/`alert`
+//! section (the scrape endpoint's JSON snapshot) get a domain check
+//! instead: window invariants, gauge-stat coherence, percentile ordering,
+//! and alert-rule sanity. `.prom` (or `.txt`) files validate as Prometheus
+//! 0.0.4 text exposition. `.jsonl` parses line-by-line; `.csv` must be
+//! rectangular with a header.
 //!
 //! `--scrape ADDR` (e.g. `--scrape 127.0.0.1:9898` or a full
 //! `http://.../` URL) pulls `/metrics` and `/metrics.json` from a live
@@ -43,11 +44,11 @@ fn validate_trace(path: &str) {
         return;
     }
     // Accept both the object form ({"traceEvents": [...]}) and the bare
-    // array form of the trace_event spec. Any other well-formed document
-    // (e.g. a BENCH_*.json record) passes as plain JSON.
+    // array form of the trace_event spec; nothing else is an artefact.
     let Some(events) = doc.get("traceEvents").unwrap_or(&doc).as_arr() else {
-        println!("ok: {path}: valid JSON (no trace events)");
-        return;
+        fail(&format!(
+            "{path}: neither a trace (traceEvents or a bare array) nor a scrape snapshot"
+        ));
     };
     let mut spans = 0usize;
     let mut counters = 0usize;

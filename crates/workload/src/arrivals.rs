@@ -238,7 +238,7 @@ impl ArrivalProcess {
 
     /// Render the first `n` arrival timestamps (µs, one per line) of a
     /// fresh `(kind, seed)` stream — the *arrival tape* pinned by the
-    /// determinism suite and the `bench_openloop --check` digest.
+    /// determinism suite and by this module's `ol2` tape-digest test.
     pub fn tape(kind: ArrivalKind, seed: u64, n: usize) -> String {
         use std::fmt::Write as _;
         let mut p = ArrivalProcess::new(kind, seed);
@@ -361,6 +361,19 @@ mod tests {
                 ArrivalProcess::tape_digest(kind, 165, 512)
             );
         }
+    }
+
+    /// Any drift in the seeded arrival machinery (RNG stream, exponential
+    /// sampler, burst phase logic) moves this digest of the first 256
+    /// arrivals of the `ol2` template at its pinned seed.
+    #[test]
+    fn ol2_tape_digest_is_pinned() {
+        let kind = crate::bursty_template().arrivals;
+        let digest = ArrivalProcess::tape_digest(kind, crate::OpenLoopFamily::PINNED_SEED, 256);
+        assert_eq!(
+            digest, 0x615b_219f_b0be_104f,
+            "ol2 arrival tape digest drifted: got {digest:#018x}"
+        );
     }
 
     #[test]

@@ -32,9 +32,6 @@ PPM_FAULT_SEED=165 cargo test -q --release --test fault_injection
 cargo run --release --quiet -p ppm --bin ppm-sim -- \
   --scheme ppm --workload l1 --duration 20 --faults 165 --audit > /dev/null
 
-echo ">>> bench_sweep --check (parallel sweep == serial, bit-for-bit)"
-cargo run --release --quiet -p ppm-bench --bin bench_sweep -- --check
-
 echo ">>> telemetry smoke (ppm-sim --trace/--metrics/--profile + artifact validation)"
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
@@ -51,11 +48,14 @@ echo ">>> fleet smoke (pinned-seed faulted fleet, exchange books + chip auditors
 cargo run --release --quiet -p ppm --bin ppm-sim -- fleet \
   --chips 4 --cap 12 --duration 5 --faults 165 --threads 2 \
   --trace "$obs_tmp/fleet.trace.json" --metrics "$obs_tmp/fleet.csv" > /dev/null
-cargo run --release --quiet -p ppm-bench --bin bench_fleet -- --check quick
-
-echo ">>> bench_fleet (fleet stepping throughput -> BENCH_fleet.json)"
-cargo run --release --quiet -p ppm-bench --bin bench_fleet -- "$obs_tmp/BENCH_fleet.json"
-cargo run --release --quiet -p ppm-obs --bin obs_validate -- "$obs_tmp/BENCH_fleet.json"
+cargo run --release --quiet -p ppm-obs --bin obs_validate -- \
+  "$obs_tmp/fleet.trace.json" "$obs_tmp/fleet.csv"
+# A .json that is neither a trace nor a scrape snapshot must be rejected.
+echo '{}' > "$obs_tmp/plain.json"
+if cargo run --release --quiet -p ppm-obs --bin obs_validate -- "$obs_tmp/plain.json" 2> /dev/null; then
+  echo "obs_validate accepted a plain {} document"
+  exit 1
+fi
 
 echo ">>> open-loop smoke (pinned-seed request traffic: auditor clean, stream whole)"
 cargo run --release --quiet -p ppm --bin ppm-sim -- \
@@ -75,9 +75,6 @@ for pinned in \
     --stream "$obs_tmp/pinned.$ext" > /dev/null
   echo "${pinned#* }  $obs_tmp/pinned.$ext" | sha256sum --check --quiet -
 done
-
-echo ">>> bench_openloop --check (tape digest pinned, p99 within SLO, auditor clean)"
-cargo run --release --quiet -p ppm-bench --bin bench_openloop -- --check
 
 echo ">>> live scrape smoke (serving fleet on port 0, obs_validate scrapes both endpoints)"
 cargo run --release --quiet -p ppm --bin ppm-sim -- fleet \

@@ -7,6 +7,4 @@ for bin in table1_2_3 workloads migration_costs fig4_fig5 fig6 fig7 fig8 table7 
     echo ">>> $bin"
     cargo run --quiet --release -p ppm-bench --bin "$bin" > "docs/results/$bin.md" 2>/dev/null
 done
-echo ">>> criterion benches"
-cargo bench -p ppm-bench --benches
 echo "done; outputs in docs/results/"

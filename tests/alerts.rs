@@ -5,25 +5,30 @@
 //! PPM-managed open-loop cell at its golden TDP must stay alert-silent.
 
 use ppm::platform::units::{SimDuration, Watts};
-use ppm_bench::{run_workload_hardened, Harness, Scheme};
+use ppm_bench::{run_workload_hardened, HardenedRun, Harness, Scheme};
 
 const DURATION: SimDuration = SimDuration(12_000_000);
 
-/// Run a PPM cell with the alert engine attached and return the rendered
-/// alert tape plus the number of rules that fired over the run.
-fn alert_tape(set_name: &str, tdp: f64) -> (String, u64) {
+/// Run a PPM cell for `duration` with the alert engine attached, plus the
+/// invariant auditor when `audit` is set.
+fn alerted_run(set_name: &str, tdp: f64, duration: SimDuration, audit: bool) -> HardenedRun {
     let set = ppm_bench::resolve_set(set_name).expect("known set");
-    let run = run_workload_hardened(
+    run_workload_hardened(
         &set,
         Scheme::Ppm,
         Some(Watts(tdp)),
-        DURATION,
+        duration,
         Harness {
             alerts: true,
+            audit,
             ..Harness::default()
         },
-    );
-    let tel = run.telemetry.expect("telemetry attached");
+    )
+}
+
+/// The rendered alert tape of `run` plus the number of rules that fired.
+fn alert_tape(run: &HardenedRun) -> (String, u64) {
+    let tel = run.telemetry.as_ref().expect("telemetry attached");
     let engine = tel.alerts.as_ref().expect("alert engine attached");
     (engine.render(), engine.fired_total())
 }
@@ -34,7 +39,7 @@ fn alert_tape(set_name: &str, tdp: f64) -> (String, u64) {
 /// scheduling.
 #[test]
 fn starved_cell_fires_a_deterministic_alert_tape() {
-    let (tape, fired) = alert_tape("ol3", 1.0);
+    let (tape, fired) = alert_tape(&alerted_run("ol3", 1.0, DURATION, false));
     assert!(fired > 0, "the starved ol3 cell must fire:\n{tape}");
     assert!(
         tape.contains("tdp_headroom"),
@@ -46,7 +51,7 @@ fn starved_cell_fires_a_deterministic_alert_tape() {
     );
 
     // A replay reproduces the tape exactly.
-    let (replay, fired_replay) = alert_tape("ol3", 1.0);
+    let (replay, fired_replay) = alert_tape(&alerted_run("ol3", 1.0, DURATION, false));
     assert_eq!(tape, replay);
     assert_eq!(fired, fired_replay);
 }
@@ -54,10 +59,20 @@ fn starved_cell_fires_a_deterministic_alert_tape() {
 /// The control cell: ol2 under PPM at its golden 4 W TDP (the exact
 /// configuration of the committed `openloop_ol2_ppm` tape) never trips a
 /// rule — the alert plane distinguishes managed from starved, it does not
-/// cry wolf.
+/// cry wolf. Over 20 s with the auditor attached it also meets its p99 SLO
+/// within the cap, invariant-clean.
 #[test]
 fn ppm_managed_openloop_cell_stays_alert_silent_at_its_golden_tdp() {
-    let (tape, fired) = alert_tape("ol2", 4.0);
+    let run = alerted_run("ol2", 4.0, SimDuration::from_secs(20), true);
+    let (tape, fired) = alert_tape(&run);
     assert_eq!(fired, 0, "ol2 under PPM at 4 W must not alert:\n{tape}");
     assert!(tape.contains("0 rule(s) firing at end"), "{tape}");
+    assert!(run.violations.is_empty(), "{}", run.audit_report);
+    let s = &run.summary;
+    assert!(
+        s.worst_p99_over_slo > 0.0 && s.worst_p99_over_slo <= 1.0,
+        "worst p99/SLO {:.3} (0 means no request completed)",
+        s.worst_p99_over_slo
+    );
+    assert!(s.avg_power.value() <= 4.0, "average power {}", s.avg_power);
 }

@@ -11,6 +11,7 @@ use ppm::platform::units::{SimDuration, Watts};
 use ppm::sched::{AllocationPolicy, PowerManager, RunMetrics, Simulation, System};
 use ppm::workload::sets::set_by_name;
 use ppm::workload::task::Priority;
+use ppm_bench::{run_workload_hardened, Harness, Scheme};
 
 const RUN: SimDuration = SimDuration(60_000_000);
 
@@ -151,4 +152,58 @@ fn hl_migrates_everything_to_big_without_cap() {
         .filter(|&&t| s.chip().core(s.core_of(t)).class() == ppm::platform::core::CoreClass::Big)
         .count();
     assert_eq!(on_big, 6, "all six tasks should end on the big cluster");
+}
+
+/// One open-loop family at the Figure 6 cap under all four schemes, with
+/// the auditor attached: the three managers keep every tail within its SLO
+/// without shedding, while the unmanaged Null control misses and sheds.
+fn openloop_family_shape(set_name: &str) {
+    let set = ppm_bench::resolve_set(set_name).expect("open-loop set");
+    let tdp = Watts(4.0);
+    for scheme in [Scheme::Ppm, Scheme::Hpm, Scheme::Hl, Scheme::Null] {
+        let run = run_workload_hardened(
+            &set,
+            scheme,
+            Some(tdp),
+            RUN,
+            Harness {
+                audit: true,
+                ..Harness::default()
+            },
+        );
+        let s = &run.summary;
+        let cell = format!("{set_name}/{}", scheme.name());
+        assert!(run.violations.is_empty(), "{cell}: {}", run.audit_report);
+        if scheme == Scheme::Null {
+            assert!(
+                s.worst_p99_over_slo > 1.0 && s.shed > 0,
+                "{cell}: unmanaged control should miss and shed, got p99/SLO {:.3}, shed {}",
+                s.worst_p99_over_slo,
+                s.shed
+            );
+        } else {
+            assert!(
+                s.worst_p99_over_slo > 0.0 && s.worst_p99_over_slo <= 1.0,
+                "{cell}: worst p99/SLO {:.3} (0 means no request completed)",
+                s.worst_p99_over_slo
+            );
+            assert_eq!(s.shed, 0, "{cell}: managed queues must not shed");
+            assert!(s.avg_power <= tdp, "{cell}: average power {}", s.avg_power);
+        }
+    }
+}
+
+#[test]
+fn openloop_shape_poisson_family() {
+    openloop_family_shape("ol1");
+}
+
+#[test]
+fn openloop_shape_bursty_family() {
+    openloop_family_shape("ol2");
+}
+
+#[test]
+fn openloop_shape_diurnal_family() {
+    openloop_family_shape("ol3");
 }

@@ -45,7 +45,7 @@ fn audited(
     )
 }
 
-/// The ISSUE's headline acceptance criterion: with a pinned fault seed the
+/// The headline acceptance check: with a pinned fault seed the
 /// auditor reports zero violations for all four schemes over the fig4
 /// workload.
 #[test]
@@ -67,7 +67,7 @@ fn all_schemes_audit_clean_under_default_faults() {
     }
 }
 
-/// Same criterion under the fig6 configuration (4 W TDP): capped runs keep
+/// Same check under the fig6 configuration (4 W TDP): capped runs keep
 /// the chip inside the TDP envelope even with noisy sensors and lost
 /// actuations.
 #[test]

@@ -3,7 +3,7 @@
 //! closed loop (not just the LBT scan) on bigger topologies.
 
 use ppm::core::config::PpmConfig;
-use ppm::core::manager::PpmManager;
+use ppm::core::manager::{place_on_little, PpmManager};
 use ppm::platform::chip::{synthetic_chip, Chip};
 use ppm::platform::core::CoreId;
 use ppm::platform::units::{ProcessingUnits, SimDuration, Watts};
@@ -12,6 +12,7 @@ use ppm::workload::benchmarks::BenchmarkSpec;
 use ppm::workload::heartbeat::HeartRateRange;
 use ppm::workload::phase::Phase;
 use ppm::workload::task::{Priority, Task, TaskId};
+use ppm::workload::{bursty_template, openloop_family, OpenLoopFamily};
 
 /// A PPM config whose TDP suits the chip: 90 % of the modelled peak (the
 /// default TC2 numbers would put a 30 W-class synthetic chip permanently
@@ -126,5 +127,61 @@ fn ppm_works_on_the_tegra_preset() {
         sim.metrics().any_miss_fraction() < 0.4,
         "any-miss {:.2} on Tegra 4+1",
         sim.metrics().any_miss_fraction()
+    );
+}
+
+/// The open-loop acceptance cell at many-core scale: one V64/C8 chip (64
+/// alternating clusters × 8 cores) serving a 16-task bursty family for
+/// 10 s, auditor attached. The TDP is half the whole-chip peak; the chip
+/// draws far less, so the cap never binds — the cell gates the SLO and
+/// the auditor on a many-core chip, not TDP enforcement.
+#[test]
+fn v64_c8_t16_bursty_cell_meets_its_slo_auditor_clean() {
+    let family = OpenLoopFamily {
+        tasks: 16,
+        ..bursty_template()
+    };
+    let set = openloop_family("ol2-v64", family, OpenLoopFamily::PINNED_SEED);
+    let mut sys = System::new(synthetic_chip(64, 8), AllocationPolicy::Market);
+    for task in set.spawn(0, Priority::NORMAL) {
+        sys.add_task(task, CoreId(0));
+    }
+    place_on_little(&mut sys);
+    let peak: Watts = {
+        let chip = sys.chip();
+        chip.clusters()
+            .iter()
+            .map(|cl| chip.power_model().cluster_peak(cl))
+            .sum()
+    };
+    let tdp = peak * 0.5;
+    sys.set_tdp_accounting(tdp);
+    let mut sim = Simulation::new(sys, PpmManager::new(PpmConfig::tc2_with_tdp(tdp)))
+        .with_warmup(SimDuration::from_secs(2))
+        .with_auditor();
+    sim.run_for(SimDuration::from_secs(10));
+    let violations = sim.auditor().map_or(0, |a| a.violations().len());
+    assert_eq!(violations, 0, "V64/C8/T16 cell has auditor violations");
+    let worst = {
+        let sys = sim.system();
+        sys.task_iter()
+            .filter_map(|id| sys.task(id).open_loop_snap())
+            .map(|o| {
+                if o.slo_ms > 0.0 {
+                    o.p99_ms / o.slo_ms
+                } else {
+                    0.0
+                }
+            })
+            .fold(0.0, f64::max)
+    };
+    assert!(
+        worst > 0.0 && worst <= 1.0,
+        "V64/C8/T16 p99 misses the SLO: worst p99/SLO = {worst:.3}"
+    );
+    let avg = sim.into_system().into_metrics().average_power();
+    assert!(
+        avg <= tdp,
+        "V64/C8/T16 average power {avg} exceeds its {tdp} TDP"
     );
 }
