@@ -179,7 +179,7 @@ impl Harness {
 }
 
 /// Everything a hardened run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HardenedRun {
     /// The figure metrics.
     pub summary: RunSummary,
@@ -331,9 +331,7 @@ fn run<M: PowerManager + Send>(
     let mut sim = if harness.lone_chip_fleet {
         // The N=1 byte-identity guarantee: an exchange-less fleet of one
         // chip steps the identical trajectory in epoch-sized slices.
-        let mut fleet = ppm_fleet::Fleet::new();
-        let peak = ppm_fleet::scenario::chip_peak(sim.system().chip());
-        fleet.add_chip(sim, ppm_fleet::ChipSpec::uniform(peak * 0.1, peak));
+        let mut fleet = ppm_fleet::Fleet::lone(sim);
         fleet.run_for(duration);
         fleet.into_chips().pop().expect("one chip").into_sim()
     } else {

@@ -127,6 +127,17 @@ impl<M: PowerManager> Fleet<M> {
         }
     }
 
+    /// A fleet of one chip and no exchange: `sim` stepped in epoch-sized
+    /// slices, byte-identical to running it standalone. The chip's
+    /// exchange bounds (a tenth of its peak up to the peak) are never
+    /// traded on.
+    pub fn lone(sim: Simulation<M>) -> Fleet<M> {
+        let peak = scenario::chip_peak(sim.system().chip());
+        let mut fleet = Fleet::new();
+        fleet.add_chip(sim, ChipSpec::uniform(peak * 0.1, peak));
+        fleet
+    }
+
     /// Attach a power-budget exchange clearing `cap` watts per epoch.
     pub fn with_exchange(mut self, cap: Watts) -> Fleet<M> {
         self.exchange = Some(FleetExchange::new(cap));
@@ -388,6 +399,18 @@ mod tests {
         let b = fleet.chip(0).sim().tape().expect("tape").render();
         assert!(!a.is_empty());
         assert_eq!(a, b, "epoch-sliced run must be byte-identical");
+    }
+
+    #[test]
+    fn lone_fleet_matches_the_standalone_run() {
+        let mut standalone = tc2_sim(Watts(4.0));
+        standalone.run_for(SimDuration(2_050_000));
+        let mut fleet = Fleet::lone(tc2_sim(Watts(4.0)));
+        fleet.run_for(SimDuration(2_050_000));
+        assert!(fleet.exchange().is_none());
+        let a = standalone.tape().expect("tape").render();
+        let b = fleet.chip(0).sim().tape().expect("tape").render();
+        assert_eq!(a, b, "a lone fleet must replay the standalone tape");
     }
 
     #[test]

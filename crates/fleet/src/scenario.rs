@@ -74,20 +74,7 @@ pub fn synthetic_fleet(
     cap: Option<Watts>,
     faults: Option<FaultConfig>,
 ) -> Fleet<PpmManager> {
-    assert!(chips > 0, "fleet needs at least one chip");
-    let mut fleet = match cap {
-        Some(w) => Fleet::new().with_exchange(w).with_fleet_auditor(),
-        None => Fleet::new(),
-    };
-    for i in 0..chips {
-        let spread = if chips > 1 {
-            i as f64 / (chips - 1) as f64
-        } else {
-            0.0
-        };
-        let chip = graded_chip(v, c, 0.75 + 0.5 * spread);
-        let peak = chip_peak(&chip);
-        let mut sys = System::new(chip, AllocationPolicy::Market);
+    graded_fleet(chips, v, c, cap, faults, |_, sys| {
         for k in 0..t {
             let (b, input) = MIX[k % MIX.len()];
             sys.add_task(
@@ -99,30 +86,7 @@ pub fn synthetic_fleet(
                 CoreId(0),
             );
         }
-        place_on_little(&mut sys);
-        let initial_tdp = peak * 0.5;
-        let mut sim = Simulation::new(sys, PpmManager::new(PpmConfig::tc2_with_tdp(initial_tdp)))
-            .with_auditor();
-        if let Some(base) = &faults {
-            // Re-seed per chip so fleets do not share a fault stream.
-            let cfg = FaultConfig {
-                seed: base
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
-                ..base.clone()
-            };
-            sim = sim.with_faults(FaultPlan::new(cfg));
-        }
-        fleet.add_chip(
-            sim,
-            ChipSpec {
-                electricity_price: 0.8 + 0.5 * spread,
-                tdp_min: peak * 0.1,
-                tdp_max: peak,
-            },
-        );
-    }
-    fleet
+    })
 }
 
 /// Like [`synthetic_fleet`], but every chip serves **open-loop request
@@ -141,6 +105,35 @@ pub fn openloop_fleet(
     cap: Option<Watts>,
     faults: Option<FaultConfig>,
 ) -> Fleet<PpmManager> {
+    graded_fleet(chips, v, c, cap, faults, |i, sys| {
+        let family = ppm_workload::OpenLoopFamily {
+            tasks: t,
+            ..ppm_workload::bursty_template()
+        };
+        let seed = ppm_workload::OpenLoopFamily::PINNED_SEED.wrapping_add(chip_salt(i));
+        let set = ppm_workload::openloop_family("ol2-fleet", family, seed);
+        for task in set.spawn(0, Priority::NORMAL) {
+            sys.add_task(task, CoreId(0));
+        }
+    })
+}
+
+/// Per-chip seed offset, so chips never share a random stream.
+fn chip_salt(i: usize) -> u64 {
+    0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)
+}
+
+/// The scenario skeleton both builders share: graded chips, tariffs, TDP
+/// bounds, auditors and per-chip fault re-seeding. `spawn` admits chip
+/// `i`'s tasks, which [`place_on_little`] then places.
+fn graded_fleet(
+    chips: usize,
+    v: usize,
+    c: usize,
+    cap: Option<Watts>,
+    faults: Option<FaultConfig>,
+    mut spawn: impl FnMut(usize, &mut System),
+) -> Fleet<PpmManager> {
     assert!(chips > 0, "fleet needs at least one chip");
     let mut fleet = match cap {
         Some(w) => Fleet::new().with_exchange(w).with_fleet_auditor(),
@@ -155,25 +148,14 @@ pub fn openloop_fleet(
         let chip = graded_chip(v, c, 0.75 + 0.5 * spread);
         let peak = chip_peak(&chip);
         let mut sys = System::new(chip, AllocationPolicy::Market);
-        let family = ppm_workload::OpenLoopFamily {
-            tasks: t,
-            ..ppm_workload::bursty_template()
-        };
-        let seed = ppm_workload::OpenLoopFamily::PINNED_SEED
-            .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
-        let set = ppm_workload::openloop_family("ol2-fleet", family, seed);
-        for task in set.spawn(0, Priority::NORMAL) {
-            sys.add_task(task, CoreId(0));
-        }
+        spawn(i, &mut sys);
         place_on_little(&mut sys);
         let initial_tdp = peak * 0.5;
         let mut sim = Simulation::new(sys, PpmManager::new(PpmConfig::tc2_with_tdp(initial_tdp)))
             .with_auditor();
         if let Some(base) = &faults {
             let cfg = FaultConfig {
-                seed: base
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
+                seed: base.seed.wrapping_add(chip_salt(i)),
                 ..base.clone()
             };
             sim = sim.with_faults(FaultPlan::new(cfg));
@@ -252,6 +234,49 @@ mod tests {
             fleet.exchange().expect("exchange").render_ledger()
         };
         assert_eq!(run(), run());
+    }
+
+    /// FNV-1a (64-bit) over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Both scenario builders are pinned by the ledger a faulted 2-chip
+    /// fleet trades over 500 ms: chip grades, tariffs, TDP bounds, the
+    /// auditors and the per-chip fault re-seeding all feed the clearing,
+    /// so any drift in what the builders set up moves these digests.
+    #[test]
+    fn scenario_ledgers_are_pinned() {
+        type Build =
+            fn(usize, usize, usize, usize, Option<Watts>, Option<FaultConfig>) -> Fleet<PpmManager>;
+        let cases: [(&str, Build, u64); 2] = [
+            (
+                "synthetic_fleet",
+                synthetic_fleet,
+                15_013_569_792_691_458_552,
+            ),
+            ("openloop_fleet", openloop_fleet, 17_704_937_232_857_652_028),
+        ];
+        for (name, build, digest) in cases {
+            let mut fleet = build(
+                2,
+                4,
+                2,
+                4,
+                Some(Watts(8.0)),
+                Some(FaultConfig::with_seed(165)),
+            );
+            fleet.run_for(SimDuration::from_millis(500));
+            let ledger = fleet.exchange().expect("exchange").render_ledger();
+            assert_eq!(ledger.lines().count(), 5, "{name}");
+            assert_eq!(
+                fnv1a(ledger.as_bytes()),
+                digest,
+                "{name} ledger drifted:\n{ledger}"
+            );
+        }
     }
 
     #[test]

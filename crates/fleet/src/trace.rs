@@ -1,8 +1,9 @@
 //! Fleet-wide observability bridges: turn the exchange ledger and every
 //! chip's telemetry into the `ppm-obs` fleet exporters' inputs — one
 //! Chrome trace with a labelled track pair per chip plus an exchange
-//! counter track, and one wide chip-tagged CSV joined on the simulated
-//! timeline.
+//! counter track, one wide chip-tagged CSV joined on the simulated
+//! timeline, and the one scrape snapshot builder, which a lone chip
+//! (run as a one-chip fleet) and a fleet publish through alike.
 //!
 //! These are glue, not new formats: the per-chip content goes through the
 //! exact same emitters the single-chip exporters use, so a fleet trace of
@@ -12,7 +13,8 @@ use std::io::{self, Write};
 
 use ppm_obs::export::{write_fleet_chrome_trace, write_fleet_csv, CounterSample};
 use ppm_obs::recorder::SeriesRecorder;
-use ppm_obs::{AggSnapshot, AlertSnapshot, ScrapeSnapshot};
+use ppm_obs::{AggSnapshot, AlertSnapshot, ScrapeSnapshot, SnapshotHub};
+use ppm_platform::units::SimDuration;
 use ppm_sched::executor::PowerManager;
 
 use crate::exchange::FleetExchange;
@@ -113,6 +115,26 @@ pub fn fleet_scrape_snapshot<M: PowerManager>(fleet: &Fleet<M>) -> ScrapeSnapsho
         fleet: Some(rollup),
         chips,
         alerts,
+    }
+}
+
+/// Advance `fleet` by `duration` one trading epoch at a time, publishing
+/// [`fleet_scrape_snapshot`] into `hub` after every epoch (the final
+/// partial one included), so scrapers watch the run move and a post-run
+/// scrape sees its end. The slicing is exactly [`Fleet::run_for`]'s, so
+/// the trajectory is byte-identical to an unserved run.
+pub fn run_publishing<M: PowerManager + Send>(
+    fleet: &mut Fleet<M>,
+    duration: SimDuration,
+    hub: &SnapshotHub,
+) {
+    let epoch = fleet.epoch().as_micros();
+    let mut remaining = duration.as_micros();
+    while remaining > 0 {
+        let dt = remaining.min(epoch);
+        fleet.run_for(SimDuration(dt));
+        remaining -= dt;
+        hub.publish(fleet_scrape_snapshot(fleet));
     }
 }
 
@@ -240,6 +262,35 @@ mod tests {
         assert!(tape.contains("chip 0:"));
         assert!(tape.contains("chip 1:"));
         assert!(!fleet_alerts_fired(&fleet), "healthy fleet stays silent");
+    }
+
+    #[test]
+    fn lone_chip_publishes_the_single_chip_shape_every_epoch() {
+        let fleet = synthetic_fleet(1, 4, 2, 4, None, None);
+        let sim = fleet.into_chips().pop().expect("one chip").into_sim();
+        let mut fleet = Fleet::lone(
+            sim.with_telemetry(
+                ppm_obs::Telemetry::new(256)
+                    .with_aggregation(100_000)
+                    .with_alerts(),
+            ),
+        );
+        let hub = SnapshotHub::new();
+        run_publishing(&mut fleet, SimDuration::from_millis(250), &hub);
+        assert_eq!(hub.version(), 3, "two whole epochs and the tail");
+
+        let snap = hub.get();
+        // Stamped with the last recorded quantum, which starts at 249 ms.
+        assert_eq!(snap.at_us, 249_000);
+        assert_eq!(snap.chips.len(), 1);
+        assert_eq!(snap.chips[0].label, "chip 0");
+        let rollup = snap.fleet.as_ref().expect("fleet rollup");
+        assert_eq!(rollup.label, "fleet");
+        assert_eq!(rollup.windows_closed, snap.chips[0].windows_closed);
+        assert_eq!(rollup.totals.quanta, snap.chips[0].totals.quanta);
+        assert_eq!(rollup.totals.quanta, 250);
+        let alerts = snap.alerts.as_ref().expect("alert state");
+        assert_eq!(alerts.rules.len(), ppm_obs::BurnRule::defaults().len());
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //!   `obs_validate`);
 //! * `GET /` — a plain index.
 //!
-//! The simulation never talks to the server. It publishes into a
-//! [`SnapshotHub`] — a double-buffered snapshot slot: the producer builds
-//! a fresh [`ScrapeSnapshot`] off to the side (the back buffer) at each
-//! window boundary, then swaps it in with one pointer store under a
-//! mutex held for nanoseconds. The per-quantum hot path never touches
-//! the hub at all (publishing happens only when a window closes, which
-//! is also where the telemetry stream flushes), so attaching an endpoint
-//! cannot perturb the schedule: the golden-tape byte-identity tests run
-//! with a live server attached.
+//! The simulation never talks to the server. Its driver publishes into a
+//! [`SnapshotHub`] — a double-buffered snapshot slot: between trading
+//! epochs the driver builds a fresh [`ScrapeSnapshot`] off to the side
+//! (the back buffer; `ppm_fleet::trace::fleet_scrape_snapshot`, for a
+//! lone chip and a fleet alike), then swaps it in with one pointer store
+//! under a mutex held for nanoseconds. The per-quantum hot path never
+//! touches the hub at all, so attaching an endpoint cannot perturb the
+//! schedule: the golden-tape byte-identity tests run with a live server
+//! attached.
 
 use crate::aggregate::{AggSnapshot, GaugeStat, WindowStats};
 use crate::alert::AlertSnapshot;

@@ -15,8 +15,9 @@
 //! - [`export`] — Chrome `trace_event` JSON (Perfetto-loadable), CSV and
 //!   JSONL time-series, and a human-readable summary table. [`json`] is
 //!   the minimal parser the validation tooling uses on those artifacts.
-//!   [`stream::TelemetryStream`] flushes the same rows incrementally to
-//!   disk during the run, so an undersized ring loses no history. Row
+//!   [`stream::TelemetryStream`], attached to the [`Telemetry`] whose
+//!   recorder it reads, flushes the same rows incrementally to disk
+//!   during the run, so an undersized ring loses no history. Row
 //!   serialization writes into reused chunk buffers through a per-cell
 //!   render cache (unchanged cells are copied, not re-formatted), so a
 //!   steady-state flush allocates nothing either.
@@ -27,7 +28,9 @@
 //!   over SLO attainment, shed rate, TDP headroom, and degradation,
 //!   evaluated purely in sim time (same seed → same alert tape).
 //! - [`http`] — a `std::net` scrape endpoint serving Prometheus text and
-//!   a JSON snapshot from a double-buffered publish slot.
+//!   a JSON snapshot from a double-buffered publish slot. The driver
+//!   publishes into it between trading epochs; [`Telemetry`] itself never
+//!   builds or publishes a snapshot.
 //!
 //! The contract that makes this "zero-overhead": the simulator carries an
 //! `Option<Telemetry>`; when `None`, every instrumentation site is a
@@ -61,17 +64,16 @@ pub use crate::recorder::{PolicySample, RowWriter, SeriesRecorder};
 pub use crate::stream::{StreamFormat, StreamStats, TelemetryStream};
 
 use crate::profiler::Phase as Ph;
-use std::sync::Arc;
 
 /// The telemetry sink a simulation carries: the time-series recorder, the
 /// phase profiler, the policy-sample scratch the manager fills, and —
 /// when enabled — the live aggregation registry, the burn-rate alert
-/// engine, and a publish hub for the scrape endpoint.
+/// engine, and the incremental stream of the recorder's rows to disk.
 ///
-/// Constructing one is the setup allocation; everything after is in-place
-/// (publishing a scrape snapshot allocates, but only at window
-/// boundaries, never on the per-quantum path).
-#[derive(Debug, Clone)]
+/// Constructing one is the setup allocation; everything after is in-place.
+/// Scrape snapshots are built outside it, by the fleet driver, from
+/// [`Telemetry::aggregate`] and [`Telemetry::alerts`].
+#[derive(Debug)]
 pub struct Telemetry {
     /// Per-quantum time-series (ring of the most recent `capacity` quanta).
     pub recorder: SeriesRecorder,
@@ -84,8 +86,7 @@ pub struct Telemetry {
     /// Burn-rate alerting over closed windows, when enabled (implies
     /// aggregation).
     pub alerts: Option<AlertEngine>,
-    hub: Option<Arc<SnapshotHub>>,
-    label: String,
+    stream: Option<TelemetryStream>,
     profile: bool,
 }
 
@@ -103,8 +104,7 @@ impl Telemetry {
             policy: PolicySample::new(),
             aggregate: None,
             alerts: None,
-            hub: None,
-            label: "chip 0".to_string(),
+            stream: None,
             profile: false,
         }
     }
@@ -144,38 +144,43 @@ impl Telemetry {
         self
     }
 
-    /// Publish a [`ScrapeSnapshot`] into `hub` at every window boundary
-    /// (and nowhere else); implies aggregation. The hub is what a
-    /// [`ScrapeServer`] serves.
-    pub fn with_hub(mut self, hub: Arc<SnapshotHub>) -> Telemetry {
-        if self.aggregate.is_none() {
-            self.aggregate = Some(AggRegistry::new(DEFAULT_AGG_WINDOW_US));
-        }
-        self.hub = Some(hub);
+    /// Stream the recorder's rows to disk during the run: the stream is
+    /// pumped right after every recorded row, so whole flush windows leave
+    /// the ring before wrap-around can claim them. Finish it with
+    /// [`Telemetry::finish_stream`] after the run.
+    pub fn with_stream(mut self, stream: TelemetryStream) -> Telemetry {
+        self.stream = Some(stream);
         self
     }
 
-    /// Label used in snapshots and the scrape exposition (default
-    /// `"chip 0"`).
-    pub fn with_label(mut self, label: &str) -> Telemetry {
-        self.label = label.to_string();
-        self
+    /// The attached stream's totals so far, when one is attached.
+    pub fn stream_stats(&self) -> Option<StreamStats> {
+        self.stream.as_ref().map(TelemetryStream::stats)
     }
 
-    /// The publish hub, when attached.
-    pub fn hub(&self) -> Option<&Arc<SnapshotHub>> {
-        self.hub.as_ref()
+    /// Flush the stream's unflushed tail, join its writer thread, and
+    /// report totals. `None` when no stream is attached.
+    pub fn finish_stream(&mut self) -> Option<std::io::Result<StreamStats>> {
+        let stream = self.stream.take()?;
+        Some(stream.finish(&self.recorder))
     }
 
     /// Fold the most recently recorded row into the aggregation registry,
-    /// run the alert engine over any window that closed, and publish a
-    /// snapshot to the hub when one did. Called by the executor right
-    /// after the row is written; a no-op without aggregation.
+    /// run the alert engine over any window that closed, then pump the
+    /// stream. Called by the executor right after the row is written; a
+    /// no-op without aggregation or a stream.
     ///
-    /// Hot-path contract: reads and indexed stores only — the single
-    /// allocating step (building the published snapshot) happens iff a
-    /// window closed *and* a hub is attached.
+    /// Hot-path contract: reads and indexed stores only (a stream flush
+    /// reuses its chunk buffers after warm-up).
     pub fn roll_forward(&mut self) {
+        self.fold_row();
+        if let Some(stream) = &mut self.stream {
+            stream.pump(&self.recorder);
+        }
+    }
+
+    /// The aggregation and alerting half of [`Telemetry::roll_forward`].
+    fn fold_row(&mut self) {
         let Some(agg) = self.aggregate.as_mut() else {
             return;
         };
@@ -247,31 +252,6 @@ impl Telemetry {
         if let Some(engine) = &self.alerts {
             self.recorder.obs_alerts_firing[i] = engine.firing_count();
         }
-        if closed.is_some() {
-            if let Some(hub) = &self.hub {
-                let hub = Arc::clone(hub);
-                hub.publish(self.scrape_snapshot());
-            }
-        }
-    }
-
-    /// Build a [`ScrapeSnapshot`] of this (single-chip) telemetry:
-    /// one chip section that doubles as the fleet rollup, plus the alert
-    /// state. Allocates — off the hot path only. Fleet drivers build
-    /// their merged snapshot themselves via [`AggSnapshot::absorb`].
-    pub fn scrape_snapshot(&self) -> ScrapeSnapshot {
-        let Some(agg) = &self.aggregate else {
-            return ScrapeSnapshot::default();
-        };
-        let chip = agg.snapshot(&self.label);
-        let mut fleet = AggSnapshot::empty("fleet", agg.window_us());
-        fleet.absorb(&chip);
-        ScrapeSnapshot {
-            at_us: agg.now_us(),
-            fleet: Some(fleet),
-            chips: vec![chip],
-            alerts: self.alerts.as_ref().map(AlertEngine::snapshot),
-        }
     }
 }
 
@@ -283,8 +263,8 @@ mod tests {
     fn telemetry_profiling_toggle() {
         let t = Telemetry::new(16);
         assert!(!t.profiling());
-        assert!(t.clone().with_profiling().profiling());
         assert_eq!(t.recorder.capacity(), 16);
+        assert!(t.with_profiling().profiling());
     }
 
     #[test]
@@ -299,13 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn roll_forward_aggregates_recorded_rows_and_publishes() {
-        let hub = SnapshotHub::new();
+    fn roll_forward_aggregates_recorded_rows_and_pumps_the_stream() {
         let mut t = Telemetry::new(64)
             .with_aggregation(10_000)
             .with_alerts()
-            .with_hub(Arc::clone(&hub))
-            .with_label("unit chip");
+            .with_stream(TelemetryStream::with_writer(
+                std::io::sink(),
+                StreamFormat::Csv,
+                10,
+            ));
         t.recorder.ensure_shape(1, 1, 1);
         for q in 0..25u64 {
             let at = (q + 1) * 1000;
@@ -319,10 +301,17 @@ mod tests {
         assert_eq!(agg.windows_closed(), 2);
         assert_eq!(agg.totals().shed, 0, "cumulative shed never moved");
         assert!((agg.totals().p99_over_slo.max - 0.8).abs() < 1e-12);
-        assert_eq!(hub.version(), 2, "one publish per closed window");
-        let snap = hub.get();
-        assert_eq!(snap.chips[0].label, "unit chip");
-        assert!(snap.alerts.is_some());
+        let alerts = t.alerts.as_ref().unwrap().snapshot();
+        assert_eq!(alerts.rules.len(), BurnRule::defaults().len());
+        let pumped = t.stream_stats().expect("stream attached");
+        assert_eq!(
+            (pumped.rows, pumped.flushes),
+            (20, 2),
+            "one flush per 10 rows"
+        );
+        let done = t.finish_stream().expect("stream attached").expect("sink");
+        assert_eq!(done.rows, 25, "finishing flushes the tail");
+        assert!(t.finish_stream().is_none(), "a finished stream is detached");
     }
 
     #[test]
@@ -330,6 +319,7 @@ mod tests {
         let mut t = Telemetry::new(4);
         t.recorder.push_row(1000).chip(1.0, f64::NAN, f64::NAN);
         t.roll_forward();
-        assert!(t.scrape_snapshot().fleet.is_none());
+        assert!(t.aggregate.is_none() && t.alerts.is_none());
+        assert!(t.stream_stats().is_none());
     }
 }

@@ -140,6 +140,28 @@ impl FaultConfig {
         }
     }
 
+    /// A board whose only fault is Gaussian noise of relative `sigma` on
+    /// the power readings: every other fault probability is zero and
+    /// readings are not quantised. The noisy-sensor robustness checks run
+    /// on it.
+    pub fn sensor_noise(seed: u64, sigma: f64) -> FaultConfig {
+        FaultConfig {
+            power_noise_sigma: sigma,
+            power_quantum: Watts(0.0),
+            stale_reading_prob: 0.0,
+            dropped_reading_prob: 0.0,
+            thermal_spike_prob: 0.0,
+            dvfs_fail_prob: 0.0,
+            dvfs_defer_prob: 0.0,
+            migration_fail_prob: 0.0,
+            task_crash_prob: 0.0,
+            clock_drift_prob: 0.0,
+            chip_clock_drift_prob: 0.0,
+            partial_plan_prob: 0.0,
+            ..FaultConfig::with_seed(seed)
+        }
+    }
+
     /// True when every probability is a probability and every magnitude is
     /// finite and non-negative. Property tests generate arbitrary configs
     /// and this is the gate they must pass.
@@ -779,6 +801,7 @@ mod tests {
     fn default_profiles_are_valid() {
         assert!(FaultConfig::with_seed(0).is_valid());
         assert!(FaultConfig::harsh(0).is_valid());
+        assert!(FaultConfig::sensor_noise(0, 0.05).is_valid());
         let mut bad = FaultConfig::with_seed(0);
         bad.dvfs_fail_prob = 0.8;
         bad.dvfs_defer_prob = 0.8;

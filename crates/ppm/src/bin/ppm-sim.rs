@@ -1,50 +1,33 @@
 //! `ppm-sim` — command-line driver for the simulated platform.
 //!
-//! ```text
-//! ppm-sim [OPTIONS]
-//!   --scheme ppm|hpm|hl      power manager (default ppm)
-//!   --workload NAME          Table 6 set: l1..l3, m1..m3, h1..h3 (default m1)
-//!   --chip tc2|tegra         platform preset (default tc2)
-//!   --duration SECS          simulated seconds (default 60)
-//!   --tdp WATTS              enable a power cap
-//!   --no-lbt                 disable load balancing / migration (PPM only)
-//!   --online                 online demand estimation (PPM only)
-//!   --trace PATH             write a Chrome trace_event JSON (Perfetto)
-//!   --metrics PATH           write the per-quantum time-series (.csv/.jsonl)
-//!   --profile                profile manager phases, print the summary table
-//!   --faults SEED            inject deterministic sensor/actuator faults
-//!   --audit                  run the every-quantum invariant auditor
-//!   --serve ADDR             live Prometheus/JSON scrape endpoint
-//!   --alerts                 burn-rate alert rules (exit 1 when fired)
-//!   --linger SECS            hold the endpoint open after the run
-//!
-//! ppm-sim fleet [OPTIONS]
-//!   --chips N                fleet width (default 4)
-//!   --cap WATTS              datacenter power cap, traded per epoch on the
-//!                            fleet exchange (no cap → no exchange)
-//!   --duration SECS          simulated seconds (default 10)
-//!   --clusters/--cores/--tasks   per-chip topology (default 4/2/6)
-//!   --threads N              chip-stepping worker threads (default 1)
-//!   --faults SEED            per-chip deterministic fault streams
-//!   --trace PATH             one Chrome trace: chip-tagged track pairs +
-//!                            the exchange counter track
-//!   --metrics PATH           one wide chip-tagged CSV joined on time
-//!   --stream PATH            per-chip streamed series (out.c0.csv, ...)
-//!   --serve ADDR             live fleet rollup endpoint
-//!   --alerts                 per-chip burn-rate alerts (exit 1 when fired)
-//!   --linger SECS            hold the endpoint open after the run
-//!   --ledger                 print the exchange ledger
-//! ```
+//! Two modes: the default chip mode simulates one power manager on a
+//! big.LITTLE preset, and `ppm-sim fleet` simulates N synthetic chips under
+//! one traded datacenter power cap. Chip mode runs its simulation as a
+//! one-chip fleet with no exchange, which is byte-identical to running it
+//! standalone, so both modes share one driver: the same flag parser for
+//! the flags they have in common, the same telemetry attachment, the same
+//! run loop publishing a live scrape snapshot after every trading epoch,
+//! and the same stream-finish and linger epilogues. `ppm-sim --help` and
+//! `ppm-sim fleet --help` list the flags.
 
+use std::fmt::Display;
 use std::fs::File;
-use std::io;
+use std::io::{self, BufWriter, Write as _};
 use std::process::exit;
+use std::str::FromStr;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ppm::baselines::hl::{HlConfig, HlManager};
 use ppm::baselines::hpm::{HpmConfig, HpmManager};
 use ppm::core::config::PpmConfig;
 use ppm::core::manager::{place_on_little, PpmManager};
-use ppm::obs::{summary_table, write_chrome_trace, write_csv, write_jsonl, Telemetry};
+use ppm::fleet::trace as fleet_trace;
+use ppm::fleet::Fleet;
+use ppm::obs::{
+    summary_table, write_chrome_trace, write_csv, write_jsonl, ScrapeServer, SnapshotHub,
+    Telemetry, TelemetryStream,
+};
 use ppm::platform::chip::Chip;
 use ppm::platform::core::CoreId;
 use ppm::platform::faults::{FaultConfig, FaultPlan};
@@ -58,32 +41,36 @@ use ppm::workload::sets::set_by_name;
 use ppm::workload::task::{Priority, Task, TaskId};
 use ppm::workload::trace::DemandTrace;
 
-#[derive(Debug)]
-struct Args {
-    scheme: String,
-    workload: String,
-    chip: String,
+/// The next command-line word, as the value of `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The next command-line word, parsed as the value of `flag`.
+fn number<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value(it, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The flags both modes take.
+#[derive(Default)]
+struct Common {
+    /// Fleet mode: per-chip stream files and report lines are chip-tagged.
+    fleet: bool,
     duration: u64,
-    tdp: Option<f64>,
-    no_lbt: bool,
-    online: bool,
+    /// Fault-injection seed (`--faults`): perturb sensors and actuators
+    /// deterministically from this seed (re-seeded per chip in a fleet).
+    faults: Option<u64>,
     /// Write a Chrome `trace_event` JSON (load in Perfetto / `chrome://tracing`).
     trace: Option<String>,
-    /// Write the per-quantum time-series (`.jsonl` → JSON lines, else CSV).
+    /// Write the per-quantum time-series after the run.
     metrics: Option<String>,
     /// Stream the time-series to disk *during* the run (`--stream`): the
     /// ring flushes incrementally, so the file holds every quantum even
     /// when the in-memory ring is far smaller than the run.
     stream: Option<String>,
-    /// Profile manager phases and print the percentile summary table.
-    profile: bool,
-    /// Fault-injection seed (`--faults`): perturb sensors and actuators
-    /// deterministically from this seed.
-    faults: Option<u64>,
-    /// Run the every-quantum invariant auditor and print its report.
-    audit: bool,
-    /// Custom task specs (`--task`), replacing the workload set when given.
-    tasks: Vec<String>,
     /// Serve live Prometheus/JSON snapshots on this address (`--serve`).
     serve: Option<String>,
     /// Evaluate the burn-rate alert rules and print the alert tape
@@ -94,64 +81,95 @@ struct Args {
     linger: u64,
 }
 
+impl Common {
+    /// Consume `flag` (and its value) when it is one of the shared flags;
+    /// `Ok(false)` leaves it to the mode's own parser.
+    fn take(&mut self, flag: &str, it: &mut impl Iterator<Item = String>) -> Result<bool, String> {
+        match flag {
+            "--duration" => self.duration = number(it, flag)?,
+            "--faults" => self.faults = Some(number(it, flag)?),
+            "--trace" => self.trace = Some(value(it, flag)?),
+            "--metrics" => self.metrics = Some(value(it, flag)?),
+            "--stream" => self.stream = Some(value(it, flag)?),
+            "--serve" => self.serve = Some(value(it, flag)?),
+            "--alerts" => self.alerts = true,
+            "--linger" => self.linger = number(it, flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.linger > 0 && self.serve.is_none() {
+            return Err("--linger needs --serve (there is no endpoint to hold open)".into());
+        }
+        Ok(())
+    }
+
+    /// Chip `i`'s stream file: `--stream` itself for a lone chip;
+    /// chip-tagged in a fleet (`out.csv` → `out.c3.csv`, keeping the
+    /// extension, which selects CSV vs JSON lines).
+    fn stream_path(&self, path: &str, i: usize) -> String {
+        if !self.fleet {
+            return path.to_string();
+        }
+        match path.rsplit_once('.') {
+            Some((stem, ext)) if !stem.is_empty() && !ext.contains('/') => {
+                format!("{stem}.c{i}.{ext}")
+            }
+            _ => format!("{path}.c{i}"),
+        }
+    }
+}
+
+/// `ppm-sim` (chip mode) arguments.
+struct Args {
+    scheme: String,
+    workload: String,
+    chip: String,
+    tdp: Option<f64>,
+    no_lbt: bool,
+    online: bool,
+    /// Profile manager phases and print the percentile summary table.
+    profile: bool,
+    /// Run the every-quantum invariant auditor and print its report.
+    audit: bool,
+    /// Custom task specs (`--task`), replacing the workload set when given.
+    tasks: Vec<String>,
+    common: Common,
+}
+
 impl Args {
-    fn parse() -> Result<Args, String> {
+    fn parse(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
             scheme: "ppm".into(),
             workload: "m1".into(),
             chip: "tc2".into(),
-            duration: 60,
             tdp: None,
             no_lbt: false,
             online: false,
-            trace: None,
-            metrics: None,
-            stream: None,
             profile: false,
-            faults: None,
             audit: false,
             tasks: Vec::new(),
-            serve: None,
-            alerts: false,
-            linger: 0,
+            common: Common {
+                duration: 60,
+                ..Common::default()
+            },
         };
-        let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+            if args.common.take(&flag, &mut it)? {
+                continue;
+            }
             match flag.as_str() {
-                "--scheme" => args.scheme = value("--scheme")?,
-                "--workload" => args.workload = value("--workload")?,
-                "--chip" => args.chip = value("--chip")?,
-                "--duration" => {
-                    args.duration = value("--duration")?
-                        .parse()
-                        .map_err(|e| format!("--duration: {e}"))?
-                }
-                "--tdp" => {
-                    args.tdp = Some(value("--tdp")?.parse().map_err(|e| format!("--tdp: {e}"))?)
-                }
-                "--task" => args.tasks.push(value("--task")?),
+                "--scheme" => args.scheme = value(&mut it, &flag)?,
+                "--workload" => args.workload = value(&mut it, &flag)?,
+                "--chip" => args.chip = value(&mut it, &flag)?,
+                "--tdp" => args.tdp = Some(number(&mut it, &flag)?),
+                "--task" => args.tasks.push(value(&mut it, &flag)?),
                 "--no-lbt" => args.no_lbt = true,
                 "--online" => args.online = true,
-                "--faults" => {
-                    args.faults = Some(
-                        value("--faults")?
-                            .parse()
-                            .map_err(|e| format!("--faults: {e}"))?,
-                    )
-                }
                 "--audit" => args.audit = true,
-                "--trace" => args.trace = Some(value("--trace")?),
-                "--metrics" => args.metrics = Some(value("--metrics")?),
-                "--stream" => args.stream = Some(value("--stream")?),
                 "--profile" => args.profile = true,
-                "--serve" => args.serve = Some(value("--serve")?),
-                "--alerts" => args.alerts = true,
-                "--linger" => {
-                    args.linger = value("--linger")?
-                        .parse()
-                        .map_err(|e| format!("--linger: {e}"))?
-                }
                 "--help" | "-h" => {
                     println!("{}", HELP);
                     exit(0);
@@ -159,9 +177,7 @@ impl Args {
                 other => return Err(format!("unknown flag `{other}` (try --help)")),
             }
         }
-        if args.linger > 0 && args.serve.is_none() {
-            return Err("--linger needs --serve (there is no endpoint to hold open)".into());
-        }
+        args.common.check()?;
         Ok(args)
     }
 }
@@ -286,70 +302,32 @@ fn build_system(args: &Args, policy: AllocationPolicy) -> Result<System, String>
     Ok(sys)
 }
 
-fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, String> {
+/// Run one chip: a one-chip fleet with no exchange, observed and served
+/// through the shared driver. Returns whether the run was clean (no audit
+/// violation, no alert fired).
+fn run_chip<M: PowerManager + Send>(
+    args: &Args,
+    policy: AllocationPolicy,
+    mgr: M,
+) -> Result<bool, String> {
+    let o = &args.common;
+    let sys = build_system(args, policy)?;
     let mut sim = Simulation::new(sys, mgr).with_warmup(SimDuration::from_secs(2));
-    if let Some(seed) = args.faults {
+    if let Some(seed) = o.faults {
         sim = sim.with_faults(FaultPlan::new(FaultConfig::with_seed(seed)));
     }
     if args.audit {
         sim = sim.with_auditor();
     }
-    let full_ring = args.trace.is_some() || args.metrics.is_some() || args.profile;
-    if full_ring || args.stream.is_some() || args.serve.is_some() || args.alerts {
-        // One row per 1 ms quantum, sized so the ring never wraps — unless
-        // only streaming/serving/alerting is on, where a small ring does:
-        // the stream preserves every row on disk and the aggregation
-        // windows fold rows into rollups as they land.
-        let cap = if full_ring {
-            args.duration as usize * 1000 + 8
-        } else {
-            256
-        };
-        let mut tel = Telemetry::new(cap);
-        if args.profile {
-            tel = tel.with_profiling();
-        }
-        if args.serve.is_some() {
-            tel = tel.with_aggregation(ppm::obs::DEFAULT_AGG_WINDOW_US);
-        }
-        if args.alerts {
-            tel = tel.with_alerts();
-        }
-        if args.serve.is_some() {
-            tel = tel.with_hub(ppm::obs::SnapshotHub::new());
-        }
-        sim = sim.with_telemetry(tel);
-    }
-    if let Some(path) = &args.stream {
-        let stream = ppm::obs::TelemetryStream::create(path, 64)
-            .map_err(|e| format!("cannot create {path}: {e}"))?;
-        sim = sim.with_stream(stream);
-    }
-    let server = match &args.serve {
-        Some(addr) => {
-            let hub = sim
-                .telemetry()
-                .and_then(|t| t.hub())
-                .cloned()
-                .expect("--serve attaches a snapshot hub");
-            let srv = ppm::obs::ScrapeServer::serve(addr, hub)
-                .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-            // Flushed before the run so scrapers learn the bound port
-            // (`--serve 127.0.0.1:0`) while the simulation executes.
-            println!("serving           : http://{}/metrics", srv.local_addr());
-            use io::Write as _;
-            io::stdout().flush().ok();
-            Some(srv)
-        }
-        None => None,
-    };
-    sim.run_for(SimDuration::from_secs(args.duration));
+    let mut fleet = Fleet::lone(sim);
+    let server = execute(&mut fleet, o, args.profile)?;
 
+    let sim = fleet.chip(0).sim();
     let peak_temp = sim.system().thermal().map(|t| t.peak());
     let m = sim.metrics();
     println!(
         "\n# summary ({} on {}, {} s)",
-        args.scheme, args.chip, args.duration
+        args.scheme, args.chip, o.duration
     );
     println!(
         "any-task QoS miss : {:.1}% of time",
@@ -382,13 +360,8 @@ fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, S
         if !snaps.is_empty() {
             let worst = snaps
                 .iter()
-                .map(|o| {
-                    if o.slo_ms > 0.0 {
-                        o.p99_ms / o.slo_ms
-                    } else {
-                        0.0
-                    }
-                })
+                .filter(|o| o.slo_ms > 0.0)
+                .map(|o| o.p99_ms / o.slo_ms)
                 .fold(0.0, f64::max);
             let shed: u64 = snaps.iter().map(|o| o.shed).sum();
             println!(
@@ -414,32 +387,10 @@ fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, S
         clean = a.violations().is_empty();
     }
 
-    if let Some(srv) = &server {
-        // Publish the end-of-run state (including the live partial window)
-        // so post-run scrapes see the whole run, then hold the endpoint
-        // open; one served scrape after this point ends the linger early.
-        if let Some(tel) = sim.telemetry() {
-            if let Some(hub) = tel.hub() {
-                hub.publish(tel.scrape_snapshot());
-            }
-        }
-        linger(srv, args.linger);
-    }
-
-    if let Some(result) = sim.finish_stream() {
-        let stats = result.map_err(|e| format!("stream write failed: {e}"))?;
-        if let Some(path) = &args.stream {
-            println!(
-                "stream            : {path} ({} rows, {} flushes, {} lost)",
-                stats.rows, stats.flushes, stats.lost
-            );
-        }
-    }
-    if let Some(tel) = sim.take_telemetry() {
-        if let Some(path) = &args.metrics {
-            let mut f = io::BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            );
+    finish_streams(&mut fleet, o)?;
+    if let Some(tel) = fleet.chip(0).sim().telemetry() {
+        if let Some(path) = &o.metrics {
+            let mut f = create(path)?;
             if path.ends_with(".jsonl") {
                 write_jsonl(&tel.recorder, &mut f)
             } else {
@@ -448,10 +399,8 @@ fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, S
             .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("metrics           : {path} ({} rows)", tel.recorder.rows());
         }
-        if let Some(path) = &args.trace {
-            let mut f = io::BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            );
+        if let Some(path) = &o.trace {
+            let mut f = create(path)?;
             // Decimate counter rows so huge runs stay loadable in Perfetto;
             // spans are never decimated.
             let stride = (tel.recorder.rows() / 20_000).max(1);
@@ -471,6 +420,7 @@ fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, S
             clean &= engine.fired_total() == 0;
         }
     }
+    linger(server, o.linger);
     Ok(clean)
 }
 
@@ -478,24 +428,12 @@ fn simulate<M: PowerManager>(args: &Args, sys: System, mgr: M) -> Result<bool, S
 struct FleetArgs {
     chips: usize,
     cap: Option<f64>,
-    duration: u64,
     clusters: usize,
     cores: usize,
     tasks: usize,
     threads: usize,
-    faults: Option<u64>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    /// Stream every chip's time-series during the run: `out.csv` becomes
-    /// `out.c0.csv`, `out.c1.csv`, ... (one chip-tagged file per chip).
-    stream: Option<String>,
-    /// Serve the merged fleet rollup (plus per-chip sections) live.
-    serve: Option<String>,
-    /// Evaluate per-chip burn-rate alerts; any firing exits 1.
-    alerts: bool,
-    /// Hold the scrape endpoint open after the run (needs `--serve`).
-    linger: u64,
     ledger: bool,
+    common: Common,
 }
 
 impl FleetArgs {
@@ -503,42 +441,28 @@ impl FleetArgs {
         let mut args = FleetArgs {
             chips: 4,
             cap: None,
-            duration: 10,
             clusters: 4,
             cores: 2,
             tasks: 6,
             threads: 1,
-            faults: None,
-            trace: None,
-            metrics: None,
-            stream: None,
-            serve: None,
-            alerts: false,
-            linger: 0,
             ledger: false,
+            common: Common {
+                fleet: true,
+                duration: 10,
+                ..Common::default()
+            },
         };
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-            let num = |name: &str, v: Result<String, String>| {
-                v?.parse::<u64>().map_err(|e| format!("{name}: {e}"))
-            };
+            if args.common.take(&flag, &mut it)? {
+                continue;
+            }
             match flag.as_str() {
-                "--chips" => args.chips = num("--chips", value("--chips"))? as usize,
-                "--cap" => {
-                    args.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?)
-                }
-                "--duration" => args.duration = num("--duration", value("--duration"))?,
-                "--clusters" => args.clusters = num("--clusters", value("--clusters"))? as usize,
-                "--cores" => args.cores = num("--cores", value("--cores"))? as usize,
-                "--tasks" => args.tasks = num("--tasks", value("--tasks"))? as usize,
-                "--threads" => args.threads = num("--threads", value("--threads"))?.max(1) as usize,
-                "--faults" => args.faults = Some(num("--faults", value("--faults"))?),
-                "--trace" => args.trace = Some(value("--trace")?),
-                "--metrics" => args.metrics = Some(value("--metrics")?),
-                "--stream" => args.stream = Some(value("--stream")?),
-                "--serve" => args.serve = Some(value("--serve")?),
-                "--alerts" => args.alerts = true,
-                "--linger" => args.linger = num("--linger", value("--linger"))?,
+                "--chips" => args.chips = number(&mut it, &flag)?,
+                "--cap" => args.cap = Some(number(&mut it, &flag)?),
+                "--clusters" => args.clusters = number(&mut it, &flag)?,
+                "--cores" => args.cores = number(&mut it, &flag)?,
+                "--tasks" => args.tasks = number(&mut it, &flag)?,
+                "--threads" => args.threads = number::<usize>(&mut it, &flag)?.max(1),
                 "--ledger" => args.ledger = true,
                 "--help" | "-h" => {
                     println!("{}", FLEET_HELP);
@@ -550,9 +474,7 @@ impl FleetArgs {
         if args.chips == 0 {
             return Err("--chips must be at least 1".into());
         }
-        if args.linger > 0 && args.serve.is_none() {
-            return Err("--linger needs --serve (there is no endpoint to hold open)".into());
-        }
+        args.common.check()?;
         Ok(args)
     }
 }
@@ -588,82 +510,24 @@ The fleet always runs with the per-chip auditors and, when a cap is given,
 the exchange book audit; any violation exits 1.";
 
 /// Run the `fleet` subcommand: a heterogeneous synthetic fleet, audited,
-/// with optional fleet-wide trace/CSV exports. Returns audit cleanliness.
+/// with optional fleet-wide trace/CSV exports. Returns whether the run was
+/// clean (no audit finding, no alert fired).
 fn run_fleet(args: &FleetArgs) -> Result<bool, String> {
-    use ppm::fleet::scenario::synthetic_fleet;
-    use ppm::fleet::trace as fleet_trace;
-
-    let mut fleet = synthetic_fleet(
+    let o = &args.common;
+    let mut fleet = ppm::fleet::scenario::synthetic_fleet(
         args.chips,
         args.clusters,
         args.cores,
         args.tasks,
         args.cap.map(Watts),
-        args.faults.map(FaultConfig::with_seed),
+        o.faults.map(FaultConfig::with_seed),
     )
     .with_threads(args.threads);
-    let full_ring = args.trace.is_some() || args.metrics.is_some();
-    if full_ring || args.stream.is_some() || args.serve.is_some() || args.alerts {
-        // One row per 1 ms quantum, sized so the ring never wraps — unless
-        // only streaming/serving/alerting is on, where a small ring does
-        // (streams keep every row on disk; aggregation folds rows live).
-        let cap = if full_ring {
-            args.duration as usize * 1000 + 8
-        } else {
-            256
-        };
-        for (i, chip) in fleet.chips_mut().iter_mut().enumerate() {
-            let mut tel = Telemetry::new(cap).with_label(&format!("chip {i}"));
-            if args.serve.is_some() || args.alerts {
-                tel = tel.with_aggregation(ppm::obs::DEFAULT_AGG_WINDOW_US);
-            }
-            if args.alerts {
-                tel = tel.with_alerts();
-            }
-            chip.sim_mut().set_telemetry(tel);
-            if let Some(path) = &args.stream {
-                let path = chip_tagged_path(path, i);
-                let stream = ppm::obs::TelemetryStream::create(&path, 64)
-                    .map_err(|e| format!("cannot create {path}: {e}"))?;
-                chip.sim_mut().set_stream(stream);
-            }
-        }
-    }
-    let server = match &args.serve {
-        Some(addr) => {
-            let hub = ppm::obs::SnapshotHub::new();
-            let srv = ppm::obs::ScrapeServer::serve(addr, hub.clone())
-                .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-            // Flushed before the run so scrapers learn the bound port
-            // (`--serve 127.0.0.1:0`) while the fleet executes.
-            println!("serving           : http://{}/metrics", srv.local_addr());
-            use io::Write as _;
-            io::stdout().flush().ok();
-            Some((srv, hub))
-        }
-        None => None,
-    };
-    match &server {
-        // When serving, step epoch by epoch and publish the merged fleet
-        // snapshot after each trade — scrapers watch the run move. Epoch
-        // slicing is exactly what `run_for` does internally, so the
-        // trajectory is byte-identical to the unserved run.
-        Some((_, hub)) => {
-            let epoch = fleet.epoch();
-            let mut remaining = SimDuration::from_secs(args.duration).as_micros();
-            while remaining > 0 {
-                let dt = remaining.min(epoch.as_micros());
-                fleet.run_for(SimDuration(dt));
-                remaining -= dt;
-                hub.publish(fleet_trace::fleet_scrape_snapshot(&fleet));
-            }
-        }
-        None => fleet.run_for(SimDuration::from_secs(args.duration)),
-    }
+    let server = execute(&mut fleet, o, false)?;
 
     println!(
         "# fleet summary ({} chips x V{} C{} T{}, {} s, {} thread(s))",
-        args.chips, args.clusters, args.cores, args.tasks, args.duration, args.threads
+        args.chips, args.clusters, args.cores, args.tasks, o.duration, args.threads
     );
     if let Some(ex) = fleet.exchange() {
         println!(
@@ -688,12 +552,12 @@ fn run_fleet(args: &FleetArgs) -> Result<bool, String> {
             chip.spec().electricity_price,
         );
     }
-    let faults: u64 = fleet
-        .chips()
-        .iter()
-        .filter_map(|c| c.sim().faults().map(|f| f.stats().total()))
-        .sum();
-    if args.faults.is_some() {
+    if o.faults.is_some() {
+        let faults: u64 = fleet
+            .chips()
+            .iter()
+            .filter_map(|c| c.sim().faults().map(|f| f.stats().total()))
+            .sum();
         println!("faults injected   : {faults} across the fleet");
     }
     if args.ledger {
@@ -702,22 +566,9 @@ fn run_fleet(args: &FleetArgs) -> Result<bool, String> {
         }
     }
 
-    if let Some(path) = &args.stream {
-        for i in 0..fleet.len() {
-            if let Some(result) = fleet.chip_mut(i).sim_mut().finish_stream() {
-                let stats = result.map_err(|e| format!("stream write failed: {e}"))?;
-                println!(
-                    "stream chip {i:<4} : {} ({} rows, {} flushes, {} lost)",
-                    chip_tagged_path(path, i),
-                    stats.rows,
-                    stats.flushes,
-                    stats.lost
-                );
-            }
-        }
-    }
+    finish_streams(&mut fleet, o)?;
     let mut fired = false;
-    if args.alerts {
+    if o.alerts {
         fired = fleet_trace::fleet_alerts_fired(&fleet);
         let tape = fleet_trace::fleet_alert_tape(&fleet)
             .unwrap_or_else(|| "no chip has an alert engine attached\n".to_string());
@@ -727,17 +578,13 @@ fn run_fleet(args: &FleetArgs) -> Result<bool, String> {
     let roll = fleet.audit_rollup();
     println!("\n# fleet audit\n{}", roll.render());
 
-    if let Some(path) = &args.metrics {
-        let mut f = io::BufWriter::new(
-            File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-        );
+    if let Some(path) = &o.metrics {
+        let mut f = create(path)?;
         fleet_trace::write_csv(&fleet, &mut f).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("fleet metrics     : {path}");
     }
-    if let Some(path) = &args.trace {
-        let mut f = io::BufWriter::new(
-            File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-        );
+    if let Some(path) = &o.trace {
+        let mut f = create(path)?;
         let rows = fleet
             .chips()
             .iter()
@@ -749,24 +596,115 @@ fn run_fleet(args: &FleetArgs) -> Result<bool, String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("fleet trace       : {path} (stride {stride})");
     }
-
-    if let Some((srv, hub)) = &server {
-        // Publish the end-of-run state (final partial windows included),
-        // then hold the endpoint open; one served scrape after this point
-        // ends the linger early.
-        hub.publish(fleet_trace::fleet_scrape_snapshot(&fleet));
-        linger(srv, args.linger);
-    }
+    linger(server, o.linger);
     Ok(roll.is_clean() && !fired)
 }
 
-/// Hold a scrape endpoint open for up to `secs` wall-clock seconds after
-/// the run. Once at least one post-run scrape has been served, exit as
-/// soon as the endpoint has been quiet for 250 ms — scrapers typically
-/// issue a couple of requests back to back (`/metrics`, `/metrics.json`)
-/// and all of them should land before the process goes away.
-fn linger(srv: &ppm::obs::ScrapeServer, secs: u64) {
-    use std::time::{Duration, Instant};
+/// A bound scrape endpoint and the hub it serves.
+type Endpoint = (ScrapeServer, Arc<SnapshotHub>);
+
+/// The run both modes share: attach every chip's telemetry, bind the
+/// scrape endpoint, and step the fleet for `--duration`, publishing a
+/// scrape snapshot after every trading epoch when serving.
+fn execute<M: PowerManager + Send>(
+    fleet: &mut Fleet<M>,
+    o: &Common,
+    profile: bool,
+) -> Result<Option<Endpoint>, String> {
+    // One row per 1 ms quantum, sized so the ring never wraps when the
+    // whole history is exported after the run; otherwise a small ring
+    // does: the stream keeps every row on disk, and the aggregation
+    // windows fold rows into rollups as they land.
+    let full_ring = o.trace.is_some() || o.metrics.is_some() || profile;
+    if full_ring || o.stream.is_some() || o.serve.is_some() || o.alerts {
+        let cap = if full_ring {
+            o.duration as usize * 1000 + 8
+        } else {
+            256
+        };
+        for i in 0..fleet.len() {
+            let mut tel = Telemetry::new(cap);
+            if profile {
+                tel = tel.with_profiling();
+            }
+            if o.serve.is_some() {
+                tel = tel.with_aggregation(ppm::obs::DEFAULT_AGG_WINDOW_US);
+            }
+            if o.alerts {
+                tel = tel.with_alerts();
+            }
+            if let Some(path) = &o.stream {
+                let path = o.stream_path(path, i);
+                let stream = TelemetryStream::create(&path, 64)
+                    .map_err(|e| format!("cannot create {path}: {e}"))?;
+                tel = tel.with_stream(stream);
+            }
+            fleet.chip_mut(i).sim_mut().set_telemetry(tel);
+        }
+    }
+    let server = match &o.serve {
+        Some(addr) => {
+            let hub = SnapshotHub::new();
+            let srv = ScrapeServer::serve(addr, hub.clone())
+                .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
+            // Flushed before the run so scrapers learn the bound port
+            // (`--serve 127.0.0.1:0`) while the simulation executes.
+            println!("serving           : http://{}/metrics", srv.local_addr());
+            io::stdout().flush().ok();
+            Some((srv, hub))
+        }
+        None => None,
+    };
+    let duration = SimDuration::from_secs(o.duration);
+    match &server {
+        Some((_, hub)) => fleet_trace::run_publishing(fleet, duration, hub),
+        None => fleet.run_for(duration),
+    }
+    Ok(server)
+}
+
+/// Flush every chip's stream tail, join its writer, and report its totals.
+fn finish_streams<M: PowerManager>(fleet: &mut Fleet<M>, o: &Common) -> Result<(), String> {
+    let Some(path) = &o.stream else {
+        return Ok(());
+    };
+    for i in 0..fleet.len() {
+        if let Some(result) = fleet.chip_mut(i).sim_mut().finish_stream() {
+            let stats = result.map_err(|e| format!("stream write failed: {e}"))?;
+            let head = if o.fleet {
+                format!("stream chip {i:<4} ")
+            } else {
+                "stream            ".to_string()
+            };
+            println!(
+                "{head}: {} ({} rows, {} flushes, {} lost)",
+                o.stream_path(path, i),
+                stats.rows,
+                stats.flushes,
+                stats.lost
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Create an output file.
+fn create(path: &str) -> Result<BufWriter<File>, String> {
+    File::create(path)
+        .map(BufWriter::new)
+        .map_err(|e| format!("cannot create {path}: {e}"))
+}
+
+/// Hold the scrape endpoint open for up to `secs` wall-clock seconds after
+/// the run; the last epoch's publish already holds the end-of-run state.
+/// Once at least one post-run scrape has been served, exit as soon as the
+/// endpoint has been quiet for 250 ms — scrapers typically issue a couple
+/// of requests back to back (`/metrics`, `/metrics.json`) and all of them
+/// should land before the process goes away.
+fn linger(server: Option<Endpoint>, secs: u64) {
+    let Some((srv, _)) = server else {
+        return;
+    };
     let deadline = Instant::now() + Duration::from_secs(secs);
     let mut last_served = srv.served();
     let mut quiet_since = None;
@@ -783,81 +721,55 @@ fn linger(srv: &ppm::obs::ScrapeServer, secs: u64) {
     }
 }
 
-/// `out.csv` → `out.c3.csv`: tag a per-chip stream path with the chip
-/// index, keeping the extension (which selects CSV vs JSON lines).
-fn chip_tagged_path(path: &str, chip: usize) -> String {
-    match path.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() && !ext.contains('/') => {
-            format!("{stem}.c{chip}.{ext}")
-        }
-        _ => format!("{path}.c{chip}"),
-    }
-}
-
 fn main() {
     let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("fleet") {
+    let result = if raw.peek().map(String::as_str) == Some("fleet") {
         raw.next();
-        let result = FleetArgs::parse(raw).and_then(|args| run_fleet(&args));
-        match result {
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(2);
-            }
-            Ok(false) => exit(1),
-            Ok(true) => return,
-        }
-    }
-    drop(raw);
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(2);
-        }
+        FleetArgs::parse(raw).and_then(|args| run_fleet(&args))
+    } else {
+        Args::parse(raw).and_then(|args| run_chip_mode(&args))
     };
-    let result: Result<bool, String> = (|| {
-        Ok(match args.scheme.as_str() {
-            "ppm" => {
-                let mut config = match args.tdp {
-                    Some(w) => PpmConfig::tc2_with_tdp(Watts(w)),
-                    None => PpmConfig::tc2(),
-                };
-                if args.no_lbt {
-                    config = config.without_lbt();
-                }
-                if args.online {
-                    config = config.with_online_estimation();
-                }
-                let sys = build_system(&args, AllocationPolicy::Market)?;
-                simulate(&args, sys, PpmManager::new(config))?
-            }
-            "hpm" => {
-                let mut config = HpmConfig::new();
-                if let Some(w) = args.tdp {
-                    config = config.with_tdp(Watts(w));
-                }
-                let sys = build_system(&args, AllocationPolicy::Market)?;
-                simulate(&args, sys, HpmManager::new(config))?
-            }
-            "hl" => {
-                let mut config = HlConfig::new();
-                if let Some(w) = args.tdp {
-                    config = config.with_tdp(Watts(w));
-                }
-                let sys = build_system(&args, AllocationPolicy::FairWeights)?;
-                simulate(&args, sys, HlManager::new(config))?
-            }
-            other => return Err(format!("unknown scheme `{other}`")),
-        })
-    })();
     match result {
         Err(e) => {
             eprintln!("error: {e}");
             exit(2);
         }
-        // `--audit` turns invariant violations into a failing exit code.
+        // An audit violation or a fired alert is a failing exit code.
         Ok(false) => exit(1),
         Ok(true) => {}
+    }
+}
+
+/// Build the chosen scheme's manager and system and run them.
+fn run_chip_mode(args: &Args) -> Result<bool, String> {
+    match args.scheme.as_str() {
+        "ppm" => {
+            let mut config = match args.tdp {
+                Some(w) => PpmConfig::tc2_with_tdp(Watts(w)),
+                None => PpmConfig::tc2(),
+            };
+            if args.no_lbt {
+                config = config.without_lbt();
+            }
+            if args.online {
+                config = config.with_online_estimation();
+            }
+            run_chip(args, AllocationPolicy::Market, PpmManager::new(config))
+        }
+        "hpm" => {
+            let mut config = HpmConfig::new();
+            if let Some(w) = args.tdp {
+                config = config.with_tdp(Watts(w));
+            }
+            run_chip(args, AllocationPolicy::Market, HpmManager::new(config))
+        }
+        "hl" => {
+            let mut config = HlConfig::new();
+            if let Some(w) = args.tdp {
+                config = config.with_tdp(Watts(w));
+            }
+            run_chip(args, AllocationPolicy::FairWeights, HlManager::new(config))
+        }
+        other => Err(format!("unknown scheme `{other}`")),
     }
 }

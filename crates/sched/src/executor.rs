@@ -66,7 +66,7 @@ struct TaskEntry {
 /// O(tasks + cores) per quantum rather than O(cores × tasks).
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Per-cluster true (noise-free) power for the quantum.
+    /// Per-cluster power for the quantum.
     power: Vec<Watts>,
     /// CSR row offsets into `by_core`, `cores + 1` long.
     start: Vec<usize>,
@@ -102,10 +102,6 @@ pub struct System {
     tdp: Option<Watts>,
     /// Optional lumped thermal model, stepped with the cluster powers.
     thermal: Option<ThermalModel>,
-    /// Relative power-sensor noise amplitude (0 = ideal sensors).
-    sensor_noise: f64,
-    /// Deterministic xorshift state for the sensor noise.
-    noise_state: u64,
     scratch: StepScratch,
 }
 
@@ -125,38 +121,8 @@ impl System {
             metrics: RunMetrics::new(clusters),
             tdp: None,
             thermal: None,
-            sensor_noise: 0.0,
-            noise_state: 0x9E3779B97F4A7C15,
             scratch: StepScratch::default(),
         }
-    }
-
-    /// Inject multiplicative noise into the power sensors: each reading is
-    /// scaled by a deterministic pseudo-random factor in
-    /// `[1−amplitude, 1+amplitude]`. Real `hwmon` sensors are noisy; a
-    /// robust manager must not thrash on it. Energy metering (the physics)
-    /// stays exact — only the *readings* managers see are perturbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics for amplitudes outside `[0, 0.5]`.
-    pub fn set_sensor_noise(&mut self, amplitude: f64) {
-        assert!((0.0..=0.5).contains(&amplitude), "amplitude in [0, 0.5]");
-        self.sensor_noise = amplitude;
-    }
-
-    /// Next deterministic noise factor in `[1−a, 1+a]`.
-    fn noise_factor(&mut self) -> f64 {
-        if self.sensor_noise == 0.0 {
-            return 1.0;
-        }
-        let mut x = self.noise_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.noise_state = x;
-        let unit = (x % 10_000) as f64 / 10_000.0; // [0, 1)
-        1.0 + self.sensor_noise * (2.0 * unit - 1.0)
     }
 
     /// Attach a thermal model (one node per cluster).
@@ -316,19 +282,8 @@ impl System {
             .collect()
     }
 
-    /// Tasks mapped to any core of `cluster` (`T_v`).
-    pub fn tasks_on_cluster(&self, cluster: ClusterId) -> Vec<TaskId> {
-        let cores = self.chip.cores_of(cluster).to_vec();
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.active && cores.contains(&e.core))
-            .map(|(i, _)| TaskId(i))
-            .collect()
-    }
-
-    /// Whether any active task is mapped to a core of `cluster`, without
-    /// materialising the task list (hot-path form of `tasks_on_cluster`).
+    /// Whether any active task is mapped to a core of `cluster` (`T_v`
+    /// non-empty), without materialising the task list.
     pub fn cluster_has_tasks(&self, cluster: ClusterId) -> bool {
         self.entries
             .iter()
@@ -576,16 +531,12 @@ impl System {
 
         // 3. Power sensors, meters, and the thermal model.
         let chip_power: Watts = self.scratch.power.iter().copied().sum();
-        // Managers read (possibly noisy) sensors; physics stays exact.
-        let nf = self.noise_factor();
-        self.last_chip_power = chip_power * nf;
+        self.last_chip_power = chip_power;
         if let Some(thermal) = &mut self.thermal {
             thermal.step(&self.scratch.power, dt);
         }
         for ci in 0..n_clusters {
-            let p = self.scratch.power[ci];
-            let nf = self.noise_factor();
-            self.last_cluster_power[ci] = p * nf;
+            self.last_cluster_power[ci] = self.scratch.power[ci];
         }
         if record {
             self.metrics.chip_energy.record(chip_power, dt);
@@ -816,8 +767,8 @@ impl PowerManager for NullManager {
 }
 
 /// Simulation driver: owns the [`System`] and a manager, and advances time
-/// in fixed quanta with optional tape, faults, auditor, telemetry and
-/// stream attached.
+/// in fixed quanta with optional tape, faults, auditor and telemetry
+/// attached.
 pub struct Simulation<M> {
     system: System,
     manager: M,
@@ -840,9 +791,6 @@ pub struct Simulation<M> {
     /// `None`, every instrumentation site below is one branch on this
     /// option — the zero-overhead-off contract.
     telemetry: Option<Telemetry>,
-    /// Optional incremental telemetry export (see
-    /// [`Simulation::with_stream`]); pumped right after each recorded row.
-    stream: Option<ppm_obs::TelemetryStream>,
 }
 
 impl<M: PowerManager> Simulation<M> {
@@ -865,7 +813,6 @@ impl<M: PowerManager> Simulation<M> {
             faulted: ActuationPlan::new(),
             auditor: None,
             telemetry: None,
-            stream: None,
         }
     }
 
@@ -940,29 +887,29 @@ impl<M: PowerManager> Simulation<M> {
         self.telemetry.take()
     }
 
-    /// Stream the telemetry time-series to disk incrementally: after every
-    /// recorded row the stream is pumped, and whole flush windows of rows
-    /// leave the ring for the writer thread before wrap-around can claim
-    /// them. Requires a telemetry sink to be attached (the stream reads its
-    /// recorder); pair with [`Simulation::finish_stream`] after the run.
+    /// Stream the telemetry time-series to disk incrementally (see
+    /// [`Telemetry::with_stream`]): the stream becomes part of the attached
+    /// telemetry, which pumps it after every recorded row and carries it
+    /// along through [`Simulation::take_telemetry`]. Pair with
+    /// [`Simulation::finish_stream`] after the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no telemetry is attached: the stream reads the
+    /// telemetry's recorder, and without one it would write nothing.
     pub fn with_stream(mut self, stream: ppm_obs::TelemetryStream) -> Simulation<M> {
-        self.stream = Some(stream);
+        let tel = self
+            .telemetry
+            .take()
+            .expect("with_stream needs telemetry attached first (with_telemetry): the stream reads its recorder");
+        self.telemetry = Some(tel.with_stream(stream));
         self
     }
 
-    /// Attach a telemetry stream in place — [`Simulation::with_stream`]
-    /// for simulations already owned by a containing structure (a fleet
-    /// chip's per-chip stream, for instance).
-    pub fn set_stream(&mut self, stream: ppm_obs::TelemetryStream) {
-        self.stream = Some(stream);
-    }
-
     /// Flush the stream's unflushed tail, join its writer thread, and
-    /// report totals. `None` when no stream was attached.
+    /// report totals. `None` when no stream is attached.
     pub fn finish_stream(&mut self) -> Option<std::io::Result<ppm_obs::StreamStats>> {
-        let stream = self.stream.take()?;
-        let tel = self.telemetry.as_ref()?;
-        Some(stream.finish(&tel.recorder))
+        self.telemetry.as_mut()?.finish_stream()
     }
 
     /// The actuation tape recorded so far, when enabled.
@@ -1172,14 +1119,11 @@ impl<M: PowerManager> Simulation<M> {
             self.system.metrics.degradation = self.manager.degradation();
             if let Some(tel) = &mut self.telemetry {
                 self.manager.sample_policy(&mut tel.policy);
-                let stream_stats = self.stream.as_ref().map(ppm_obs::TelemetryStream::stats);
-                record_telemetry_row(&self.system, tel, self.snap.now, stream_stats);
+                record_telemetry_row(&self.system, tel, self.snap.now);
                 // Fold the fresh row into the live aggregation windows and
-                // the alert engine (one branch when neither is attached).
+                // the alert engine, then pump the stream (one branch each
+                // when not attached).
                 tel.roll_forward();
-                if let Some(stream) = &mut self.stream {
-                    stream.pump(&tel.recorder);
-                }
             }
         }
     }
@@ -1200,17 +1144,15 @@ impl<M: PowerManager> Simulation<M> {
 /// and the profiler's per-quantum spans; writes are indexed stores into
 /// the recorder's preallocated ring — no allocation once the entity
 /// population has been seen.
-fn record_telemetry_row(
-    sys: &System,
-    tel: &mut Telemetry,
-    at: SimTime,
-    stream_stats: Option<ppm_obs::StreamStats>,
-) {
+fn record_telemetry_row(sys: &System, tel: &mut Telemetry, at: SimTime) {
     let n_clusters = sys.chip.clusters().len();
     let n_cores = sys.chip.cores().len();
     let n_tasks = sys.entries.len();
     tel.recorder.ensure_shape(n_clusters, n_cores, n_tasks);
     let last_phases = tel.profiler.take_last();
+    // The stream's totals as of the previous row: this row is pumped only
+    // after it is written.
+    let stream_stats = tel.stream_stats();
 
     let deg = sys.metrics.degradation;
     let chip_power = sys.last_chip_power.value();
@@ -1589,14 +1531,16 @@ mod energy_attribution_tests {
 #[cfg(test)]
 mod sensor_noise_tests {
     use super::*;
+    use ppm_platform::faults::FaultConfig;
     use ppm_workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
     use ppm_workload::task::Priority;
 
+    /// Sensor noise is an observation fault: the readings the manager is
+    /// handed move, the physics and its energy meters do not.
     #[test]
     fn noise_perturbs_readings_but_not_energy() {
-        let make = |noise: f64| {
+        let make = |sigma: f64| {
             let mut sys = System::new(Chip::tc2(), AllocationPolicy::FairWeights);
-            sys.set_sensor_noise(noise);
             sys.add_task(
                 Task::new(
                     TaskId(0),
@@ -1605,18 +1549,24 @@ mod sensor_noise_tests {
                 ),
                 CoreId(0),
             );
-            let mut sim = Simulation::new(sys, NullManager);
+            let mut sim = Simulation::new(sys, NullManager)
+                .with_faults(FaultPlan::new(FaultConfig::sensor_noise(17, sigma)));
             sim.run_for(SimDuration::from_secs(5));
             let energy = sim.metrics().chip_energy.energy().value();
-            let reading = sim.system().chip_power().value();
+            // What the manager read at the last quantum's capture.
+            let reading = sim.snap.chip_power.value();
             (energy, reading)
         };
         let (e_clean, r_clean) = make(0.0);
         let (e_noisy, r_noisy) = make(0.10);
-        // Physics identical; only the last sensor reading wiggles.
-        assert!((e_clean - e_noisy).abs() < 1e-9);
+        // Physics identical; only the sensor reading wiggles.
+        assert_eq!(e_clean.to_bits(), e_noisy.to_bits());
+        assert!(r_clean > 0.0);
         assert!((r_noisy - r_clean).abs() > 1e-6, "noise should show up");
-        assert!((r_noisy / r_clean - 1.0).abs() <= 0.10 + 1e-9);
+        assert!(
+            (r_noisy / r_clean - 1.0).abs() <= 4.0 * 0.10,
+            "beyond 4 sigma"
+        );
     }
 
     #[test]

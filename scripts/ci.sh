@@ -76,23 +76,29 @@ for pinned in \
   echo "${pinned#* }  $obs_tmp/pinned.$ext" | sha256sum --check --quiet -
 done
 
-echo ">>> live scrape smoke (serving fleet on port 0, obs_validate scrapes both endpoints)"
-cargo run --release --quiet -p ppm --bin ppm-sim -- fleet \
-  --chips 4 --cap 12 --duration 3 --serve 127.0.0.1:0 --alerts --linger 60 \
-  > "$obs_tmp/serve.log" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 300); do
-  # Wait for the post-run audit report so the scrape lands inside the
-  # linger window (a post-run scrape is what ends the linger early).
-  if grep -q '# fleet audit' "$obs_tmp/serve.log"; then
-    addr="$(sed -n 's|^serving.*http://\([^/]*\)/metrics$|\1|p' "$obs_tmp/serve.log")"
-    break
-  fi
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serving fleet never reached its audit report"; exit 1; }
-cargo run --release --quiet -p ppm-obs --bin obs_validate -- --scrape "$addr"
-wait "$serve_pid"
+echo ">>> live scrape smoke (serving chip and fleet on port 0, obs_validate scrapes both endpoints)"
+# Serve one run, wait for its post-run report line so the scrape lands
+# inside the linger window (a post-run scrape is what ends the linger
+# early), scrape and validate both endpoints, and wait for a clean exit.
+serve_smoke() {
+  local name="$1" done_line="$2"
+  shift 2
+  cargo run --release --quiet -p ppm --bin ppm-sim -- "$@" > "$obs_tmp/$name.log" &
+  local pid=$! addr=""
+  for _ in $(seq 1 300); do
+    if grep -q "$done_line" "$obs_tmp/$name.log"; then
+      addr="$(sed -n 's|^serving.*http://\([^/]*\)/metrics$|\1|p' "$obs_tmp/$name.log")"
+      break
+    fi
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "serving $name never reached '$done_line'"; exit 1; }
+  cargo run --release --quiet -p ppm-obs --bin obs_validate -- --scrape "$addr"
+  wait "$pid"
+}
+serve_smoke chip '^alert tape:' \
+  --workload ol2 --tdp 4 --duration 3 --serve 127.0.0.1:0 --alerts --linger 60
+serve_smoke fleet '# fleet audit' \
+  fleet --chips 4 --cap 12 --duration 3 --serve 127.0.0.1:0 --alerts --linger 60
 
 echo "ci: all green"

@@ -1,8 +1,8 @@
 //! CLI-level coverage of `ppm-sim`'s observability surface: the fleet
 //! flag matrix (`--stream`/`--trace`/`--metrics`/`--serve` compose, each
-//! with chip tagging), the live scrape endpoint of a running fleet, the
-//! alert exit codes, and the fail-fast errors for incoherent flag
-//! combinations.
+//! with chip tagging), the live scrape endpoint of a running fleet and of
+//! a lone chip, the alert exit codes, and the fail-fast errors for
+//! incoherent flag combinations.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -98,19 +98,7 @@ fn fleet_serve_endpoint_scrapes_live_and_lingers_until_scraped() {
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn ppm-sim fleet --serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let serving = lines
-        .by_ref()
-        .map(|l| l.expect("stdout line"))
-        .find(|l| l.starts_with("serving"))
-        .expect("serving line before the run");
-    let addr = serving
-        .split("http://")
-        .nth(1)
-        .and_then(|s| s.strip_suffix("/metrics"))
-        .expect("address in serving line")
-        .to_string();
+    let (addr, mut lines) = serving_addr(&mut child);
 
     // Poll until the published snapshot carries all four chips (scrapes
     // that land mid-run may see an earlier epoch — that's fine, they must
@@ -156,21 +144,95 @@ fn fleet_serve_endpoint_scrapes_live_and_lingers_until_scraped() {
         .map(|l| l.expect("stdout line"))
         .find(|l| l.starts_with("# fleet audit"))
         .expect("audit report after the run");
+    let status = scrape_until_exit(&mut child, &addr);
+    assert!(status.success(), "fleet serve run exited {status}");
+    let _rest: Vec<String> = lines.map(|l| l.expect("stdout line")).collect();
+}
+
+/// Chip mode serves through the same path as a fleet (it runs as a
+/// one-chip fleet): the endpoint carries a `chip 0` section beside the
+/// fleet rollup, the JSON snapshot parses, and the linger ends once a
+/// post-run scrape is served.
+#[test]
+fn chip_serve_endpoint_scrapes_and_lingers_until_scraped() {
+    let mut child = ppm_sim()
+        .args([
+            "--workload",
+            "l1",
+            "--duration",
+            "3",
+            "--serve",
+            "127.0.0.1:0",
+            "--linger",
+            "30",
+        ])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ppm-sim --serve");
+    let (addr, mut lines) = serving_addr(&mut child);
+    // The summary's last line is printed after the run, before the linger.
+    lines
+        .by_ref()
+        .map(|l| l.expect("stdout line"))
+        .find(|l| l.starts_with("V-F transitions"))
+        .expect("summary after the run");
+    let text = ppm::obs::http::fetch(&addr, "/metrics").expect("post-run scrape");
+    assert!(text.contains("ppm_up 1"), "{text}");
+    assert!(text.contains("chip=\"chip 0\""), "{text}");
+    assert!(
+        text.contains("ppm_windows_closed_total{chip=\"fleet\"}"),
+        "{text}"
+    );
+    let body = ppm::obs::http::fetch(&addr, "/metrics.json").expect("json scrape");
+    let doc = json::parse(&body).expect("snapshot JSON parses");
+    let chips = doc
+        .get("aggregate")
+        .and_then(|a| a.get("chips"))
+        .and_then(Json::as_arr)
+        .expect("chips array");
+    assert_eq!(chips.len(), 1);
+
+    let status = scrape_until_exit(&mut child, &addr);
+    assert!(status.success(), "chip serve run exited {status}");
+}
+
+/// Read a `--serve` run's stdout up to its `serving` line and return the
+/// bound address, with the rest of stdout still to read.
+fn serving_addr(
+    child: &mut std::process::Child,
+) -> (String, std::io::Lines<BufReader<std::process::ChildStdout>>) {
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut lines = BufReader::new(stdout).lines();
+    let serving = lines
+        .by_ref()
+        .map(|l| l.expect("stdout line"))
+        .find(|l| l.starts_with("serving"))
+        .expect("serving line before the run");
+    let addr = serving
+        .split("http://")
+        .nth(1)
+        .and_then(|s| s.strip_suffix("/metrics"))
+        .expect("address in serving line")
+        .to_string();
+    (addr, lines)
+}
+
+/// Keep scraping a finished run — more than 250 ms apart, the linger's
+/// quiet window — until the process exits; it must exit within 15 s.
+fn scrape_until_exit(child: &mut std::process::Child, addr: &str) -> std::process::ExitStatus {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
-    let status = loop {
+    loop {
         if let Some(status) = child.try_wait().expect("poll child") {
-            break status;
+            return status;
         }
         if std::time::Instant::now() >= deadline {
             child.kill().expect("kill lingering child");
-            panic!("fleet serve run still lingering 15 s after its audit report");
+            panic!("serve run still lingering 15 s after its report");
         }
         // The endpoint may close between the poll and the fetch.
-        let _ = ppm::obs::http::fetch(&addr, "/metrics");
+        let _ = ppm::obs::http::fetch(addr, "/metrics");
         std::thread::sleep(std::time::Duration::from_millis(400));
-    };
-    assert!(status.success(), "fleet serve run exited {status}");
-    let _rest: Vec<String> = lines.map(|l| l.expect("stdout line")).collect();
+    }
 }
 
 /// `--alerts` exit semantics at the CLI: a starved single-chip run fires

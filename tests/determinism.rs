@@ -12,6 +12,7 @@ use ppm::core::manager::tc2_ppm_system;
 use ppm::core::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs, VfStep};
 use ppm::platform::cluster::ClusterId;
 use ppm::platform::core::CoreId;
+use ppm::platform::faults::{FaultConfig, FaultPlan};
 use ppm::platform::units::{ProcessingUnits, SimDuration, Watts};
 use ppm::sched::Simulation;
 use ppm::workload::sets::set_by_name;
@@ -19,9 +20,11 @@ use ppm::workload::task::{Priority, TaskId};
 
 fn fingerprint(noise: f64) -> (u64, String, String, u64, u64) {
     let set = set_by_name("m2").expect("m2");
-    let (mut sys, mgr) = tc2_ppm_system(set.spawn(0, Priority::NORMAL), PpmConfig::tc2());
-    sys.set_sensor_noise(noise);
+    let (sys, mgr) = tc2_ppm_system(set.spawn(0, Priority::NORMAL), PpmConfig::tc2());
     let mut sim = Simulation::new(sys, mgr).with_warmup(SimDuration::from_secs(2));
+    if noise > 0.0 {
+        sim = sim.with_faults(FaultPlan::new(FaultConfig::sensor_noise(0x5EED, noise)));
+    }
     sim.run_for(SimDuration::from_secs(30));
     let m = sim.metrics();
     (
@@ -40,7 +43,8 @@ fn identical_runs_are_bit_identical() {
 
 #[test]
 fn noisy_runs_are_also_deterministic() {
-    // The sensor noise is a seeded xorshift: reruns must match too.
+    // The sensor noise is drawn from the seeded fault plan: reruns must
+    // match too.
     assert_eq!(fingerprint(0.05), fingerprint(0.05));
     // ...while differing from the clean run.
     assert_ne!(fingerprint(0.05), fingerprint(0.0));

@@ -9,27 +9,32 @@ use ppm::core::manager::tc2_ppm_system;
 use ppm::core::market::{ClusterObs, CoreObs, Market, MarketObs, TaskObs};
 use ppm::obs::export::{write_fleet_chrome_trace, CounterSample};
 use ppm::obs::{
-    json, render_json, write_chrome_trace, write_jsonl, Phase, PolicySample, Telemetry,
+    json, render_json, write_chrome_trace, write_jsonl, AggSnapshot, AlertEngine, Phase,
+    PolicySample, ScrapeSnapshot, Telemetry,
 };
 use ppm::platform::cluster::ClusterId;
 use ppm::platform::core::CoreId;
+use ppm::platform::faults::{FaultConfig, FaultPlan};
 use ppm::platform::units::{ProcessingUnits, SimDuration, Watts};
 use ppm::sched::Simulation;
 use ppm::workload::sets::set_by_name;
 use ppm::workload::task::{Priority, TaskId};
 
-fn run_with_noise(noise: f64, tdp: Option<Watts>) -> (f64, f64, u64) {
+/// Run `m2` for 60 s with Gaussian power-sensor noise of relative `sigma`
+/// as the only fault (`sigma` 0 is the clean run).
+fn run_with_noise(sigma: f64, tdp: Option<Watts>) -> (f64, f64, u64) {
     let set = set_by_name("m2").expect("m2");
     let config = match tdp {
         Some(t) => PpmConfig::tc2_with_tdp(t),
         None => PpmConfig::tc2(),
     };
     let (mut sys, mgr) = tc2_ppm_system(set.spawn(0, Priority::NORMAL), config);
-    sys.set_sensor_noise(noise);
     if let Some(t) = tdp {
         sys.set_tdp_accounting(t);
     }
-    let mut sim = Simulation::new(sys, mgr).with_warmup(SimDuration::from_secs(5));
+    let mut sim = Simulation::new(sys, mgr)
+        .with_warmup(SimDuration::from_secs(5))
+        .with_faults(FaultPlan::new(FaultConfig::sensor_noise(0x5EED, sigma)));
     sim.run_for(SimDuration::from_secs(60));
     let m = sim.metrics();
     (
@@ -212,8 +217,7 @@ proptest! {
         let mut tel = Telemetry::new(8)
             .with_profiling()
             .with_aggregation(2_000)
-            .with_alerts()
-            .with_label(&label);
+            .with_alerts();
         tel.recorder.ensure_shape(2, 3, 2);
         let mut policy = PolicySample::new();
         for (q, v) in values.chunks_exact(12).enumerate() {
@@ -257,7 +261,18 @@ proptest! {
         let fleet = String::from_utf8(fleet).expect("utf-8");
         prop_assert!(json::parse(&fleet).is_ok(), "fleet trace: {:?}", json::parse(&fleet));
 
-        let snapshot = render_json(&tel.scrape_snapshot());
+        // The fuzzed label names the chip section, as a fleet driver's
+        // `chip {i}` does.
+        let agg = tel.aggregate.as_ref().expect("aggregation attached");
+        let chip = agg.snapshot(&label);
+        let mut rollup = AggSnapshot::empty("fleet", agg.window_us());
+        rollup.absorb(&chip);
+        let snapshot = render_json(&ScrapeSnapshot {
+            at_us: agg.now_us(),
+            fleet: Some(rollup),
+            chips: vec![chip],
+            alerts: tel.alerts.as_ref().map(AlertEngine::snapshot),
+        });
         prop_assert!(
             json::parse(&snapshot).is_ok(),
             "scrape snapshot: {:?}\n{}", json::parse(&snapshot), snapshot

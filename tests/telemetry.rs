@@ -106,13 +106,17 @@ fn all_golden_cells_are_bit_identical_with_aggregation_and_alerts() {
     }
 }
 
-/// Attaching the scrape endpoint — hub, server thread, and concurrent
-/// HTTP scrapes while the simulation runs — must not perturb the
-/// trajectory: an identical unobserved run produces the identical tape.
+/// Attaching the scrape endpoint — hub, server thread, a snapshot
+/// published after every trading epoch, and concurrent HTTP scrapes while
+/// the simulation runs — must not perturb the trajectory: a chip served
+/// the way `ppm-sim --serve` serves it (a one-chip fleet publishing
+/// through `run_publishing`) produces the tape of an identical unobserved
+/// standalone run.
 #[test]
 fn live_scrape_endpoint_is_observation_only() {
     use ppm::core::config::PpmConfig;
     use ppm::core::manager::{place_on_little, PpmManager};
+    use ppm::fleet::{trace::run_publishing, Fleet};
     use ppm::platform::chip::Chip;
     use ppm::platform::core::CoreId;
     use ppm::sched::{AllocationPolicy, Simulation, System};
@@ -134,24 +138,24 @@ fn live_scrape_endpoint_is_observation_only() {
     let hub = ppm::obs::SnapshotHub::new();
     let server = ppm::obs::ScrapeServer::serve("127.0.0.1:0", hub.clone()).expect("bind");
     let addr = server.local_addr().to_string();
-    let mut observed = build().with_telemetry(
-        Telemetry::new(256)
-            .with_aggregation(100_000)
-            .with_alerts()
-            .with_hub(hub),
+    let mut observed = Fleet::lone(
+        build().with_telemetry(Telemetry::new(256).with_aggregation(100_000).with_alerts()),
     );
-    // Scrape between slices so requests land while windows are closing.
+    // Scrape between epochs so requests land while windows are closing.
+    let epoch = observed.epoch();
     for _ in 0..20 {
-        observed.run_for(SimDuration::from_millis(100));
+        run_publishing(&mut observed, epoch, &hub);
         ppm::obs::http::fetch(&addr, "/metrics").expect("mid-run scrape");
     }
     assert!(server.served() >= 20);
+    assert_eq!(hub.version(), 20, "one publish per epoch");
     let text = ppm::obs::http::fetch(&addr, "/metrics").expect("final scrape");
     assert!(text.contains("ppm_up 1"));
-    assert!(text.contains("ppm_windows_closed_total{chip=\"fleet\"}"));
+    assert!(text.contains("ppm_windows_closed_total{chip=\"fleet\"} 19"));
+    assert!(text.contains("ppm_windows_closed_total{chip=\"chip 0\"} 19"));
 
     let a = plain.tape().expect("tape").render();
-    let b = observed.tape().expect("tape").render();
+    let b = observed.chip(0).sim().tape().expect("tape").render();
     assert!(!a.is_empty());
     assert_eq!(a, b, "serving live snapshots perturbed the simulation");
 }
@@ -404,6 +408,69 @@ impl std::io::Write for SharedSink {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
+}
+
+/// The `l1` set on TC2 under PPM, tasks placed on LITTLE.
+fn l1_sim() -> ppm::sched::Simulation<ppm::core::manager::PpmManager> {
+    use ppm::core::config::PpmConfig;
+    use ppm::core::manager::{place_on_little, PpmManager};
+    use ppm::platform::chip::Chip;
+    use ppm::platform::core::CoreId;
+    use ppm::sched::{AllocationPolicy, Simulation, System};
+    use ppm::workload::task::Priority;
+
+    let mut sys = System::new(Chip::tc2(), AllocationPolicy::Market);
+    for task in set_by_name("l1")
+        .expect("l1 exists")
+        .spawn(0, Priority::NORMAL)
+    {
+        sys.add_task(task, CoreId(0));
+    }
+    place_on_little(&mut sys);
+    Simulation::new(sys, PpmManager::new(PpmConfig::tc2()))
+}
+
+/// A stream reads the telemetry's recorder; attached without one it would
+/// write nothing, so attaching it is refused outright.
+#[test]
+#[should_panic(expected = "with_stream needs telemetry attached first")]
+fn stream_without_telemetry_panics() {
+    use ppm::obs::{StreamFormat, TelemetryStream};
+    let _ = l1_sim().with_stream(TelemetryStream::with_writer(
+        std::io::sink(),
+        StreamFormat::Csv,
+        64,
+    ));
+}
+
+/// The stream is part of the telemetry: taking the telemetry out of the
+/// simulation takes the stream along, and finishing it there delivers
+/// every row of the run, the unflushed tail included.
+#[test]
+fn taken_telemetry_finishes_its_stream_whole() {
+    use ppm::obs::{StreamFormat, TelemetryStream};
+    let sink = SharedSink::default();
+    let mut sim =
+        l1_sim()
+            .with_telemetry(Telemetry::new(256))
+            .with_stream(TelemetryStream::with_writer(
+                sink.clone(),
+                StreamFormat::Csv,
+                64,
+            ));
+    sim.run_for(SimDuration::from_secs(1));
+    let mut tel = sim.take_telemetry().expect("telemetry attached");
+    assert!(
+        sim.finish_stream().is_none(),
+        "the stream left with the telemetry"
+    );
+    let stats = tel
+        .finish_stream()
+        .expect("stream attached")
+        .expect("writer clean");
+    assert_eq!((stats.rows, stats.lost), (1000, 0));
+    let text = String::from_utf8(sink.0.lock().expect("sink lock").clone()).expect("utf-8");
+    assert_eq!(text.lines().count(), 1 + 1000, "header + every quantum");
 }
 
 /// FNV-1a (64-bit) over `bytes`.
