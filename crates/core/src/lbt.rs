@@ -14,11 +14,14 @@
 //! Steady-state prices at other V-F levels are extrapolated with the Eq. 2
 //! recursion `P_{Z+1} = P_Z · (1+δ)`.
 //!
-//! The module operates on plain [`LbtSnapshot`]s — exactly the
-//! information that is "hierarchically disseminated from the cluster agents
-//! to the chip agents and subsequently to the task agents" — so the
-//! scalability study (Table 7) can drive it directly with synthetic
-//! snapshots of up to 256 clusters × 16 cores × 32 tasks.
+//! The manager runs [`decide_move`]: one whole-chip pass over an
+//! [`LbtSnapshot`] of per-task estimates (its cost in a run is the
+//! benchmark's `core.lbt` layer). Table 7 times a different computation,
+//! [`constrained_core_scan`]: the paper's per-constrained-core scan over the
+//! aggregates "hierarchically disseminated from the cluster agents to the
+//! chip agents and subsequently to the task agents" ([`RemoteCluster`]), on
+//! synthetic inputs of up to 256 clusters × 16 cores × 32 tasks. The
+//! manager never runs the scan.
 
 use std::fmt;
 
@@ -149,15 +152,31 @@ impl ClusterSnapshot {
         }
         best
     }
+}
 
-    /// The level whose supply covers `demand` (rounded up), saturating at
-    /// the top of the ladder.
-    pub fn level_for(&self, demand: ProcessingUnits) -> usize {
-        self.ladder
-            .iter()
-            .position(|&s| s >= demand)
-            .unwrap_or(self.ladder.len() - 1)
+/// Index of the lowest supply in `ladder` that covers `demand` (rounded
+/// up), saturating at the top of the ladder.
+fn level_covering(ladder: &[ProcessingUnits], demand: ProcessingUnits) -> usize {
+    ladder
+        .iter()
+        .position(|&s| s >= demand)
+        .unwrap_or(ladder.len() - 1)
+}
+
+/// The Eq. 2 recursion: the price `price` observed at level `from`,
+/// extrapolated to level `to` by one `(1±δ)` factor per level step.
+fn price_at(price: Price, from: usize, to: usize, tolerance: f64) -> Price {
+    let mut price = price;
+    if to > from {
+        for _ in from..to {
+            price = price.inflated_by(tolerance);
+        }
+    } else {
+        for _ in to..from {
+            price = price.deflated_by(tolerance);
+        }
     }
+    price
 }
 
 /// Full steady-state snapshot consumed by the LBT decision procedures.
@@ -220,25 +239,14 @@ pub fn estimate_cluster(
         .iter()
         .map(|ts| -> ProcessingUnits { ts.iter().map(|t| t.demand_on(class)).sum() })
         .fold(ProcessingUnits::ZERO, ProcessingUnits::max);
-    let level = if snapshot.supply_capped {
+    let mut level = level_covering(&cluster.ladder, constrained_demand);
+    if snapshot.supply_capped {
         // Power-constrained: the cluster can shed load (lower level) but
         // cannot be assumed to raise it.
-        cluster.level_for(constrained_demand).min(cluster.level)
-    } else {
-        cluster.level_for(constrained_demand)
-    };
-    let supply = cluster.ladder[level];
-    // Eq. 2: extrapolate the price across the level distance.
-    let mut price = cluster.price;
-    if level > cluster.level {
-        for _ in cluster.level..level {
-            price = price.inflated_by(snapshot.tolerance);
-        }
-    } else {
-        for _ in level..cluster.level {
-            price = price.deflated_by(snapshot.tolerance);
-        }
+        level = level.min(cluster.level);
     }
+    let supply = cluster.ladder[level];
+    let mut price = price_at(cluster.price, cluster.level, level, snapshot.tolerance);
     // A cluster with no market yet (idle, price 0) would otherwise estimate
     // free resources; floor at the price implied by minimum bids.
     if !price.is_positive() && supply.is_positive() {
@@ -300,32 +308,43 @@ pub fn estimate_cluster(
     }
 }
 
-/// `perf(M′) > perf(M)` over the tasks whose ratios changed (§3.3): some
-/// task improves its supply/demand ratio and no higher-priority task is
-/// worse off.
-pub fn perf_better(new: &[(TaskId, u32, f64)], old: &[(TaskId, u32, f64)]) -> bool {
-    let old_of = |id: TaskId| old.iter().find(|(i, _, _)| *i == id).map(|&(_, _, r)| r);
-    let improved: Vec<&(TaskId, u32, f64)> = new
-        .iter()
-        .filter(|(id, _, r)| old_of(*id).is_none_or(|o| *r > o + EPS))
-        .collect();
-    improved.iter().any(|&&(_, prio, _)| {
-        new.iter().all(|&(uid, uprio, ur)| {
-            if uprio <= prio {
-                return true;
-            }
-            old_of(uid).is_none_or(|o| ur >= o - EPS)
-        })
-    })
+/// How a move changes the supply/demand ratios of the tasks it touches,
+/// folded in one pass over `(priority, old, new)` triples, one per task.
+/// §3.3's two comparisons depend only on each task's own pair, and an
+/// unchanged ratio satisfies both, so a move is judged on the tasks of the
+/// clusters it touches.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PerfChange {
+    /// Highest priority among the tasks whose ratio rises.
+    improved: Option<u32>,
+    /// Highest priority among the tasks whose ratio falls.
+    worsened: Option<u32>,
 }
 
-/// `perf(M′) ≥ perf(M)` over changed tasks: no task's ratio degrades.
-pub fn perf_not_worse(new: &[(TaskId, u32, f64)], old: &[(TaskId, u32, f64)]) -> bool {
-    new.iter().all(|&(id, _, r)| {
-        old.iter()
-            .find(|(oid, _, _)| *oid == id)
-            .is_none_or(|&(_, _, o)| r >= o - EPS)
-    })
+impl PerfChange {
+    /// Fold `(priority, old, new)` triples, one per task.
+    pub fn of(triples: impl IntoIterator<Item = (u32, f64, f64)>) -> Self {
+        let mut change = PerfChange::default();
+        for (priority, old, new) in triples {
+            if new > old + EPS {
+                change.improved = change.improved.max(Some(priority));
+            } else if new < old - EPS {
+                change.worsened = change.worsened.max(Some(priority));
+            }
+        }
+        change
+    }
+
+    /// `perf(M′) > perf(M)` (§3.3): some task's ratio rises and no
+    /// higher-priority task's falls.
+    pub fn better(self) -> bool {
+        self.improved.is_some_and(|p| self.worsened <= Some(p))
+    }
+
+    /// `perf(M′) ≥ perf(M)`: no task's ratio falls.
+    pub fn not_worse(self) -> bool {
+        self.worsened.is_none()
+    }
 }
 
 /// A move proposed by the LBT module.
@@ -377,187 +396,196 @@ fn assignment_of(cluster: &ClusterSnapshot) -> Vec<Vec<&TaskSnapshot>> {
         .collect()
 }
 
-/// Candidate evaluation shared by migration and load balancing: move `task`
-/// from `(src_cluster, src_core)` to `(dst_cluster, dst_core)` and estimate
-/// the affected clusters before/after.
-struct Candidate {
-    task: TaskId,
-    to_core: CoreId,
-    old_ratios: Vec<(TaskId, u32, f64)>,
-    new_ratios: Vec<(TaskId, u32, f64)>,
-    spend_delta: Money,
-    power_delta: Watts,
+/// Tasks on the cores before `core`: where that core's tasks start in a
+/// cluster estimate's ratios, which follow assignment order.
+fn ratio_offset<T>(cores: &[Vec<T>], core: usize) -> usize {
+    cores[..core].iter().map(Vec::len).sum()
 }
 
-fn evaluate_move(
-    snapshot: &LbtSnapshot,
-    src_ci: usize,
-    src_core: usize,
-    dst_ci: usize,
-    dst_core: usize,
-    task: &TaskSnapshot,
-) -> Candidate {
-    let src = &snapshot.clusters[src_ci];
-    let old_ratios;
-    let new_ratios;
-    let spend_delta;
-    let power_delta;
-
-    if src_ci == dst_ci {
-        // Intra-cluster: one estimate pair.
-        let before = estimate_cluster(snapshot, src, &assignment_of(src));
-        let mut asg = assignment_of(src);
-        asg[src_core].retain(|t| t.id != task.id);
-        asg[dst_core].push(task);
-        let after = estimate_cluster(snapshot, src, &asg);
-        old_ratios = before.ratios;
-        new_ratios = after.ratios;
-        spend_delta = after.spend - before.spend;
-        power_delta = after.power - before.power;
-    } else {
-        let dst = &snapshot.clusters[dst_ci];
-        let src_before = estimate_cluster(snapshot, src, &assignment_of(src));
-        let dst_before = estimate_cluster(snapshot, dst, &assignment_of(dst));
-        let mut src_asg = assignment_of(src);
-        src_asg[src_core].retain(|t| t.id != task.id);
-        let mut dst_asg = assignment_of(dst);
-        dst_asg[dst_core].push(task);
-        let src_after = estimate_cluster(snapshot, src, &src_asg);
-        let dst_after = estimate_cluster(snapshot, dst, &dst_asg);
-        let mut old = src_before.ratios;
-        old.extend(dst_before.ratios);
-        let mut new = src_after.ratios;
-        new.extend(dst_after.ratios);
-        old_ratios = old;
-        new_ratios = new;
-        spend_delta = (src_after.spend + dst_after.spend) - (src_before.spend + dst_before.spend);
-        power_delta = (src_after.power + dst_after.power) - (src_before.power + dst_before.power);
-    }
-    Candidate {
-        task: task.id,
-        to_core: snapshot.clusters[dst_ci].cores[dst_core].id,
-        old_ratios,
-        new_ratios,
-        spend_delta,
-        power_delta,
-    }
+/// One LBT invocation: each cluster's current mapping is estimated once and
+/// shared by every candidate of both searches.
+struct Pass<'a> {
+    snapshot: &'a LbtSnapshot,
+    /// Estimate of each cluster's current mapping.
+    before: Vec<ClusterEstimate>,
+    /// Whether every task meets its demand under `before`.
+    all_meet: bool,
+    /// Each cluster's most over-supplied unconstrained core.
+    targets: Vec<usize>,
 }
 
-/// Figure 3's decision procedure over `targets`: either reduce spending
-/// without hurting performance (all demands met) or raise the ratio of the
-/// highest-priority unsatisfied task. `targets` yields
-/// `(dst_cluster_index, dst_core_index)` pairs per source cluster.
-fn decide<F>(snapshot: &LbtSnapshot, mut targets_for: F) -> Option<Move>
-where
-    F: FnMut(usize) -> Vec<(usize, usize)>,
-{
-    // Do all tasks meet their demand in the current steady-state estimate?
-    let mut all_meet = true;
-    let mut estimates = Vec::with_capacity(snapshot.clusters.len());
-    for cl in &snapshot.clusters {
-        let est = estimate_cluster(snapshot, cl, &assignment_of(cl));
-        all_meet &= est.ratios.iter().all(|&(_, _, r)| r >= 1.0 - EPS);
-        estimates.push(est);
-    }
-
-    let mut best: Option<(Move, f64)> = None; // (move, performance gain key)
-    for (src_ci, cl) in snapshot.clusters.iter().enumerate() {
-        let constrained = cl.constrained_core();
-        let est = &estimates[src_ci];
-        // Candidate movers: task agents in the constrained core; when some
-        // demands are unmet, only the unsatisfied ones there contemplate
-        // moving (Figure 3).
-        let movers: Vec<&TaskSnapshot> = cl.cores[constrained]
-            .tasks
+impl<'a> Pass<'a> {
+    fn new(snapshot: &'a LbtSnapshot) -> Self {
+        let clusters = &snapshot.clusters;
+        let before: Vec<ClusterEstimate> = clusters
             .iter()
-            .filter(|t| {
-                if all_meet {
-                    true
-                } else {
-                    est.ratios
-                        .iter()
-                        .find(|(id, _, _)| *id == t.id)
-                        .is_some_and(|&(_, _, r)| r < 1.0 - EPS)
-                }
+            .map(|cl| estimate_cluster(snapshot, cl, &assignment_of(cl)))
+            .collect();
+        let all_meet = before
+            .iter()
+            .all(|est| est.ratios.iter().all(|&(_, _, r)| r >= 1.0 - EPS));
+        let targets = clusters
+            .iter()
+            .map(ClusterSnapshot::most_oversupplied_unconstrained)
+            .collect();
+        Pass {
+            snapshot,
+            before,
+            all_meet,
+            targets,
+        }
+    }
+
+    /// Move the `mover`-th task of core `src_core` in cluster `src` to core
+    /// `dst_core` of cluster `dst`, returning the move (its goal left for
+    /// the caller to set), the performance change and the mover's ratio
+    /// before and after. Only the touched clusters' after-mappings are
+    /// estimated: one within a cluster, two across clusters.
+    fn evaluate(
+        &self,
+        src: usize,
+        src_core: usize,
+        mover: usize,
+        dst: usize,
+        dst_core: usize,
+    ) -> (Move, PerfChange, (f64, f64)) {
+        let clusters = &self.snapshot.clusters;
+        let task = &clusters[src].cores[src_core].tasks[mover];
+        let mut touched = vec![(src, assignment_of(&clusters[src]))];
+        let old_at = ratio_offset(&touched[0].1, src_core) + mover;
+        touched[0].1[src_core].remove(mover);
+        if dst != src {
+            touched.push((dst, assignment_of(&clusters[dst])));
+        }
+        let dst_asg = &mut touched.last_mut().expect("the source is touched").1;
+        dst_asg[dst_core].push(task);
+        // The mover is the last task of its new core.
+        let new_at = ratio_offset(dst_asg, dst_core + 1) - 1;
+        let after: Vec<(&ClusterEstimate, ClusterEstimate)> = touched
+            .iter()
+            .map(|(ci, asg)| {
+                (
+                    &self.before[*ci],
+                    estimate_cluster(self.snapshot, &clusters[*ci], asg),
+                )
             })
             .collect();
-        if movers.is_empty() {
-            continue;
-        }
-        for (dst_ci, dst_core) in targets_for(src_ci) {
-            for task in &movers {
-                let cand = evaluate_move(snapshot, src_ci, constrained, dst_ci, dst_core, task);
-                if all_meet {
-                    // Power goal (Figure 3, left branch): the profiled
-                    // power estimate must drop while performance does not.
-                    // (The formal condition is spend(M′) < spend(M); the
-                    // implementation speculates with profiled power per
-                    // core type, as §5.2 describes, which also prices the
-                    // fixed cost of keeping a cluster online.)
-                    if cand.power_delta.value() < -EPS
-                        && perf_not_worse(&cand.new_ratios, &cand.old_ratios)
-                    {
-                        let better = match &best {
-                            None => true,
-                            Some((m, _)) => cand.power_delta < m.power_delta,
-                        };
-                        if better {
-                            best = Some((
-                                Move {
-                                    task: cand.task,
-                                    to_core: cand.to_core,
-                                    goal: MoveGoal::PowerEfficiency,
-                                    spend_delta: cand.spend_delta,
-                                    power_delta: cand.power_delta,
-                                },
-                                0.0,
-                            ));
-                        }
+
+        let mover_ratios = (
+            self.before[src].ratios[old_at].2,
+            after[after.len() - 1].1.ratios[new_at].2,
+        );
+        // Outside the mover, a move keeps each ratio list in order, so the
+        // lists align once the mover is skipped on both sides.
+        let stays = |r: &&(TaskId, u32, f64)| r.0 != task.id;
+        let triples = after.iter().flat_map(|(before, after)| {
+            let pairs = before
+                .ratios
+                .iter()
+                .filter(stays)
+                .zip(after.ratios.iter().filter(stays));
+            pairs.map(|(&(id, priority, old), &(after_id, _, new))| {
+                debug_assert_eq!(id, after_id, "ratio lists out of step");
+                (priority, old, new)
+            })
+        });
+        let perf = PerfChange::of(triples.chain([(task.priority, mover_ratios.0, mover_ratios.1)]));
+        let (spend_delta, power_delta) = match after.as_slice() {
+            [(before, after)] => (after.spend - before.spend, after.power - before.power),
+            [(src_before, src_after), (dst_before, dst_after)] => (
+                (src_after.spend + dst_after.spend) - (src_before.spend + dst_before.spend),
+                (src_after.power + dst_after.power) - (src_before.power + dst_before.power),
+            ),
+            _ => unreachable!("a move touches one or two clusters"),
+        };
+        let m = Move {
+            task: task.id,
+            to_core: clusters[dst].cores[dst_core].id,
+            goal: MoveGoal::Performance,
+            spend_delta,
+            power_delta,
+        };
+        (m, perf, mover_ratios)
+    }
+
+    /// Figure 3's decision procedure over the migration or the
+    /// load-balancing targets: either reduce spending without hurting
+    /// performance (all demands met) or raise the ratio of the
+    /// highest-priority unsatisfied task.
+    fn best(&self, migration: bool) -> Option<Move> {
+        let mut best: Option<(Move, f64)> = None; // (move, performance gain key)
+        for (src, cl) in self.snapshot.clusters.iter().enumerate() {
+            let constrained = cl.constrained_core();
+            let tasks = &cl.cores[constrained].tasks;
+            let offset: usize = cl.cores[..constrained].iter().map(|c| c.tasks.len()).sum();
+            let ratios = &self.before[src].ratios[offset..offset + tasks.len()];
+            // Candidate movers: task agents in the constrained core; when
+            // some demands are unmet, only the unsatisfied ones there
+            // contemplate moving (Figure 3).
+            let movers: Vec<usize> = (0..tasks.len())
+                .filter(|&i| self.all_meet || ratios[i].2 < 1.0 - EPS)
+                .collect();
+            // Migration targets every other cluster's most over-supplied
+            // unconstrained core; load balancing, the source cluster's own.
+            let dsts = self
+                .targets
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(ci, core)| {
+                    if migration {
+                        ci != src
+                    } else {
+                        ci == src && cl.cores.len() > 1 && core != constrained
                     }
-                } else {
-                    // Performance goal (Figure 3, right branch): the
-                    // mover's ratio must improve without hurting
-                    // higher-priority tasks; prefer the highest-priority
-                    // mover, then the largest gain, then better power.
-                    if !perf_better(&cand.new_ratios, &cand.old_ratios) {
-                        continue;
-                    }
-                    let old_r = cand
-                        .old_ratios
-                        .iter()
-                        .find(|(id, _, _)| *id == cand.task)
-                        .map_or(0.0, |&(_, _, r)| r);
-                    let new_r = cand
-                        .new_ratios
-                        .iter()
-                        .find(|(id, _, _)| *id == cand.task)
-                        .map_or(0.0, |&(_, _, r)| r);
-                    let gain = (task.priority as f64) * 1e6 + (new_r - old_r);
-                    let better = match &best {
-                        None => true,
-                        Some((m, best_gain)) => {
-                            gain > *best_gain + EPS
-                                || ((gain - *best_gain).abs() <= EPS
-                                    && cand.power_delta < m.power_delta)
-                        }
+                });
+            for (dst, dst_core) in dsts {
+                for &mover in &movers {
+                    let (cand, perf, (old_r, new_r)) =
+                        self.evaluate(src, constrained, mover, dst, dst_core);
+                    let (goal, gain, better) = if self.all_meet {
+                        // Power goal (Figure 3, left branch): the profiled
+                        // power estimate must drop while performance does
+                        // not. (Formally spend(M′) < spend(M); speculating
+                        // with profiled power per core type, as §5.2 does,
+                        // also prices keeping a cluster online.)
+                        let better = cand.power_delta.value() < -EPS
+                            && perf.not_worse()
+                            && best.is_none_or(|(m, _)| cand.power_delta < m.power_delta);
+                        (MoveGoal::PowerEfficiency, 0.0, better)
+                    } else {
+                        // Performance goal (Figure 3, right branch): the
+                        // mover's ratio must improve without hurting
+                        // higher-priority tasks; prefer the highest-priority
+                        // mover, then the largest gain, then better power.
+                        let gain = (tasks[mover].priority as f64) * 1e6 + (new_r - old_r);
+                        let better = perf.better()
+                            && new_r > old_r + EPS
+                            && best.is_none_or(|(m, best_gain)| {
+                                gain > best_gain + EPS
+                                    || ((gain - best_gain).abs() <= EPS
+                                        && cand.power_delta < m.power_delta)
+                            });
+                        (MoveGoal::Performance, gain, better)
                     };
-                    if better && new_r > old_r + EPS {
-                        best = Some((
-                            Move {
-                                task: cand.task,
-                                to_core: cand.to_core,
-                                goal: MoveGoal::Performance,
-                                spend_delta: cand.spend_delta,
-                                power_delta: cand.power_delta,
-                            },
-                            gain,
-                        ));
+                    if better {
+                        best = Some((Move { goal, ..cand }, gain));
                     }
                 }
             }
         }
+        best.map(|(m, _)| m)
     }
-    best.map(|(m, _)| m)
+}
+
+/// One LBT invocation (§3.3): with `migrate`, the best cross-cluster
+/// migration, else (or when none qualifies) the best intra-cluster
+/// load-balancing move. Both searches share one estimate of the current
+/// mapping; at most one move is approved.
+pub fn decide_move(snapshot: &LbtSnapshot, migrate: bool) -> Option<Move> {
+    let pass = Pass::new(snapshot);
+    let migration = if migrate { pass.best(true) } else { None };
+    migration.or_else(|| pass.best(false))
 }
 
 /// Cross-cluster task migration (§3.3): consider, for every cluster's
@@ -565,36 +593,13 @@ where
 /// unconstrained core of each *other* cluster. At most one move is approved
 /// per invocation.
 pub fn decide_migration(snapshot: &LbtSnapshot) -> Option<Move> {
-    let targets: Vec<(usize, usize)> = snapshot
-        .clusters
-        .iter()
-        .enumerate()
-        .map(|(ci, cl)| (ci, cl.most_oversupplied_unconstrained()))
-        .collect();
-    decide(snapshot, |src_ci| {
-        targets
-            .iter()
-            .copied()
-            .filter(|&(ci, _)| ci != src_ci)
-            .collect()
-    })
+    Pass::new(snapshot).best(true)
 }
 
 /// Intra-cluster load balancing (§3.3): move one task from the constrained
 /// core to the most over-supplied unconstrained core of the *same* cluster.
 pub fn decide_load_balance(snapshot: &LbtSnapshot) -> Option<Move> {
-    decide(snapshot, |src_ci| {
-        let cl = &snapshot.clusters[src_ci];
-        if cl.cores.len() < 2 {
-            return Vec::new();
-        }
-        let dst = cl.most_oversupplied_unconstrained();
-        if dst == cl.constrained_core() {
-            Vec::new()
-        } else {
-            vec![(src_ci, dst)]
-        }
-    })
+    Pass::new(snapshot).best(false)
 }
 
 #[cfg(test)]
@@ -851,6 +856,27 @@ mod tests {
         assert_eq!(decide_load_balance(&s), None);
     }
 
+    /// `perf_better` and `perf_not_worse` of `new` against `old`, aligned
+    /// by position.
+    fn perf_better(new: &[(TaskId, u32, f64)], old: &[(TaskId, u32, f64)]) -> bool {
+        perf_change(new, old).better()
+    }
+
+    fn perf_not_worse(new: &[(TaskId, u32, f64)], old: &[(TaskId, u32, f64)]) -> bool {
+        perf_change(new, old).not_worse()
+    }
+
+    fn perf_change(new: &[(TaskId, u32, f64)], old: &[(TaskId, u32, f64)]) -> PerfChange {
+        PerfChange::of(
+            new.iter()
+                .zip(old)
+                .map(|(&(id, prio, n), &(old_id, _, o))| {
+                    assert_eq!(id, old_id);
+                    (prio, o, n)
+                }),
+        )
+    }
+
     #[test]
     fn perf_comparison_follows_priority_order() {
         let old = vec![(TaskId(0), 2, 0.8), (TaskId(1), 1, 0.5)];
@@ -893,7 +919,7 @@ mod tests {
         );
         let mut moves = 0;
         for _ in 0..20 {
-            let Some(m) = decide_migration(&s).or_else(|| decide_load_balance(&s)) else {
+            let Some(m) = decide_move(&s, true) else {
                 break;
             };
             moves += 1;
@@ -998,24 +1024,9 @@ pub fn constrained_core_scan(
             let (core_idx, core_demand, core_priority) = targets[ci];
             let d = t.demand_on(r.class);
             let new_demand = core_demand + d;
-            // Steady-state level: lowest supply covering the new demand.
-            let level = r
-                .ladder
-                .iter()
-                .position(|&s| s >= new_demand)
-                .unwrap_or(r.ladder.len() - 1);
+            let level = level_covering(&r.ladder, new_demand);
             let supply = r.ladder[level];
-            // Eq. 2 price recursion across the level distance.
-            let mut price = r.price;
-            if level > r.level {
-                for _ in r.level..level {
-                    price = price.inflated_by(tolerance);
-                }
-            } else {
-                for _ in level..r.level {
-                    price = price.deflated_by(tolerance);
-                }
-            }
+            let price = price_at(r.price, r.level, level, tolerance);
             // Priority-proportional steady-state share, capped at demand.
             let total_r = (core_priority + t.priority) as f64;
             let share = (supply * (t.priority as f64 / total_r)).min(d);

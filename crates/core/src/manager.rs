@@ -31,8 +31,8 @@ use ppm_predict::OnlineEstimator;
 use crate::config::PpmConfig;
 use crate::events::{Event, EventLog};
 use crate::lbt::{
-    decide_load_balance, decide_migration, ClusterPowerProfile, ClusterSnapshot, CoreSnapshot,
-    LbtSnapshot, Move, TaskSnapshot,
+    decide_move, ClusterPowerProfile, ClusterSnapshot, CoreSnapshot, LbtSnapshot, Move,
+    TaskSnapshot,
 };
 use crate::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs, VfStep};
 use crate::state::PowerState;
@@ -654,12 +654,7 @@ impl PpmManager {
     /// Run the LBT module and queue at most one move.
     fn run_lbt(&mut self, snap: &SystemSnapshot, plan: &mut ActuationPlan, migrate: bool) {
         let snapshot = self.lbt_snapshot(snap);
-        let decision = if migrate {
-            decide_migration(&snapshot).or_else(|| decide_load_balance(&snapshot))
-        } else {
-            decide_load_balance(&snapshot)
-        };
-        if let Some(m) = decision {
+        if let Some(m) = decide_move(&snapshot, migrate) {
             // Moving to a gated cluster requires powering it up first.
             let from_cluster = snap
                 .core(snap.task(m.task).expect("mover is active").core)
@@ -1225,117 +1220,6 @@ mod tests {
             swap < body,
             "high-priority swaptions ({swap:.2}) should beat bodytrack ({body:.2})"
         );
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use ppm_platform::units::SimDuration;
-    use ppm_sched::executor::Simulation;
-    use ppm_workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
-    use ppm_workload::task::{Priority, Task};
-
-    #[test]
-    #[ignore]
-    fn debug_tdp_scenario() {
-        use crate::manager::tc2_ppm_system;
-        let mk =
-            |id: usize, b, i| Task::new(TaskId(id), BenchmarkSpec::of(b, i).unwrap(), Priority(1));
-        let (sys, mgr) = tc2_ppm_system(
-            vec![
-                mk(0, Benchmark::Tracking, Input::FullHd),
-                mk(1, Benchmark::Multicnt, Input::FullHd),
-                mk(2, Benchmark::Texture, Input::FullHd),
-                mk(3, Benchmark::Swaptions, Input::Native),
-                mk(4, Benchmark::X264, Input::Native),
-                mk(5, Benchmark::Blackscholes, Input::Native),
-            ],
-            PpmConfig::tc2_with_tdp(ppm_platform::units::Watts(4.0)),
-        );
-        let mut sim = Simulation::new(sys, mgr).with_warmup(SimDuration::from_secs(5));
-        for _ in 0..260 {
-            sim.run_for(SimDuration::from_millis(250));
-            let s = sim.system();
-            let d = sim.manager().last_decision().unwrap();
-            println!(
-                "t={:.2}s W={:.2} A={:.2} state={:?} lvl={:?} D={:.0} S={:.0} map={:?}",
-                s.now().as_secs_f64(),
-                s.chip_power().value(),
-                d.allowance.value(),
-                d.state,
-                s.chip()
-                    .clusters()
-                    .iter()
-                    .map(|c| if c.is_off() { 99 } else { c.level().0 })
-                    .collect::<Vec<_>>(),
-                d.total_demand.value(),
-                d.total_supply.value(),
-                s.task_ids()
-                    .iter()
-                    .map(|&t| s.core_of(t).0)
-                    .collect::<Vec<_>>()
-            );
-        }
-        let m = sim.metrics();
-        println!(
-            "ABOVE_TDP fraction: {:.3}",
-            m.time_above_tdp.as_secs_f64() / m.total_time().as_secs_f64()
-        );
-    }
-
-    #[test]
-    #[ignore]
-    fn debug_priority_scenario() {
-        let chip = ppm_platform::chip::Chip::tc2();
-        let mut sys = System::new(chip, AllocationPolicy::Market);
-        let t0 = Task::new(
-            TaskId(0),
-            BenchmarkSpec::of(Benchmark::Swaptions, Input::Native).unwrap(),
-            Priority(7),
-        );
-        let t1 = Task::new(
-            TaskId(1),
-            BenchmarkSpec::of(Benchmark::Bodytrack, Input::Native).unwrap(),
-            Priority(1),
-        );
-        sys.add_task(t0, CoreId(3));
-        sys.add_task(t1, CoreId(3));
-        let mgr = PpmManager::new(PpmConfig::tc2().without_lbt());
-        let mut sim = Simulation::new(sys, mgr);
-        for step in 0..100 {
-            sim.run_for(SimDuration::from_millis(200));
-            let s = sim.system();
-            let d = sim.manager().last_decision().unwrap();
-            println!(
-                "t={:.1}s W={:.2} A={:.2} state={:?} lvl={:?} hr0={:.2} hr1={:.2} | {:?}",
-                s.now().as_secs_f64(),
-                s.chip_power().value(),
-                d.allowance.value(),
-                d.state,
-                s.chip()
-                    .clusters()
-                    .iter()
-                    .map(|c| c.level().0)
-                    .collect::<Vec<_>>(),
-                s.task(TaskId(0)).normalized_heart_rate(),
-                s.task(TaskId(1)).normalized_heart_rate(),
-                d.tasks
-                    .iter()
-                    .map(|t| format!(
-                        "b={:.2} m={:.2} s={:.0} d={:.0} a={:.2}",
-                        t.bid.value(),
-                        t.savings.value(),
-                        t.supply.value(),
-                        t.demand.value(),
-                        t.allowance.value()
-                    ))
-                    .collect::<Vec<_>>()
-            );
-            if step > 40 {
-                break;
-            }
-        }
     }
 }
 

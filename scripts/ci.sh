@@ -24,6 +24,15 @@ echo ">>> 256-chip V64/C8 acceptance epochs (ignored in tier-1; release only)"
 cargo test -q --release -p ppm-fleet large_fleet_epoch_is_auditor_clean -- --ignored
 cargo test -q --release --test fleet openloop_fleet_256_chips_is_auditor_clean -- --ignored
 
+echo ">>> Table 7 (the constrained-core scan prints its 12 grid rows and the scaling line)"
+table7_out="$(cargo run --release --quiet -p ppm-bench --bin table7)"
+table7_rows="$(grep -cE '^\| [0-9]+ \| [0-9]+ \| [0-9]+ \| [0-9]+ \|' <<< "$table7_out" || true)"
+if [ "$table7_rows" -ne 12 ] || ! grep -q '^scaling: ' <<< "$table7_out"; then
+  echo "table7 printed $table7_rows of 12 grid rows or no scaling line:"
+  echo "$table7_out"
+  exit 1
+fi
+
 echo ">>> benchmark package tests (workload smokes + digest self-checks)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

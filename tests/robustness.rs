@@ -125,12 +125,36 @@ fn tasks_on_unobserved_cores_degrade_gracefully() {
 
 #[test]
 fn noisy_sensors_near_the_tdp_do_not_collapse_the_market() {
-    // Noise makes the power reading flicker across the threshold/emergency
-    // boundaries; the state machine and cooldowns must damp it.
+    // `m2` averages about 2.5 W, so a 4 W cap never binds and the noisy
+    // reading never crosses the threshold: this run matches the uncapped
+    // one. The flicker across a binding cap is the next test's subject.
     let tdp = Watts(4.0);
     let (miss, power, _vf) = run_with_noise(0.05, Some(tdp));
     assert!(power < 4.0, "cap must hold on average: {power:.2} W");
     assert!(miss < 0.5, "flicker starved the workload: {miss:.2}");
+}
+
+#[test]
+fn noisy_sensors_under_a_binding_cap_hold_it() {
+    // Caps below `m2`'s uncapped draw: the clean reading already sits in
+    // the threshold band, and noise makes it flicker across the
+    // threshold/emergency boundaries. The cap must hold on average either
+    // way.
+    let (_, uncapped, _) = run_with_noise(0.0, None);
+    for cap in [2.4, 2.2, 2.0] {
+        let (_, clean, _) = run_with_noise(0.0, Some(Watts(cap)));
+        assert!(
+            clean < uncapped - 0.2,
+            "a {cap} W cap must bind: {clean:.3} W capped vs {uncapped:.3} W uncapped"
+        );
+        let (_, noisy, _) = run_with_noise(0.05, Some(Watts(cap)));
+        for (sigma, power) in [(0.0, clean), (0.05, noisy)] {
+            assert!(
+                power < cap,
+                "a {cap} W cap must hold on average at noise {sigma}: {power:.3} W"
+            );
+        }
+    }
 }
 
 /// Fragments that steer random text towards the edges of the JSON grammar;
