@@ -3,20 +3,20 @@
 //! Models the Linaro big.LITTLE MP scheduler of Linux 3.8 as the paper
 //! describes it (§5.3): "the activeness of a task (the amount of time spent
 //! in the active task run-queue) is used as a proxy for migration decisions
-//! … the HL scheduler migrates a task to [the] A15 cluster (A7 cluster) once
+//! … the HL scheduler migrates a task to \[the\] A15 cluster (A7 cluster) once
 //! the time spent in the active run-queue exceeds (falls below) certain
 //! predefined threshold. Furthermore, the HL scheduler does not react to the
 //! varying demands of the individual tasks." Frequencies come from the
 //! per-cluster *ondemand* governor.
 //!
-//! Under a TDP cap the paper "switch[es] off the A15 cluster once the power
+//! Under a TDP cap the paper "switch\[es\] off the A15 cluster once the power
 //! exceeds the TDP", since the A7 cluster alone stays within the budget.
 
 use ppm_platform::cluster::ClusterId;
 use ppm_platform::core::{CoreClass, CoreId};
 use ppm_platform::units::{SimDuration, SimTime, Watts};
 use ppm_sched::executor::{AllocationPolicy, PhaseProfiler, PowerManager, System};
-use ppm_sched::governor::{FrequencyGovernor, Ondemand};
+use ppm_sched::governor::Ondemand;
 use ppm_sched::plan::ActuationPlan;
 use ppm_sched::snapshot::SystemSnapshot;
 use ppm_workload::task::TaskId;
@@ -269,7 +269,7 @@ impl PowerManager for HlManager {
     fn plan(
         &mut self,
         snap: &SystemSnapshot,
-        dt: SimDuration,
+        _dt: SimDuration,
         plan: &mut ActuationPlan,
         _prof: Option<&mut PhaseProfiler>,
     ) {
@@ -279,7 +279,7 @@ impl PowerManager for HlManager {
         }
         for ci in 0..snap.clusters.len() {
             let cl = ClusterId(ci);
-            if let Some(level) = self.governors[ci].govern(snap, cl, dt) {
+            if let Some(level) = self.governors[ci].govern(snap, cl) {
                 plan.request_level(cl, level);
             }
         }

@@ -1,6 +1,6 @@
 //! HPM: hierarchical control-theoretic power management.
 //!
-//! Models the paper's own earlier framework [25] as §5.3 characterises it:
+//! Models the paper's own earlier framework \[25\] as §5.3 characterises it:
 //! "a control-theory based power management framework that employs multiple
 //! PID controllers to meet the demand of tasks in asymmetric multi-cores
 //! under TDP constraint. However, the HPM scheduler uses naive load

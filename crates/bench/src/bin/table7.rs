@@ -63,32 +63,57 @@ fn build(v: usize, c: usize, t: usize, seed: u64) -> (Vec<TaskSnapshot>, Vec<Rem
     (tasks, remotes)
 }
 
-fn measure(v: usize, c: usize, t: usize) -> f64 {
-    let (tasks, remotes) = build(v, c, t, 42);
-    // Warm up, then time enough iterations for a stable mean.
-    let mut sink = Money::ZERO;
-    for _ in 0..3 {
-        if let Some(r) = constrained_core_scan(&tasks, &remotes, 0.2) {
-            sink += r.spend;
+/// Batches timed per shape; the median is reported with the min–max spread.
+/// On a shared host one batch can read up to ~40 % off its neighbours, and
+/// 15 batches hold the median steady where 7 did not.
+const BATCHES: usize = 15;
+/// Shortest batch, so even a sub-microsecond call is timed over many calls.
+const MIN_BATCH_SECS: f64 = 0.010;
+
+/// One Table 7 shape: its disseminated state and calls per timed batch.
+struct Shape {
+    tasks: Vec<TaskSnapshot>,
+    remotes: Vec<RemoteCluster>,
+    iters: u64,
+}
+
+impl Shape {
+    /// Build the shape and calibrate (and warm up) its batch: double the
+    /// calls until one batch lasts [`MIN_BATCH_SECS`].
+    fn new(v: usize, c: usize, t: usize) -> Shape {
+        let (tasks, remotes) = build(v, c, t, 42);
+        let mut shape = Shape {
+            tasks,
+            remotes,
+            iters: 1,
+        };
+        while shape.batch() < MIN_BATCH_SECS {
+            shape.iters *= 2;
         }
+        shape
     }
-    let iters = 20.max(2_000_000 / (v * c + t * v * 8).max(1));
-    let start = Instant::now();
-    for _ in 0..iters {
-        if let Some(r) = constrained_core_scan(&tasks, &remotes, 0.2) {
-            sink += r.spend;
+
+    /// Wall seconds of one batch of `iters` scans.
+    fn batch(&self) -> f64 {
+        let mut sink = Money::ZERO;
+        let start = Instant::now();
+        for _ in 0..self.iters {
+            if let Some(r) = constrained_core_scan(&self.tasks, &self.remotes, 0.2) {
+                sink += r.spend;
+            }
         }
+        std::hint::black_box(sink);
+        start.elapsed().as_secs_f64()
     }
-    let per = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    std::hint::black_box(sink);
-    per
 }
 
 fn main() {
     println!("# Table 7 — LBT overhead in the constrained core");
     println!("(host wall-clock; the paper's A7 @ 350 MHz reported 0.038-11.4 ms)\n");
-    println!("| V | C | T | total tasks | avg overhead [ms] | overhead vs 190 ms period |");
-    println!("|---|---|---|---|---|---|");
+    println!(
+        "| V | C | T | total tasks | median overhead [ms] | overhead vs 190 ms period | [min–max] [ms] |"
+    );
+    println!("|---|---|---|---|---|---|---|");
     let configs = [
         (2usize, 4usize, 8usize),
         (2, 4, 32),
@@ -103,20 +128,34 @@ fn main() {
         (256, 16, 8),
         (256, 16, 32),
     ];
-    let mut results = Vec::new();
-    for (v, c, t) in configs {
-        let ms = measure(v, c, t);
-        results.push(((v, c, t), ms));
+    let shapes: Vec<Shape> = configs
+        .iter()
+        .map(|&(v, c, t)| Shape::new(v, c, t))
+        .collect();
+    // Interleave the batches (one of every shape per pass), so a change in
+    // host speed during the run lands on every shape alike instead of
+    // skewing the shapes timed while it lasted.
+    let mut per_call = vec![Vec::with_capacity(BATCHES); shapes.len()];
+    for _ in 0..BATCHES {
+        for (shape, times) in shapes.iter().zip(&mut per_call) {
+            times.push(shape.batch() * 1e3 / shape.iters as f64);
+        }
+    }
+    let mut medians = Vec::with_capacity(shapes.len());
+    for (&(v, c, t), times) in configs.iter().zip(&mut per_call) {
+        times.sort_by(f64::total_cmp);
+        let (ms, min, max) = (times[BATCHES / 2], times[0], times[BATCHES - 1]);
+        medians.push(ms);
         println!(
-            "| {v} | {c} | {t} | {} | {:.4} | {:.3}% |",
+            "| {v} | {c} | {t} | {} | {ms:.4} | {:.3}% | [{min:.4}–{max:.4}] |",
             v * c * t,
-            ms,
             ms / 190.0 * 100.0
         );
     }
-    // Scaling shape: the largest configuration should cost roughly
-    // (T·V) / (T·V) times the smallest, i.e. scale near-linearly in T·V.
-    let (small, large) = (results[0].1, results[results.len() - 1].1);
+    // Scaling shape, from the medians: the largest configuration should
+    // cost roughly (T·V) / (T·V) times the smallest, i.e. scale
+    // near-linearly in T·V.
+    let (small, large) = (medians[0], medians[medians.len() - 1]);
     let work_ratio = (32.0 * 256.0) / (8.0 * 2.0);
     println!(
         "\nscaling: largest/smallest time = {:.0}x for {:.0}x more T*V work \

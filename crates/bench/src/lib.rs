@@ -167,17 +167,6 @@ pub struct Harness {
     pub lone_chip_fleet: bool,
 }
 
-impl Harness {
-    /// Faults from `seed` (default magnitudes) plus the auditor.
-    pub fn faulted_and_audited(seed: u64) -> Harness {
-        Harness {
-            faults: Some(FaultConfig::with_seed(seed)),
-            audit: true,
-            ..Harness::default()
-        }
-    }
-}
-
 /// Everything a hardened run produced.
 #[derive(Debug)]
 pub struct HardenedRun {

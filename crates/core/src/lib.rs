@@ -44,14 +44,12 @@
 
 pub mod agents;
 pub mod config;
-pub mod events;
 pub mod lbt;
 pub mod manager;
 pub mod market;
 pub mod state;
 
 pub use crate::config::{ConfigError, PpmConfig};
-pub use crate::events::{Event, EventLog, LoggedEvent};
 pub use crate::lbt::{decide_load_balance, decide_migration, LbtSnapshot, Move, MoveGoal};
 pub use crate::manager::{place_on_little, tc2_ppm_system, PpmManager};
 pub use crate::market::{Market, MarketDecision, MarketObs, VfStep};

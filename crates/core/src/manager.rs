@@ -29,10 +29,8 @@ use ppm_workload::task::TaskId;
 use ppm_predict::OnlineEstimator;
 
 use crate::config::PpmConfig;
-use crate::events::{Event, EventLog};
 use crate::lbt::{
-    decide_move, ClusterPowerProfile, ClusterSnapshot, CoreSnapshot, LbtSnapshot, Move,
-    TaskSnapshot,
+    decide_move, ClusterPowerProfile, ClusterSnapshot, CoreSnapshot, LbtSnapshot, TaskSnapshot,
 };
 use crate::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs, VfStep};
 use crate::state::PowerState;
@@ -102,8 +100,6 @@ pub struct PpmManager {
     last_decision: Option<MarketDecision>,
     /// Reusable observation buffer (cleared and refilled every round).
     obs_buf: MarketObs,
-    /// Moves performed, for diagnostics.
-    moves: Vec<(SimTime, Move)>,
     /// Tasks seen in the previous round (sorted), for exit cleanup.
     known_tasks: Vec<TaskId>,
     /// Scratch for this round's sorted task ids.
@@ -115,9 +111,6 @@ pub struct PpmManager {
     lbt_profiles: Vec<ClusterPowerProfile>,
     /// Online demand estimator (when `config.online_estimation` is set).
     estimator: OnlineEstimator,
-    /// Structured decision log.
-    events: EventLog,
-    last_state: PowerState,
     /// Bid rounds this manager has run (cadence base for retry backoff).
     bid_rounds: u64,
     /// Last plausible chip-power reading and when it was taken, for the
@@ -137,13 +130,9 @@ pub struct PpmManager {
     audit_prev_allowance: Option<Money>,
     /// Last market round the auditor has seen.
     audited_round: u64,
-    /// Live graceful-degradation counters, incremented exactly where the
-    /// corresponding [`Event`]s are pushed (so telemetry and hardened-run
-    /// totals never replay the event stream).
+    /// Live graceful-degradation counters (sensor fallbacks, actuation
+    /// retries, orphaned tasks), read by run metrics and telemetry.
     degradation: Degradation,
-    /// Cumulative shed count last logged per open-loop task, dense by task
-    /// id (grows only on admission — steady state is indexed reads).
-    shed_seen: Vec<u64>,
 }
 
 impl PpmManager {
@@ -161,14 +150,11 @@ impl PpmManager {
             lbs_since_migration: 0,
             last_decision: None,
             obs_buf: MarketObs::empty(),
-            moves: Vec::new(),
             known_tasks: Vec::new(),
             current_tasks: Vec::new(),
             nice_scratch: Vec::new(),
             lbt_profiles: Vec::new(),
             estimator: OnlineEstimator::new(),
-            events: EventLog::new(),
-            last_state: PowerState::Normal,
             bid_rounds: 0,
             last_good_power: None,
             last_good_temp: None,
@@ -179,7 +165,6 @@ impl PpmManager {
             audit_prev_allowance: None,
             audited_round: 0,
             degradation: Degradation::default(),
-            shed_seen: Vec::new(),
         }
     }
 
@@ -216,20 +201,9 @@ impl PpmManager {
         self.last_decision.as_ref()
     }
 
-    /// All task movements the LBT module has performed.
-    pub fn moves(&self) -> &[(SimTime, Move)] {
-        &self.moves
-    }
-
     /// The online estimator (only populated when online estimation is on).
     pub fn estimator(&self) -> &OnlineEstimator {
         &self.estimator
-    }
-
-    /// The structured decision log (rounds, state changes, DVFS steps,
-    /// migrations, task churn).
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// Feed the estimator with this round's observations.
@@ -254,13 +228,6 @@ impl PpmManager {
                 let bound = SimDuration(self.config.bid_period.0 * Self::POWER_STALENESS_ROUNDS);
                 if snap.now.since(at) <= bound {
                     self.degradation.sensor_fallbacks += 1;
-                    self.events.push(
-                        snap.now,
-                        Event::SensorFallback {
-                            observed: raw,
-                            used: w,
-                        },
-                    );
                     return w;
                 }
             }
@@ -384,14 +351,6 @@ impl PpmManager {
             w.attempts += 1;
             plan.request_level(ClusterId(ci), VfLevel(w.target));
             self.degradation.dvfs_retries += 1;
-            self.events.push(
-                snap.now,
-                Event::DvfsRetry {
-                    cluster: ClusterId(ci),
-                    level: VfLevel(w.target),
-                    attempt: w.attempts,
-                },
-            );
             self.dvfs_watch[ci] = Some(w);
         }
     }
@@ -428,14 +387,6 @@ impl PpmManager {
         }
         plan.migrate(w.task, w.to);
         self.degradation.migration_retries += 1;
-        self.events.push(
-            snap.now,
-            Event::MigrationRetry {
-                task: w.task,
-                to: w.to,
-                attempt: w.attempts,
-            },
-        );
         self.migration_watch = Some(w);
     }
 
@@ -656,33 +607,21 @@ impl PpmManager {
         let snapshot = self.lbt_snapshot(snap);
         if let Some(m) = decide_move(&snapshot, migrate) {
             // Moving to a gated cluster requires powering it up first.
-            let from_cluster = snap
-                .core(snap.task(m.task).expect("mover is active").core)
-                .cluster;
             let target_cluster = snap.core(m.to_core).cluster;
             if plan.cluster_off(snap, target_cluster) {
                 plan.power_on(target_cluster);
             }
             // LBT never proposes a same-core move (movers sit on the
             // constrained core, targets never do) and PPM sets no affinity
-            // masks, so the queued migration is real; log it.
+            // masks, so the queued migration is real; watch it land.
             if plan.core_of(snap, m.task) != m.to_core {
                 plan.migrate(m.task, m.to_core);
-                self.moves.push((snap.now, m));
                 self.migration_watch = Some(MigrationWatch {
                     task: m.task,
                     to: m.to_core,
                     attempts: 0,
                     next_retry: self.bid_rounds + 1,
                 });
-                self.events.push(
-                    snap.now,
-                    Event::Migration {
-                        task: m.task,
-                        to: m.to_core,
-                        inter_cluster: from_cluster != target_cluster,
-                    },
-                );
             }
         }
     }
@@ -746,9 +685,9 @@ impl PowerManager for PpmManager {
         self.retry_lost_dvfs(snap, plan);
         self.retry_lost_migration(snap, plan);
         // Task churn: retire the market agents of departed tasks (their
-        // savings leave the economy with them) and log admissions. The
-        // sorted merge-diff replaces HashSet differences, so churn events
-        // fire in task-id order on every run.
+        // savings leave the economy with them). The sorted merge-diff
+        // replaces HashSet differences, so departures are retired in
+        // task-id order on every run.
         //
         // Fast path: the snapshot's change mask says the task section is
         // bitwise what the previous capture held, and an exact in-order id
@@ -757,7 +696,6 @@ impl PowerManager for PpmManager {
         // merge-diff is skipped entirely. `snap.tasks` (hence `obs_buf.tasks`) is
         // ascending by id, and `known_tasks` is sorted, so a zip compare
         // is exact.
-        let now = snap.now;
         let membership_unchanged = !snap.changed.tasks
             && self.obs_buf.tasks.len() == self.known_tasks.len()
             && self
@@ -767,59 +705,13 @@ impl PowerManager for PpmManager {
                 .zip(&self.known_tasks)
                 .all(|(t, &k)| t.id == k);
         if !membership_unchanged {
-            self.diff_task_churn(now);
+            self.diff_task_churn();
         }
         // Run the round into the recycled decision buffer.
         let mut decision = self.last_decision.take().unwrap_or_default();
         self.market
             .round_into(&self.obs_buf, &mut decision, prof.as_deref_mut());
-        self.events.push(
-            now,
-            Event::Round {
-                round: self.market.rounds(),
-                allowance: decision.allowance,
-                power: self.obs_buf.chip_power,
-                state: decision.state,
-            },
-        );
-        for &(task, core) in &decision.orphans {
-            self.degradation.tasks_orphaned += 1;
-            self.events.push(now, Event::TaskOrphaned { task, core });
-        }
-        if decision.state != self.last_state {
-            self.events.push(
-                now,
-                Event::StateChange {
-                    from: self.last_state,
-                    to: decision.state,
-                },
-            );
-            self.last_state = decision.state;
-        }
-        for &(cluster, step) in &decision.dvfs {
-            self.events.push(now, Event::Dvfs { cluster, step });
-        }
-        // Open-loop back-pressure: log the per-task shed delta since the
-        // previous round, so overload shows up in the decision log exactly
-        // once per burst rather than once per dropped request.
-        for t in &snap.tasks {
-            if let Some(o) = t.open_loop {
-                if t.id.0 >= self.shed_seen.len() {
-                    self.shed_seen.resize(t.id.0 + 1, 0);
-                }
-                let prev = self.shed_seen[t.id.0];
-                if o.shed > prev {
-                    self.events.push(
-                        now,
-                        Event::RequestShed {
-                            task: t.id,
-                            dropped: o.shed - prev,
-                        },
-                    );
-                    self.shed_seen[t.id.0] = o.shed;
-                }
-            }
-        }
+        self.degradation.tasks_orphaned += decision.orphans.len() as u64;
         self.apply(snap, plan, &decision);
         let state = decision.state;
         self.last_decision = Some(decision);
@@ -913,42 +805,22 @@ impl PowerManager for PpmManager {
 
 impl PpmManager {
     /// The sorted merge-diff behind task-churn handling: retire departed
-    /// tasks' market agents, log admissions, and refresh `known_tasks`.
-    fn diff_task_churn(&mut self, now: SimTime) {
+    /// tasks' market agents and estimator state, and refresh `known_tasks`.
+    fn diff_task_churn(&mut self) {
         self.current_tasks.clear();
         self.current_tasks
             .extend(self.obs_buf.tasks.iter().map(|t| t.id));
         self.current_tasks.sort_unstable();
-        let (mut i, mut j) = (0, 0);
-        while i < self.known_tasks.len() || j < self.current_tasks.len() {
-            let old = self.known_tasks.get(i).copied();
-            let new = self.current_tasks.get(j).copied();
-            match (old, new) {
-                (Some(o), Some(n)) if o == n => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(o), Some(n)) if o < n => {
-                    self.market.remove_task(o);
-                    self.estimator.remove_task(o);
-                    self.events.push(now, Event::TaskExited { task: o });
-                    i += 1;
-                }
-                (Some(_), Some(n)) => {
-                    self.events.push(now, Event::TaskAdmitted { task: n });
-                    j += 1;
-                }
-                (Some(o), None) => {
-                    self.market.remove_task(o);
-                    self.estimator.remove_task(o);
-                    self.events.push(now, Event::TaskExited { task: o });
-                    i += 1;
-                }
-                (None, Some(n)) => {
-                    self.events.push(now, Event::TaskAdmitted { task: n });
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
+        // Both lists are sorted: walk `current_tasks` alongside, and retire
+        // every known task it no longer holds, in ascending id order.
+        let mut j = 0;
+        for &old in &self.known_tasks {
+            while self.current_tasks.get(j).is_some_and(|&n| n < old) {
+                j += 1;
+            }
+            if self.current_tasks.get(j) != Some(&old) {
+                self.market.remove_task(old);
+                self.estimator.remove_task(old);
             }
         }
         std::mem::swap(&mut self.known_tasks, &mut self.current_tasks);
@@ -1085,9 +957,6 @@ pub fn tc2_ppm_system(
     (sys, PpmManager::new(config))
 }
 
-// Re-export for examples' convenience.
-pub use crate::market::VfStep as AppliedVfStep;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1160,10 +1029,12 @@ mod tests {
                     == ppm_platform::core::CoreClass::Big
             })
             .count();
+        let m = sim.metrics();
         assert!(
             moved_to_big >= 1,
-            "heavy tasks should spill to the big cluster; moves: {:?}",
-            sim.manager().moves()
+            "heavy tasks should spill to the big cluster; migrations: {} inter-cluster, {} intra",
+            m.migrations_inter,
+            m.migrations_intra
         );
     }
 
@@ -1267,16 +1138,15 @@ mod nice_actuation_tests {
 }
 
 #[cfg(test)]
-mod event_tests {
+mod churn_tests {
     use super::*;
-    use crate::events::Event;
     use ppm_platform::units::SimDuration;
     use ppm_sched::executor::Simulation;
     use ppm_workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
     use ppm_workload::task::{Priority, Task};
 
     #[test]
-    fn manager_logs_rounds_dvfs_and_churn() {
+    fn manager_runs_rounds_steps_vf_and_retires_departed_agents() {
         let (sys, mgr) = tc2_ppm_system(
             vec![Task::new(
                 TaskId(0),
@@ -1296,26 +1166,23 @@ mod event_tests {
             ppm_platform::core::CoreId(1),
         );
         sim.run_for(SimDuration::from_secs(2));
+        assert!(
+            sim.manager().market().bid_of(TaskId(1)) > Money::ZERO,
+            "an admitted task gets a market agent"
+        );
         sim.system_mut().remove_task(TaskId(1));
         sim.run_for(SimDuration::from_secs(1));
 
-        let log = sim.manager().events();
-        assert!(!log.is_empty());
-        let rounds = log.filtered(|e| matches!(e, Event::Round { .. })).count();
-        assert!(rounds > 100, "one event per bid round: {rounds}");
+        let rounds = sim.manager().market().rounds();
+        assert!(rounds > 100, "one market round per bid period: {rounds}");
         assert!(
-            log.filtered(|e| matches!(e, Event::Dvfs { .. })).count() > 0,
+            sim.metrics().vf_transitions > 0,
             "tracking_f at 800 PU forces DVFS activity"
         );
         assert_eq!(
-            log.filtered(|e| matches!(e, Event::TaskAdmitted { task } if task.0 == 1))
-                .count(),
-            1
-        );
-        assert_eq!(
-            log.filtered(|e| matches!(e, Event::TaskExited { task } if task.0 == 1))
-                .count(),
-            1
+            sim.manager().market().bid_of(TaskId(1)),
+            Money::ZERO,
+            "a departed task's agent is freed"
         );
     }
 }

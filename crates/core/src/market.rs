@@ -324,9 +324,6 @@ pub struct Market {
     round: u64,
     /// Rounds remaining before another emergency cut may fire.
     emergency_cooldown: u32,
-    /// The bid every new task agent starts with (the paper's examples start
-    /// at $1).
-    initial_bid: Money,
     scratch: RoundScratch,
 }
 
@@ -335,6 +332,10 @@ impl Market {
     /// cuts, so one cut's effect (deflation, V-F steps) is observed before
     /// cutting again — Table 3 holds `A` for two rounds after the cut.
     pub const EMERGENCY_COOLDOWN_ROUNDS: u32 = 2;
+
+    /// The bid every new task agent starts with (the paper's examples start
+    /// at $1).
+    const INITIAL_BID: Money = Money(1.0);
 
     /// A market with no agents yet.
     ///
@@ -353,14 +354,8 @@ impl Market {
             state: PowerState::Normal,
             round: 0,
             emergency_cooldown: 0,
-            initial_bid: Money(1.0),
             scratch: RoundScratch::default(),
         }
-    }
-
-    /// Override the bid new task agents start with (defaults to $1).
-    pub fn set_initial_bid(&mut self, bid: Money) {
-        self.initial_bid = bid;
     }
 
     /// Adopt a new chip power budget: the TDP (`W_tdp`) and the threshold
@@ -668,8 +663,7 @@ impl Market {
             let cap = a + agent.savings;
             let bid = if !agent.seen {
                 agent.seen = true;
-                self.initial_bid
-                    .clamp(self.config.min_bid, cap.max(self.config.min_bid))
+                Self::INITIAL_BID.clamp(self.config.min_bid, cap.max(self.config.min_bid))
             } else if frozen {
                 agent.bid
             } else {

@@ -1,7 +1,7 @@
 //! # ppm-fleet — a multi-chip fleet under one datacenter power cap
 //!
 //! The rest of the workspace simulates *one* chip: a [`Simulation`] owns a
-//! [`System`] and a [`PowerManager`](ppm_sched::executor::PowerManager) that
+//! [`System`](ppm_sched::executor::System) and a [`PowerManager`] that
 //! steers it inside a fixed TDP. This crate lifts that single-chip
 //! assumption: a [`Fleet`] owns N complete chip simulations — each with its
 //! own chip topology, V-F tables, electricity price, workload, and fault
@@ -19,7 +19,7 @@
 //! 2. **Trade** — serially, in chip order: collect each manager's
 //!    [`FleetBid`](ppm_sched::executor::FleetBid) (its market's marginal
 //!    heart-rate-per-watt, via
-//!    [`PowerManager::fleet_bid`](ppm_sched::executor::PowerManager::fleet_bid)),
+//!    [`PowerManager::fleet_bid`]),
 //!    clear the exchange, and push each cleared allowance back as the
 //!    chip's TDP for the next epoch
 //!    ([`Simulation::set_power_budget`]).

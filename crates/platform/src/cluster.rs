@@ -119,11 +119,6 @@ impl Cluster {
         self.pending.map_or(self.level, |(l, _)| l)
     }
 
-    /// Power state.
-    pub fn power_state(&self) -> ClusterPowerState {
-        self.state
-    }
-
     /// True when the cluster is power-gated.
     pub fn is_off(&self) -> bool {
         self.state == ClusterPowerState::Off
@@ -145,11 +140,6 @@ impl Cluster {
     /// Regulator transition latency.
     pub fn transition_latency(&self) -> SimDuration {
         self.transition_latency
-    }
-
-    /// Override the regulator transition latency.
-    pub fn set_transition_latency(&mut self, latency: SimDuration) {
-        self.transition_latency = latency;
     }
 
     /// Request a change to `target` at time `now`.

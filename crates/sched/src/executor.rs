@@ -305,11 +305,6 @@ impl System {
         self.entries[id.0].nice = nice;
     }
 
-    /// A task's nice value.
-    pub fn nice_of(&self, id: TaskId) -> Nice {
-        self.entries[id.0].nice
-    }
-
     /// PU supply granted to the task in the last quantum — the `s_t` a task
     /// agent observes.
     pub fn granted(&self, id: TaskId) -> ProcessingUnits {
@@ -332,11 +327,6 @@ impl System {
     /// here the manager's).
     pub fn set_affinity(&mut self, id: TaskId, mask: CpuMask) {
         self.entries[id.0].affinity = mask;
-    }
-
-    /// A task's affinity mask.
-    pub fn affinity_of(&self, id: TaskId) -> &CpuMask {
-        &self.entries[id.0].affinity
     }
 
     /// True when the task's affinity allows `core`.
@@ -717,7 +707,7 @@ pub trait PowerManager {
     fn sample_policy(&self, _out: &mut ppm_obs::PolicySample) {}
 
     /// Live graceful-degradation counters (see
-    /// [`Degradation`](crate::metrics::Degradation)). The executor copies
+    /// [`Degradation`]). The executor copies
     /// this into [`RunMetrics::degradation`] every quantum; the default
     /// reports zeroes.
     fn degradation(&self) -> Degradation {
@@ -940,11 +930,6 @@ impl<M: PowerManager> Simulation<M> {
     /// The manager.
     pub fn manager(&self) -> &M {
         &self.manager
-    }
-
-    /// Mutable manager access.
-    pub fn manager_mut(&mut self) -> &mut M {
-        &mut self.manager
     }
 
     /// The execution quantum (fleet drivers align their epochs to it).

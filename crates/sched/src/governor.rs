@@ -1,12 +1,11 @@
-//! `cpufreq`-style frequency governors.
+//! The `cpufreq` *ondemand* frequency governor.
 //!
 //! The HL baseline pairs the heterogeneity-aware scheduler with the Linux
 //! *ondemand* governor ("changes the frequency value based on processor
-//! utilization", §5.3). Performance and powersave governors are provided for
-//! experimental controls.
+//! utilization", §5.3).
 //!
-//! Governors follow the snapshot-in / plan-out boundary: they read a
-//! [`SystemSnapshot`] and *return* the level they want, which the caller
+//! The governor follows the snapshot-in / plan-out boundary: it reads a
+//! [`SystemSnapshot`] and *returns* the level it wants, which the caller
 //! queues as a [`RequestLevel`](crate::plan::Action::RequestLevel) action.
 
 use ppm_platform::cluster::ClusterId;
@@ -14,21 +13,6 @@ use ppm_platform::units::{SimDuration, SimTime};
 use ppm_platform::vf::VfLevel;
 
 use crate::snapshot::SystemSnapshot;
-
-/// A per-cluster frequency policy.
-pub trait FrequencyGovernor {
-    /// Governor name (`ondemand`, `performance`, …).
-    fn name(&self) -> &'static str;
-
-    /// Observe the snapshot and, if warranted, return a new level to request
-    /// for `cluster`.
-    fn govern(
-        &mut self,
-        snap: &SystemSnapshot,
-        cluster: ClusterId,
-        dt: SimDuration,
-    ) -> Option<VfLevel>;
-}
 
 /// Linux *ondemand*: jump to the highest frequency when utilization exceeds
 /// the up-threshold, otherwise pick the lowest frequency that keeps
@@ -62,17 +46,10 @@ impl Default for Ondemand {
     }
 }
 
-impl FrequencyGovernor for Ondemand {
-    fn name(&self) -> &'static str {
-        "ondemand"
-    }
-
-    fn govern(
-        &mut self,
-        snap: &SystemSnapshot,
-        cluster: ClusterId,
-        _dt: SimDuration,
-    ) -> Option<VfLevel> {
+impl Ondemand {
+    /// Observe the snapshot and, once per sampling period, return a new
+    /// level to request for `cluster` when it differs from the current one.
+    pub fn govern(&mut self, snap: &SystemSnapshot, cluster: ClusterId) -> Option<VfLevel> {
         if snap.now < self.next_sample {
             return None;
         }
@@ -102,113 +79,6 @@ impl FrequencyGovernor for Ondemand {
     }
 }
 
-/// Linux *conservative*: like ondemand but stepping one level at a time,
-/// trading responsiveness for fewer/smaller frequency swings.
-#[derive(Debug, Clone)]
-pub struct Conservative {
-    /// Utilization above which the level steps up.
-    pub up_threshold: f64,
-    /// Utilization below which the level steps down.
-    pub down_threshold: f64,
-    /// Sampling period.
-    pub sampling_period: SimDuration,
-    next_sample: SimTime,
-}
-
-impl Conservative {
-    /// The classic defaults (80 %/20 %, 100 ms sampling).
-    pub fn new() -> Conservative {
-        Conservative {
-            up_threshold: 0.80,
-            down_threshold: 0.20,
-            sampling_period: SimDuration::from_millis(100),
-            next_sample: SimTime::ZERO,
-        }
-    }
-}
-
-impl Default for Conservative {
-    fn default() -> Self {
-        Conservative::new()
-    }
-}
-
-impl FrequencyGovernor for Conservative {
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-
-    fn govern(
-        &mut self,
-        snap: &SystemSnapshot,
-        cluster: ClusterId,
-        _dt: SimDuration,
-    ) -> Option<VfLevel> {
-        if snap.now < self.next_sample {
-            return None;
-        }
-        self.next_sample = snap.now + self.sampling_period;
-        let cl = snap.cluster(cluster);
-        if cl.off {
-            return None;
-        }
-        let util = cl
-            .cores
-            .iter()
-            .map(|&c| snap.core(c).utilization)
-            .fold(0.0_f64, f64::max);
-        let level = cl.level;
-        let target = if util >= self.up_threshold {
-            cl.step_up()
-        } else if util <= self.down_threshold {
-            cl.step_down()
-        } else {
-            level
-        };
-        (target != level).then_some(VfLevel(target))
-    }
-}
-
-/// Always runs the cluster at its highest level.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Performance;
-
-impl FrequencyGovernor for Performance {
-    fn name(&self) -> &'static str {
-        "performance"
-    }
-
-    fn govern(
-        &mut self,
-        snap: &SystemSnapshot,
-        cluster: ClusterId,
-        _dt: SimDuration,
-    ) -> Option<VfLevel> {
-        let cl = snap.cluster(cluster);
-        let top = cl.max_level();
-        (cl.effective_target != top).then_some(VfLevel(top))
-    }
-}
-
-/// Always runs the cluster at its lowest level.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Powersave;
-
-impl FrequencyGovernor for Powersave {
-    fn name(&self) -> &'static str {
-        "powersave"
-    }
-
-    fn govern(
-        &mut self,
-        snap: &SystemSnapshot,
-        cluster: ClusterId,
-        _dt: SimDuration,
-    ) -> Option<VfLevel> {
-        (snap.cluster(cluster).effective_target != 0).then_some(VfLevel(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,22 +89,22 @@ mod tests {
     use ppm_workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
     use ppm_workload::task::{Priority, Task, TaskId};
 
-    /// Manager applying one governor to every cluster.
-    struct GovernorManager<G>(G);
+    /// Manager applying one ondemand governor to every cluster.
+    struct GovernorManager(Ondemand);
 
-    impl<G: FrequencyGovernor> PowerManager for GovernorManager<G> {
+    impl PowerManager for GovernorManager {
         fn name(&self) -> &'static str {
             "governor-test"
         }
         fn plan(
             &mut self,
             snap: &SystemSnapshot,
-            dt: SimDuration,
+            _dt: SimDuration,
             plan: &mut ActuationPlan,
             _prof: Option<&mut ppm_obs::PhaseProfiler>,
         ) {
             for ci in 0..snap.clusters.len() {
-                if let Some(level) = self.0.govern(snap, ClusterId(ci), dt) {
+                if let Some(level) = self.0.govern(snap, ClusterId(ci)) {
                     plan.request_level(ClusterId(ci), level);
                 }
             }
@@ -277,36 +147,6 @@ mod tests {
         // Nothing runs on the big cluster.
         assert_eq!(
             sim.system().chip().cluster(ClusterId(1)).level(),
-            VfLevel(0)
-        );
-    }
-
-    #[test]
-    fn conservative_steps_one_level_at_a_time() {
-        let mut sim = Simulation::new(loaded_system(), GovernorManager(Conservative::new()));
-        // After one sampling period: exactly one step up, not a jump to max.
-        sim.run_for(SimDuration::from_millis(150));
-        assert_eq!(
-            sim.system().chip().cluster(ClusterId(0)).level(),
-            VfLevel(1)
-        );
-        // Eventually it also reaches the top under sustained load.
-        sim.run_for(SimDuration::from_secs(2));
-        let little = sim.system().chip().cluster(ClusterId(0));
-        assert_eq!(little.level(), little.table().max_level());
-    }
-
-    #[test]
-    fn performance_pins_top_powersave_pins_bottom() {
-        let mut sim = Simulation::new(loaded_system(), GovernorManager(Performance));
-        sim.run_for(SimDuration::from_millis(10));
-        let little = sim.system().chip().cluster(ClusterId(0));
-        assert_eq!(little.level(), little.table().max_level());
-
-        let mut sim = Simulation::new(loaded_system(), GovernorManager(Powersave));
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(
-            sim.system().chip().cluster(ClusterId(0)).level(),
             VfLevel(0)
         );
     }

@@ -3,9 +3,9 @@
 //! The glue between the hardware model (`ppm-platform`) and the workload
 //! model (`ppm-workload`): per-core run queues with CFS nice-weighted fair
 //! sharing, per-entity load tracking, affinity-based migration with the
-//! paper's latencies, `cpufreq` governors, and a fixed-quantum simulation
-//! [`executor::Simulation`] that drives a pluggable
-//! [`executor::PowerManager`] policy.
+//! paper's latencies, the `cpufreq` ondemand governor, and a
+//! fixed-quantum simulation [`executor::Simulation`] that drives a
+//! pluggable [`executor::PowerManager`] policy.
 //!
 //! ```
 //! use ppm_platform::chip::Chip;
@@ -42,7 +42,7 @@ pub mod snapshot;
 pub use crate::affinity::CpuMask;
 pub use crate::audit::{Auditor, Violation};
 pub use crate::executor::{AllocationPolicy, NullManager, PowerManager, Simulation, System};
-pub use crate::governor::{Conservative, FrequencyGovernor, Ondemand, Performance, Powersave};
+pub use crate::governor::Ondemand;
 pub use crate::metrics::{Degradation, RunMetrics, TaskMetrics};
 pub use crate::nice::Nice;
 pub use crate::pelt::PeltTracker;

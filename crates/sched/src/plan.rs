@@ -1,10 +1,10 @@
 //! Actuation plans and tapes: the *plan-out* half of the manager boundary.
 //!
 //! A power manager never touches the [`System`](crate::executor::System)
-//! directly. It reads a [`SystemSnapshot`](crate::snapshot::SystemSnapshot)
-//! and appends [`Action`]s to an [`ActuationPlan`]; the executor validates
-//! and applies the plan in one place. Because queued actions take effect only
-//! after the manager returns, the plan offers *overlay* queries
+//! directly. It reads a [`SystemSnapshot`] and appends [`Action`]s to an
+//! [`ActuationPlan`]; the executor validates and applies the plan in one
+//! place. Because queued actions take effect only after the manager
+//! returns, the plan offers *overlay* queries
 //! ([`ActuationPlan::core_of`], [`ActuationPlan::share_of`], …) that answer
 //! "where would this task be / what would this knob read *if the plan were
 //! applied*" — reproducing the read-after-write semantics managers had when

@@ -3,7 +3,7 @@
 //! Once per quantum the executor captures the whole observable system state
 //! — supplies, powers, utilizations, task telemetry — into a reused
 //! [`SystemSnapshot`]. Managers read only this (never the live
-//! [`System`](crate::executor::System)), which makes every policy a pure
+//! [`System`]), which makes every policy a pure
 //! `snapshot → plan` function: replayable, diffable, and safe to run while
 //! the executor state is elsewhere. The snapshot is a strict superset of the
 //! market's `MarketObs` and of what the HPM/HL baselines poll ad hoc.

@@ -228,10 +228,10 @@ fn cap_shares(utils: &mut [f64], cap: f64) {
 /// Build a calibrated open-loop workload set from `family` at `seed`.
 ///
 /// UUniFast splits `total_util` of the LITTLE cluster across the tasks
-/// (shares capped at [`UTIL_CAP`] so a pressure-doubled bid still fits one
-/// LITTLE core); each task's heart-rate target is the beat throughput its
-/// share provisions, and its mean arrival rate offers
-/// [`ARRIVAL_HEADROOM`] of that service rate — which is how the unchanged
+/// (shares capped at `UTIL_CAP` = 0.15 so a pressure-doubled bid still
+/// fits one LITTLE core); each task's heart-rate target is the beat
+/// throughput its share provisions, and its mean arrival rate offers
+/// `ARRIVAL_HEADROOM` = 0.5 of that service rate — which is how the unchanged
 /// HPM/HL error terms and the Table 4 demand conversion keep working on
 /// request traffic while the queue keeps the headroom a bounded tail
 /// needs.
@@ -283,7 +283,7 @@ pub fn openloop_family(name: &str, family: OpenLoopFamily, seed: u64) -> Workloa
 /// The Poisson template behind `ol1`: 4 tasks at 55 % of the LITTLE
 /// cluster, 1-beat mean service (≈15 ms at the provisioned beat rates),
 /// Weibull shape 1.5, 250 ms p99 SLO. At utilization
-/// [`ARRIVAL_HEADROOM`] the M/G/1 p99 sojourn is ≈9× the mean service
+/// `ARRIVAL_HEADROOM` = 0.5 the M/G/1 p99 sojourn is ≈9× the mean service
 /// time — ~140 ms — so the SLO holds at the nominal grant and the
 /// pressure term is reserved for bursts and diurnal peaks.
 pub fn poisson_template() -> OpenLoopFamily {

@@ -295,12 +295,6 @@ impl OpenLoopSpec {
         }
     }
 
-    /// Replace the queue capacity.
-    pub fn with_queue_cap(mut self, cap: usize) -> OpenLoopSpec {
-        self.queue_cap = cap;
-        self
-    }
-
     /// Replace the [`SloMonitor`] window capacity. The window is the
     /// monitor's memory: at λ requests/s it spans `window / λ` seconds, so
     /// a window far larger than the control loop's time scale keeps p99

@@ -236,15 +236,11 @@ impl ppm::sched::PowerManager for TogglingManager {
     }
 }
 
-#[test]
-fn steady_state_executor_quantum_does_not_allocate() {
-    use ppm::platform::chip::Chip;
-    use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
+/// Six TC2 tasks of mixed benchmarks and priorities 1–3, ids 0..6.
+fn tc2_task_mix() -> Vec<ppm::workload::task::Task> {
     use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
     use ppm::workload::task::{Priority, Task};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut sys = SimSystem::new(Chip::tc2(), AllocationPolicy::Market);
     let benches = [
         (Benchmark::Blackscholes, Input::Large),
         (Benchmark::Swaptions, Input::Large),
@@ -253,15 +249,28 @@ fn steady_state_executor_quantum_does_not_allocate() {
         (Benchmark::Bodytrack, Input::Native),
         (Benchmark::Tracking, Input::Vga),
     ];
-    for (i, (b, input)) in benches.into_iter().enumerate() {
-        sys.add_task(
+    benches
+        .into_iter()
+        .enumerate()
+        .map(|(i, (b, input))| {
             Task::new(
                 TaskId(i),
                 BenchmarkSpec::of(b, input).expect("variant"),
                 Priority(1 + (i % 3) as u32),
-            ),
-            CoreId(i % 5),
-        );
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn steady_state_executor_quantum_does_not_allocate() {
+    use ppm::platform::chip::Chip;
+    use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sys = SimSystem::new(Chip::tc2(), AllocationPolicy::Market);
+    for (i, task) in tc2_task_mix().into_iter().enumerate() {
+        sys.add_task(task, CoreId(i % 5));
     }
     let mut sim = Simulation::new(sys, TogglingManager { flip: false });
 
@@ -275,6 +284,32 @@ fn steady_state_executor_quantum_does_not_allocate() {
     });
     // Sanity: the quanta actually executed work and actuated the plan.
     assert!(sim.metrics().average_power().value() > 0.0);
+    assert!(sim.metrics().vf_transitions > 0);
+}
+
+#[test]
+fn steady_state_ppm_bid_rounds_do_not_allocate() {
+    use ppm::core::manager::tc2_ppm_system;
+    use ppm::sched::Simulation;
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // LBT builds its view per invocation by design, so the proof covers the
+    // bid rounds: observation, churn check, market round and actuation.
+    let (sys, mgr) = tc2_ppm_system(tc2_task_mix(), PpmConfig::tc2().without_lbt());
+    let mut sim = Simulation::new(sys, mgr);
+
+    // Warm-up: the market's arenas, the decision and observation buffers
+    // and the executor's scratch reach their steady sizes.
+    sim.run_for(SimDuration::from_secs(2));
+    let rounds_before = sim.manager().market().rounds();
+
+    // 1 s simulated (about 31 bid rounds) must not touch the allocator.
+    assert_no_alloc("steady-state PPM bid rounds", || {
+        sim.run_for(SimDuration::from_secs(1));
+    });
+    // Sanity: the measured window ran bid rounds (a retry reruns it).
+    let rounds = sim.manager().market().rounds() - rounds_before;
+    assert!(rounds >= 31, "only {rounds} bid rounds ran");
     assert!(sim.metrics().vf_transitions > 0);
 }
 
