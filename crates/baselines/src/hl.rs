@@ -266,10 +266,25 @@ impl PowerManager for HlManager {
         }
     }
 
+    /// The ondemand governors read only clusters and cores. The task
+    /// section is read by the migration pass on its timer, by every quantum
+    /// once the TDP cutoff has latched (re-gating and rescue), and by an
+    /// unlatched cutoff whose chip reading would fire it or fail the
+    /// plausibility filter: at most 0 W, above the cap, or above
+    /// `max_plausible` (a NaN reading counts too, conservatively).
+    fn reads_tasks(&self, snap: &SystemSnapshot) -> bool {
+        if snap.now >= self.next_decision || self.big_disabled {
+            return true;
+        }
+        self.config.tdp.is_some_and(|tdp| {
+            let w = snap.chip_power;
+            !(w.value() > 0.0 && w <= tdp && w <= self.config.max_plausible)
+        })
+    }
+
     fn plan(
         &mut self,
         snap: &SystemSnapshot,
-        _dt: SimDuration,
         plan: &mut ActuationPlan,
         _prof: Option<&mut PhaseProfiler>,
     ) {

@@ -399,10 +399,16 @@ impl PowerManager for HpmManager {
         }
     }
 
+    /// Each of the three loops reads the task section when its timer is
+    /// due.
+    fn reads_tasks(&self, snap: &SystemSnapshot) -> bool {
+        let now = snap.now;
+        now >= self.next_task || now >= self.next_power || now >= self.next_lbt
+    }
+
     fn plan(
         &mut self,
         snap: &SystemSnapshot,
-        _dt: SimDuration,
         plan: &mut ActuationPlan,
         _prof: Option<&mut PhaseProfiler>,
     ) {

@@ -656,13 +656,17 @@ impl PowerManager for PpmManager {
         self.manage_gating_now(sys);
     }
 
+    /// The task section is read only by a bid round.
+    fn reads_tasks(&self, snap: &SystemSnapshot) -> bool {
+        snap.now >= self.next_round
+    }
+
     /// One bidding round on cadence, timing the market's bid /
     /// price-discovery / DVFS sections and the LBT module when `prof` is
     /// given. Timing never feeds back into any decision.
     fn plan(
         &mut self,
         snap: &SystemSnapshot,
-        _dt: SimDuration,
         plan: &mut ActuationPlan,
         mut prof: Option<&mut PhaseProfiler>,
     ) {
@@ -690,12 +694,13 @@ impl PowerManager for PpmManager {
         // task-id order on every run.
         //
         // Fast path: the snapshot's change mask says the task section is
-        // bitwise what the previous capture held, and an exact in-order id
-        // comparison confirms the membership is the same as last round's
-        // (the previous capture need not have been a round), so the sort +
-        // merge-diff is skipped entirely. `snap.tasks` (hence `obs_buf.tasks`) is
-        // ascending by id, and `known_tasks` is sorted, so a zip compare
-        // is exact.
+        // bitwise what the previous task capture held, and an exact
+        // in-order id comparison confirms the membership is the same as
+        // last round's, so the sort + merge-diff is skipped entirely. The
+        // previous task capture is usually the previous round's; a tape
+        // record or an auditor may have taken one in between.
+        // `snap.tasks` (hence `obs_buf.tasks`) is ascending by id, and
+        // `known_tasks` is sorted, so a zip compare is exact.
         let membership_unchanged = !snap.changed.tasks
             && self.obs_buf.tasks.len() == self.known_tasks.len()
             && self

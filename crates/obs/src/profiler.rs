@@ -25,7 +25,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
-    /// `SystemSnapshot::capture` plus observation-fault perturbation.
+    /// The snapshot's platform capture, observation-fault perturbation,
+    /// and its task capture on the quanta that read the tasks (a tape
+    /// record's late task capture is timed in [`Phase::Apply`]).
     Capture,
     /// The whole `PowerManager::plan` call.
     Plan,

@@ -470,7 +470,10 @@ mod tests {
     }
 
     /// Queues a (no-op) nice update every quantum, so a taped run records
-    /// every quantum and computes its digest eagerly.
+    /// every quantum and computes its digest eagerly. It never asks for the
+    /// task section, so an untaped run keeps its violation digests equal
+    /// to the taped ones only because an audited run captures the tasks
+    /// every quantum.
     struct NiceEveryQuantum;
 
     impl crate::executor::PowerManager for NiceEveryQuantum {
@@ -478,10 +481,13 @@ mod tests {
             "nice-every-quantum"
         }
 
+        fn reads_tasks(&self, _snap: &crate::snapshot::SystemSnapshot) -> bool {
+            false
+        }
+
         fn plan(
             &mut self,
             _snap: &crate::snapshot::SystemSnapshot,
-            _dt: SimDuration,
             plan: &mut crate::plan::ActuationPlan,
             _prof: Option<&mut ppm_obs::PhaseProfiler>,
         ) {

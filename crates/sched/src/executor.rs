@@ -675,6 +675,11 @@ pub struct FleetBid {
 /// an [`ActuationPlan`]. The executor validates and applies the plan in one
 /// place ([`System::apply_plan`]), and can tape `(snapshot digest, plan)`
 /// pairs for replay and golden-diffing.
+///
+/// The snapshot's chip, cluster and core sections are fresh on every
+/// quantum. Its task section is fresh only on the quanta for which
+/// [`PowerManager::reads_tasks`] answers `true` (and on every quantum of
+/// an audited run); on the others it holds the last task capture.
 pub trait PowerManager {
     /// Short policy name (used in experiment output).
     fn name(&self) -> &'static str;
@@ -682,6 +687,18 @@ pub trait PowerManager {
     /// One-time setup: choose the allocation policy, set initial shares /
     /// affinities. This is the only hook with mutable system access.
     fn init(&mut self, _sys: &mut System) {}
+
+    /// Whether this quantum's [`PowerManager::plan`] reads `snap.tasks`.
+    /// Called every quantum after the platform sections are captured and
+    /// the observation faults applied, so `snap.now`, the power readings
+    /// and the cluster and core sections are this quantum's; `snap.tasks`
+    /// may be stale. The executor refreshes the task section only when
+    /// this answers `true`. A manager whose `plan` reads the tasks on a
+    /// quantum where this said `false` sees the last task capture. The
+    /// default, `true`, refreshes it every quantum.
+    fn reads_tasks(&self, _snap: &SystemSnapshot) -> bool {
+        true
+    }
 
     /// Observe the snapshot and queue actuations for this quantum. To read
     /// your own queued-but-unapplied decisions (e.g. a share set earlier in
@@ -695,7 +712,6 @@ pub trait PowerManager {
     fn plan(
         &mut self,
         snap: &SystemSnapshot,
-        dt: SimDuration,
         plan: &mut ActuationPlan,
         prof: Option<&mut PhaseProfiler>,
     );
@@ -746,10 +762,13 @@ impl PowerManager for NullManager {
         "none"
     }
 
+    fn reads_tasks(&self, _snap: &SystemSnapshot) -> bool {
+        false
+    }
+
     fn plan(
         &mut self,
         _snap: &SystemSnapshot,
-        _dt: SimDuration,
         _plan: &mut ActuationPlan,
         _prof: Option<&mut PhaseProfiler>,
     ) {
@@ -917,6 +936,13 @@ impl<M: PowerManager> Simulation<M> {
         self.auditor.as_ref()
     }
 
+    /// The snapshot the manager planned on in the last quantum. Its task
+    /// section is from the last task capture (see
+    /// [`PowerManager::reads_tasks`]).
+    pub fn snapshot(&self) -> &SystemSnapshot {
+        &self.snap
+    }
+
     /// The system under simulation.
     pub fn system(&self) -> &System {
         &self.system
@@ -978,10 +1004,10 @@ impl<M: PowerManager> Simulation<M> {
             } else {
                 None
             };
-            // Snapshot in, plan out, apply in one place. Capture overwrites
-            // whatever the fault plan perturbed last quantum with live
-            // values.
-            self.snap.capture(&self.system);
+            // Snapshot in, plan out, apply in one place. The platform
+            // capture overwrites whatever the fault plan perturbed last
+            // quantum with live values.
+            self.snap.capture_platform(&self.system);
             if let Some(f) = &mut self.faults {
                 // Observation faults: perturb only what the manager sees.
                 // Cluster readings additionally pass through each agent's
@@ -1001,6 +1027,14 @@ impl<M: PowerManager> Simulation<M> {
                     self.snap.hottest = Some(f.perturb_temperature(h));
                 }
             }
+            // The task section only on the quanta that read it. The
+            // auditor's retag hashes the snapshot after `step`, when a
+            // late task capture would read post-step state, so an audited
+            // run captures it every quantum.
+            let tasks_fresh = self.auditor.is_some() || self.manager.reads_tasks(&self.snap);
+            if tasks_fresh {
+                self.snap.capture_tasks(&self.system);
+            }
             lap(
                 self.telemetry.as_mut().map(|t| &mut t.profiler),
                 &mut mark,
@@ -1011,7 +1045,7 @@ impl<M: PowerManager> Simulation<M> {
                 Some(tel) if profiling => Some(&mut tel.profiler),
                 _ => None,
             };
-            self.manager.plan(&self.snap, dt, &mut self.plan, prof);
+            self.manager.plan(&self.snap, &mut self.plan, prof);
             lap(
                 self.telemetry.as_mut().map(|t| &mut t.profiler),
                 &mut mark,
@@ -1021,6 +1055,14 @@ impl<M: PowerManager> Simulation<M> {
             // the auditor tags violations with it, so a clean audited
             // quantum never pays for it (see the retag below).
             let taped = self.tape.is_some() && !self.plan.is_empty();
+            if taped && !tasks_fresh {
+                // Nothing has touched the system since the platform
+                // capture (crashes land before it, `plan` reads only the
+                // snapshot), so this is the capture an eager run takes.
+                // Profiled runs time it in the apply span, with the digest
+                // and the tape record.
+                self.snap.capture_tasks(&self.system);
+            }
             let digest = if taped { self.snap.digest() } else { 0 };
             if let Some(tape) = &mut self.tape {
                 if taped {

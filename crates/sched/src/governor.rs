@@ -99,7 +99,6 @@ mod tests {
         fn plan(
             &mut self,
             snap: &SystemSnapshot,
-            _dt: SimDuration,
             plan: &mut ActuationPlan,
             _prof: Option<&mut ppm_obs::PhaseProfiler>,
         ) {

@@ -1,22 +1,28 @@
 //! System snapshots: the *snapshot-in* half of the manager boundary.
 //!
-//! Once per quantum the executor captures the whole observable system state
-//! — supplies, powers, utilizations, task telemetry — into a reused
-//! [`SystemSnapshot`]. Managers read only this (never the live
-//! [`System`]), which makes every policy a pure
+//! The executor keeps one reused [`SystemSnapshot`] and refreshes it in two
+//! parts. [`SystemSnapshot::capture_platform`] copies the chip, cluster and
+//! core sections (supplies, powers, utilizations) every quantum.
+//! [`SystemSnapshot::capture_tasks`] copies the task section only on the
+//! quanta that read it: when the manager's
+//! [`PowerManager::reads_tasks`](crate::executor::PowerManager::reads_tasks)
+//! hook says this quantum's `plan` will, when a tape record needs the
+//! snapshot digest, and on every quantum of an audited run. On any other
+//! quantum `tasks` still holds the last task capture.
+//! [`SystemSnapshot::capture`] does both. Managers read only the snapshot
+//! (never the live [`System`]), which makes every policy a pure
 //! `snapshot → plan` function: replayable, diffable, and safe to run while
 //! the executor state is elsewhere. The snapshot is a strict superset of the
 //! market's `MarketObs` and of what the HPM/HL baselines poll ad hoc.
 //!
 //! Capture reuses all buffers: after the first few quanta (static topology
 //! vectors are built once) a steady-state capture performs **zero heap
-//! allocation** — see `tests/zero_alloc.rs`. It is one in-place pass per
-//! section: each live value is compared bitwise with the snapshot's copy
-//! as it overwrites it, which yields the exact per-section
-//! [`ChangeMask`] at no extra pass over the system. Observation faults
+//! allocation** — see `tests/zero_alloc.rs`. The platform capture is a
+//! plain overwrite. The task capture compares each live value bitwise with
+//! the snapshot's copy as it overwrites it, which yields the exact
+//! [`ChangeMask`] at no extra pass over the tasks. Observation faults
 //! rewrite chip power, cluster powers and `hottest` in the snapshot after
-//! capture; the next capture sees those copies differ from the live values
-//! and restores them like any other change.
+//! the platform capture; the next one overwrites them with live values.
 
 use ppm_platform::cluster::ClusterId;
 use ppm_platform::core::{CoreClass, CoreId};
@@ -175,53 +181,25 @@ impl ClusterSnap {
     }
 }
 
-/// Per-section "what changed since the previous capture" mask.
+/// What changed in the task section since its previous capture.
 ///
-/// Exact: [`SystemSnapshot::capture`] compares every value it stores
+/// Exact: [`SystemSnapshot::capture_tasks`] compares every value it stores
 /// bitwise (`f64::to_bits`, so `-0.0` differs from `0.0`) with the copy it
-/// overwrites, and a section is dirty iff any of its values, or its length,
-/// differed. Capture time (`now`) is deliberately excluded — it advances
-/// every quantum and carries no decision input. The comparison is against
-/// the snapshot's own previous copy, so a copy perturbed in place after the
-/// previous capture also reads as dirty.
+/// overwrites, and the section is dirty iff any of its values, or its
+/// length, differed. The comparison is against the previous *task*
+/// capture, which on a lazily captured run is the previous quantum that
+/// read the tasks, not the previous quantum. It is also against the
+/// snapshot's own copy, so a copy perturbed in place since then reads as
+/// dirty too. The first task capture is dirty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangeMask {
-    /// Chip scalars changed (power sample, hottest junction temperature).
-    pub chip: bool,
     /// The task section changed (membership or any per-task field).
     pub tasks: bool,
-    /// The core section changed (utilization or supply on any core).
-    pub cores: bool,
-    /// The cluster section changed (level, target, gating, supply, power).
-    pub clusters: bool,
-}
-
-impl ChangeMask {
-    /// Everything dirty — the state before any capture pair exists.
-    pub const ALL: ChangeMask = ChangeMask {
-        chip: true,
-        tasks: true,
-        cores: true,
-        clusters: true,
-    };
-
-    /// True when any section changed.
-    pub fn any(self) -> bool {
-        self.chip || self.tasks || self.cores || self.clusters
-    }
-
-    /// Number of dirty sections, 0–4.
-    pub fn dirty_sections(self) -> u32 {
-        u32::from(self.chip)
-            + u32::from(self.tasks)
-            + u32::from(self.cores)
-            + u32::from(self.clusters)
-    }
 }
 
 impl Default for ChangeMask {
     fn default() -> ChangeMask {
-        ChangeMask::ALL
+        ChangeMask { tasks: true }
     }
 }
 
@@ -240,10 +218,11 @@ pub struct SystemSnapshot {
     pub cores: Vec<CoreSnap>,
     /// All clusters, indexed by cluster id.
     pub clusters: Vec<ClusterSnap>,
-    /// What changed since the previous capture (see [`ChangeMask`]).
+    /// What changed in the task section since its previous capture (see
+    /// [`ChangeMask`]).
     pub changed: ChangeMask,
-    /// Whether a previous capture exists to compare against.
-    captured: bool,
+    /// Whether a previous task capture exists to compare against.
+    tasks_captured: bool,
 }
 
 impl SystemSnapshot {
@@ -252,14 +231,19 @@ impl SystemSnapshot {
         SystemSnapshot::default()
     }
 
-    /// Capture `sys` into this snapshot, reusing all buffers, in one pass
-    /// per section: each value read from the live system is compared
-    /// bitwise with the copy it overwrites, and [`SystemSnapshot::changed`]
-    /// records which sections differed. A copy a caller perturbed since the
-    /// previous capture (observation faults rewrite chip power, cluster
-    /// powers and `hottest` in place) compares as dirty and is overwritten
-    /// with the live value.
+    /// Capture all of `sys` into this snapshot: the platform sections,
+    /// then the task section.
     pub fn capture(&mut self, sys: &System) {
+        self.capture_platform(sys);
+        self.capture_tasks(sys);
+    }
+
+    /// Capture the capture time and the chip, cluster and core sections of
+    /// `sys`, reusing all buffers. A plain overwrite: copies a caller
+    /// perturbed since the previous capture (observation faults rewrite
+    /// chip power, cluster powers and `hottest` in place) get the live
+    /// values back. The task section is left as it was.
+    pub fn capture_platform(&mut self, sys: &System) {
         let chip = sys.chip();
         self.now = sys.now();
 
@@ -296,42 +280,27 @@ impl SystemSnapshot {
                 .collect();
         }
 
-        let chip_power = sys.chip_power();
-        let hottest = sys.thermal().map(|t| t.hottest());
-        let chip_dirty = !(same(self.chip_power.value(), chip_power.value())
-            && self.hottest.map(|c| c.value().to_bits()) == hottest.map(|c| c.value().to_bits()));
-        self.chip_power = chip_power;
-        self.hottest = hottest;
-
-        let mut clusters_dirty = false;
+        self.chip_power = sys.chip_power();
+        self.hottest = sys.thermal().map(|t| t.hottest());
         for (snap, cl) in self.clusters.iter_mut().zip(chip.clusters()) {
-            let level = cl.level().0;
-            let effective_target = cl.effective_target().0;
-            let off = cl.is_off();
-            let supply_per_core = cl.supply_per_core();
-            let power = sys.cluster_power(cl.id());
-            clusters_dirty |= !(snap.level == level
-                && snap.effective_target == effective_target
-                && snap.off == off
-                && same(snap.supply_per_core.value(), supply_per_core.value())
-                && same(snap.power.value(), power.value()));
-            snap.level = level;
-            snap.effective_target = effective_target;
-            snap.off = off;
-            snap.supply_per_core = supply_per_core;
-            snap.power = power;
+            snap.level = cl.level().0;
+            snap.effective_target = cl.effective_target().0;
+            snap.off = cl.is_off();
+            snap.supply_per_core = cl.supply_per_core();
+            snap.power = sys.cluster_power(cl.id());
         }
-
-        let mut cores_dirty = false;
         for (snap, d) in self.cores.iter_mut().zip(chip.cores()) {
-            let utilization = sys.core_utilization(d.id());
-            let supply = chip.core_supply(d.id());
-            cores_dirty |=
-                !(same(snap.utilization, utilization) && same(snap.supply.value(), supply.value()));
-            snap.utilization = utilization;
-            snap.supply = supply;
+            snap.utilization = sys.core_utilization(d.id());
+            snap.supply = chip.core_supply(d.id());
         }
+    }
 
+    /// Capture the task section of `sys`, reusing its buffer, in one pass:
+    /// each value read from the live system is compared bitwise with the
+    /// copy it overwrites, and [`SystemSnapshot::changed`] records whether
+    /// any differed.
+    pub fn capture_tasks(&mut self, sys: &System) {
+        let chip = sys.chip();
         // Task section: slot `k` holds the k-th active task, so a steady
         // population overwrites in place and only a membership change
         // grows or truncates the vector.
@@ -378,17 +347,8 @@ impl SystemSnapshot {
             tasks_dirty = true;
         }
 
-        self.changed = if self.captured {
-            ChangeMask {
-                chip: chip_dirty,
-                tasks: tasks_dirty,
-                cores: cores_dirty,
-                clusters: clusters_dirty,
-            }
-        } else {
-            ChangeMask::ALL
-        };
-        self.captured = true;
+        self.changed.tasks = tasks_dirty || !self.tasks_captured;
+        self.tasks_captured = true;
     }
 
     /// The snapshot of `task`, if active (binary search — tasks are sorted).
@@ -636,25 +596,31 @@ mod tests {
         let mut snap = SystemSnapshot::new();
 
         snap.capture(&sys);
-        assert_eq!(snap.changed, ChangeMask::ALL, "first capture is all-dirty");
-        assert_eq!(snap.changed.dirty_sections(), 4);
+        assert!(snap.changed.tasks, "the first task capture is dirty");
 
         snap.capture(&sys);
-        assert!(!snap.changed.any(), "identical recapture must be clean");
-        assert_eq!(snap.changed.dirty_sections(), 0);
+        assert!(!snap.changed.tasks, "identical recapture must be clean");
 
         sys.set_share(TaskId(0), ProcessingUnits(42.0));
-        snap.capture(&sys);
+        snap.capture_platform(&sys);
+        assert!(!snap.changed.tasks, "a platform capture leaves the mask");
+        assert_eq!(
+            snap.task(TaskId(0)).expect("t0").share,
+            ProcessingUnits(0.0),
+            "a platform capture leaves the task section"
+        );
+        snap.capture_tasks(&sys);
         assert!(snap.changed.tasks, "share write dirties the task section");
-        assert!(!snap.changed.chip);
-        assert!(!snap.changed.cores);
-        assert!(!snap.changed.clusters);
+        assert_eq!(
+            snap.task(TaskId(0)).expect("t0").share,
+            ProcessingUnits(42.0)
+        );
 
         sys.power_off(ClusterId(1));
         snap.capture(&sys);
-        assert!(snap.changed.clusters, "gating dirties the cluster section");
-        assert!(snap.changed.cores, "gating zeroes the cores' supply");
-        assert!(!snap.changed.tasks);
+        assert!(snap.cluster(ClusterId(1)).off);
+        assert_eq!(snap.core(CoreId(3)).supply, ProcessingUnits::ZERO);
+        assert!(!snap.changed.tasks, "gating leaves the task section");
     }
 
     #[test]
@@ -666,7 +632,7 @@ mod tests {
         let frozen = format!("{:?} {:?} {:?}", snap.tasks, snap.cores, snap.clusters);
         for _ in 0..3 {
             snap.capture(&sys);
-            assert_eq!(snap.changed.dirty_sections(), 0, "{:?}", snap.changed);
+            assert!(!snap.changed.tasks);
         }
         assert_eq!(
             format!("{:?} {:?} {:?}", snap.tasks, snap.cores, snap.clusters),
@@ -689,7 +655,6 @@ mod tests {
         let t1 = snap.task(TaskId(1)).expect("t1");
         assert!(t1.share.value().is_sign_negative());
         assert!(t1.granted.value().is_sign_negative());
-        assert!(!snap.changed.chip && !snap.changed.cores && !snap.changed.clusters);
     }
 
     #[test]
@@ -718,9 +683,7 @@ mod tests {
         snap.capture(&sys);
 
         snap.chip_power = Watts(123.0);
-        snap.capture(&sys);
-        assert!(snap.changed.chip, "a perturbed chip power reads dirty");
-        assert!(!snap.changed.tasks && !snap.changed.cores && !snap.changed.clusters);
+        snap.capture_platform(&sys);
         assert_eq!(
             snap.chip_power.value().to_bits(),
             sys.chip_power().value().to_bits()
@@ -728,20 +691,14 @@ mod tests {
         assert_eq!(snap.digest(), reference.digest());
 
         snap.clusters[1].power = Watts(-0.0);
-        snap.capture(&sys);
-        assert!(
-            snap.changed.clusters,
-            "a perturbed cluster power reads dirty"
-        );
-        assert!(!snap.changed.chip && !snap.changed.tasks && !snap.changed.cores);
+        snap.hottest = Some(Celsius(99.0));
+        snap.capture_platform(&sys);
         assert_eq!(
             snap.cluster(ClusterId(1)).power.value().to_bits(),
             sys.cluster_power(ClusterId(1)).value().to_bits()
         );
+        assert_eq!(snap.hottest, None, "no thermal model attached");
         assert_eq!(snap.digest(), reference.digest());
-
-        snap.capture(&sys);
-        assert!(!snap.changed.any(), "restored copies then read clean");
     }
 
     #[test]

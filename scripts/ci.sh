@@ -44,6 +44,9 @@ PPM_FAULT_SEED=165 cargo test -q --release --test fault_injection
 cargo run --release --quiet -p ppm --bin ppm-sim -- \
   --scheme ppm --workload l1 --duration 20 --faults 165 --audit > /dev/null
 
+echo ">>> lazy task capture (the lazy-vs-eager snapshot property again, second pinned seed)"
+PROPTEST_SEED=1303 cargo test -q --release --test substrate_properties lazy_task_capture_matches_eager_capture
+
 echo ">>> telemetry smoke (ppm-sim --trace/--metrics/--profile + artifact validation)"
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT

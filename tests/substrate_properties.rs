@@ -1,16 +1,29 @@
 //! Property-based tests on the substrate invariants: allocation, heartbeat
-//! accounting, V-F tables, PELT, and the LBT estimator.
+//! accounting, V-F tables, PELT, the LBT estimator, and the executor's
+//! lazily captured task section.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
+use ppm::baselines::hl::{HlConfig, HlManager};
+use ppm::baselines::hpm::{HpmConfig, HpmManager};
+use ppm::core::config::PpmConfig;
 use ppm::core::lbt::{constrained_core_scan, RemoteCluster, TaskSnapshot};
-use ppm::platform::core::CoreClass;
-use ppm::platform::units::{MegaHertz, Money, Price, ProcessingUnits, SimDuration, SimTime};
-use ppm::platform::vf::linear_table;
+use ppm::core::manager::PpmManager;
+use ppm::obs::PhaseProfiler;
+use ppm::platform::chip::Chip;
+use ppm::platform::cluster::ClusterId;
+use ppm::platform::core::{CoreClass, CoreId};
+use ppm::platform::faults::{FaultConfig, FaultPlan};
+use ppm::platform::units::{MegaHertz, Money, Price, ProcessingUnits, SimDuration, SimTime, Watts};
+use ppm::platform::vf::{linear_table, VfLevel};
 use ppm::sched::runqueue::{fair_allocate, market_allocate, Claimant};
-use ppm::sched::PeltTracker;
+use ppm::sched::{
+    ActuationPlan, AllocationPolicy, PeltTracker, PowerManager, Simulation, System, SystemSnapshot,
+};
 use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
 use ppm::workload::perclass::PerClass;
+use ppm::workload::sets::table6_sets;
 use ppm::workload::task::{Priority, Task, TaskId};
 
 fn claimants() -> impl Strategy<Value = Vec<Claimant>> {
@@ -182,4 +195,251 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-9).contains(&r.ratio));
         prop_assert!(r.spend.value() >= 0.0);
     }
+}
+
+/// Wraps a manager for the lazy-capture checks. Every hook the executor
+/// calls here is forwarded to `inner`. With `eager` set, the task section
+/// is asked for on every quantum. `woke` records whether the inner hook
+/// asked for it this quantum: the hook reads only the manager's state and
+/// the snapshot's platform sections, neither of which changes between the
+/// hook and `plan`, so asking again in `plan` gives the same answer.
+struct Probe<M> {
+    inner: M,
+    eager: bool,
+    woke: bool,
+}
+
+impl<M: PowerManager> PowerManager for Probe<M> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn init(&mut self, sys: &mut System) {
+        self.inner.init(sys);
+    }
+
+    fn reads_tasks(&self, snap: &SystemSnapshot) -> bool {
+        self.eager || self.inner.reads_tasks(snap)
+    }
+
+    fn plan(
+        &mut self,
+        snap: &SystemSnapshot,
+        plan: &mut ActuationPlan,
+        prof: Option<&mut PhaseProfiler>,
+    ) {
+        self.woke = self.inner.reads_tasks(snap);
+        self.inner.plan(snap, plan, prof);
+    }
+}
+
+/// A TC2 system running the `set`-th Table 6 set, its tasks spread over
+/// the LITTLE cores.
+fn tc2_with_set(set: usize) -> System {
+    let sets = table6_sets();
+    let mut sys = System::new(Chip::tc2(), AllocationPolicy::Market);
+    for (i, task) in sets[set % sets.len()]
+        .spawn(0, Priority::NORMAL)
+        .into_iter()
+        .enumerate()
+    {
+        sys.add_task(task, CoreId(i % 3));
+    }
+    sys
+}
+
+/// Runs the system and manager `make` builds twice in lockstep, one
+/// quantum at a time: once
+/// with the task section captured lazily, once eagerly. On every quantum
+/// where the lazy run's hook asked for the tasks or its tape gained a
+/// record, its snapshot must equal the eager one. Both runs see the same
+/// fault streams, so they stay in step as long as no decision differs;
+/// the tapes must match at the end. Returns how many quanta were compared.
+fn lazy_matches_eager<M: PowerManager>(
+    make: impl Fn() -> (System, M),
+    faults: Option<FaultConfig>,
+    quanta: usize,
+) -> Result<usize, TestCaseError> {
+    let build = |eager: bool| {
+        let (sys, inner) = make();
+        let probe = Probe {
+            inner,
+            eager,
+            woke: false,
+        };
+        let sim = Simulation::new(sys, probe).with_tape();
+        match &faults {
+            Some(fc) => sim.with_faults(FaultPlan::new(fc.clone())),
+            None => sim,
+        }
+    };
+    let (mut lazy, mut eager) = (build(false), build(true));
+    let quantum = lazy.quantum();
+    let mut compared = 0;
+    for q in 0..quanta {
+        let records = lazy.tape().map_or(0, |t| t.records().len());
+        lazy.run_for(quantum);
+        eager.run_for(quantum);
+        let taped = lazy.tape().map_or(0, |t| t.records().len()) > records;
+        if !(lazy.manager().woke || taped) {
+            continue;
+        }
+        compared += 1;
+        let (l, e) = (lazy.snapshot(), eager.snapshot());
+        prop_assert_eq!(l.digest(), e.digest(), "quantum {}: digest", q);
+        prop_assert_eq!(l.now, e.now, "quantum {}", q);
+        prop_assert_eq!(
+            format!("{:?} {:?}", l.chip_power, l.hottest),
+            format!("{:?} {:?}", e.chip_power, e.hottest),
+            "quantum {}: chip section",
+            q
+        );
+        prop_assert_eq!(
+            format!("{:?}", l.tasks),
+            format!("{:?}", e.tasks),
+            "quantum {}: task section",
+            q
+        );
+        prop_assert_eq!(
+            format!("{:?}", l.cores),
+            format!("{:?}", e.cores),
+            "quantum {}: core section",
+            q
+        );
+        prop_assert_eq!(
+            format!("{:?}", l.clusters),
+            format!("{:?}", e.clusters),
+            "quantum {}: cluster section",
+            q
+        );
+    }
+    let render = |sim: &Simulation<Probe<M>>| sim.tape().map(|t| t.render()).unwrap_or_default();
+    prop_assert!(render(&lazy) == render(&eager), "the tapes diverged");
+    Ok(compared)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// At every quantum that reads the task section or writes a tape
+    /// record, the lazily maintained snapshot equals an eager capture of
+    /// the same system, for PPM, HPM and HL on TC2 under random caps, with
+    /// and without faults (task crashes included).
+    #[test]
+    fn lazy_task_capture_matches_eager_capture(
+        scheme in 0usize..3,
+        set in 0usize..9,
+        tdp in 2.0f64..6.0,
+        faulted in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        let faults = faulted.then(|| FaultConfig {
+            task_crash_prob: 2e-3,
+            ..FaultConfig::harsh(seed)
+        });
+        let quanta = 1500;
+        let tdp = Watts(tdp);
+        let sys = || tc2_with_set(set);
+        let compared = match scheme {
+            0 => lazy_matches_eager(
+                || (sys(), PpmManager::new(PpmConfig::tc2_with_tdp(tdp))),
+                faults,
+                quanta,
+            )?,
+            1 => lazy_matches_eager(
+                || (sys(), HpmManager::new(HpmConfig::new().with_tdp(tdp))),
+                faults,
+                quanta,
+            )?,
+            _ => lazy_matches_eager(
+                || (sys(), HlManager::new(HlConfig::new().with_tdp(tdp))),
+                faults,
+                quanta,
+            )?,
+        };
+        // Every scheme wakes at least every 100 ms.
+        prop_assert!(compared >= quanta / 100, "only {} quanta compared", compared);
+    }
+}
+
+/// Never asks for the task section, records the task section it sees on
+/// every quantum, and queues a no-op DVFS request (a non-empty plan, hence
+/// a tape record when taped) on the quanta in `act_at`.
+struct Sleeper {
+    act_at: Vec<usize>,
+    quantum: usize,
+    seen: Vec<String>,
+}
+
+impl PowerManager for Sleeper {
+    fn name(&self) -> &'static str {
+        "sleeper"
+    }
+
+    fn reads_tasks(&self, _snap: &SystemSnapshot) -> bool {
+        false
+    }
+
+    fn plan(
+        &mut self,
+        snap: &SystemSnapshot,
+        plan: &mut ActuationPlan,
+        _prof: Option<&mut PhaseProfiler>,
+    ) {
+        self.seen.push(format!("{:?}", snap.tasks));
+        if self.act_at.contains(&self.quantum) {
+            let level = snap.cluster(ClusterId(0)).level;
+            plan.request_level(ClusterId(0), VfLevel(level));
+        }
+        self.quantum += 1;
+    }
+}
+
+/// Guards the laziness itself: a manager whose hook always says no sees a
+/// task section that only a tape record ever refreshes, although the
+/// live tasks change every quantum.
+#[test]
+fn a_task_section_nobody_reads_is_not_refreshed() {
+    let quanta = 200;
+    let run = |taped: bool| {
+        let sleeper = Sleeper {
+            act_at: vec![5, 100],
+            quantum: 0,
+            seen: Vec::new(),
+        };
+        let mut sim = Simulation::new(tc2_with_set(0), sleeper);
+        if taped {
+            sim = sim.with_tape();
+        }
+        sim.run_for(SimDuration::from_millis(quanta));
+        sim
+    };
+
+    let untaped = run(false);
+    assert_eq!(untaped.manager().seen.len(), quanta as usize);
+    assert!(
+        untaped.manager().seen.iter().all(|s| s == "[]"),
+        "an untaped run never captures the task section"
+    );
+
+    let taped = run(true);
+    assert_eq!(taped.tape().map(|t| t.records().len()), Some(2));
+    let seen = &taped.manager().seen;
+    assert!(seen[..=5].iter().all(|s| s == "[]"));
+    assert_ne!(seen[6], "[]", "the record at quantum 5 captured the tasks");
+    assert!(
+        seen[6..=100].iter().all(|s| *s == seen[6]),
+        "refreshed between tape records"
+    );
+    assert_ne!(
+        seen[101], seen[6],
+        "the record at quantum 100 refreshed them"
+    );
+    assert!(
+        seen[101..].iter().all(|s| *s == seen[101]),
+        "refreshed after the last tape record"
+    );
+    let mut live = SystemSnapshot::new();
+    live.capture(taped.system());
+    assert_ne!(format!("{:?}", live.tasks), seen[101], "the tasks moved on");
 }

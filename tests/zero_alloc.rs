@@ -218,7 +218,6 @@ impl ppm::sched::PowerManager for TogglingManager {
     fn plan(
         &mut self,
         snap: &ppm::sched::SystemSnapshot,
-        _dt: SimDuration,
         plan: &mut ppm::sched::ActuationPlan,
         _prof: Option<&mut ppm::obs::PhaseProfiler>,
     ) {
@@ -328,11 +327,10 @@ impl ppm::sched::PowerManager for ShufflingManager {
     fn plan(
         &mut self,
         snap: &ppm::sched::SystemSnapshot,
-        dt: SimDuration,
         plan: &mut ppm::sched::ActuationPlan,
         prof: Option<&mut ppm::obs::PhaseProfiler>,
     ) {
-        self.inner.plan(snap, dt, plan, prof);
+        self.inner.plan(snap, plan, prof);
         let to = if plan.core_of(snap, TaskId(0)) == CoreId(0) {
             CoreId(1)
         } else {
