@@ -14,14 +14,26 @@
 //! Steady-state prices at other V-F levels are extrapolated with the Eq. 2
 //! recursion `P_{Z+1} = P_Z · (1+δ)`.
 //!
-//! The manager runs [`decide_move`]: one whole-chip pass over an
+//! The manager runs [`Lbt::decide_move`]: one whole-chip pass over an
 //! [`LbtSnapshot`] of per-task estimates (its cost in a run is the
-//! benchmark's `core.lbt` layer). Table 7 times a different computation,
-//! [`constrained_core_scan`]: the paper's per-constrained-core scan over the
-//! aggregates "hierarchically disseminated from the cluster agents to the
-//! chip agents and subsequently to the task agents" ([`RemoteCluster`]), on
-//! synthetic inputs of up to 256 clusters × 16 cores × 32 tasks. The
-//! manager never runs the scan.
+//! benchmark's `core.lbt` layer). A move changes the task lists of two
+//! cores only, and every other core's priority-proportional split depends
+//! only on its own tasks and on its cluster's settled per-core supply, one
+//! of the ladder's values. So the pass splits each core once per settled
+//! level, on first use, and judges a candidate by splitting just the source
+//! core (without the mover) and the destination core (with it), then
+//! re-folding the touched clusters' spending in core and task order. A
+//! migration's source side does not depend on the destination, so it is
+//! folded once per mover. Every decision is bit-identical to estimating the
+//! touched clusters whole with [`estimate_cluster`]. The [`Lbt`] keeps the
+//! caches across invocations, so a pass does not allocate once they have
+//! grown to the chip.
+//!
+//! Table 7 times that pass and, beside it, [`constrained_core_scan`]: the
+//! paper's per-constrained-core scan over the aggregates "hierarchically
+//! disseminated from the cluster agents to the chip agents and subsequently
+//! to the task agents" ([`RemoteCluster`]), on synthetic inputs of up to 256
+//! clusters × 16 cores × 32 tasks. The manager never runs the scan.
 
 use std::fmt;
 
@@ -115,43 +127,61 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
+    /// Per-core summed demand, in core order.
+    fn demands(&self) -> Vec<ProcessingUnits> {
+        self.cores
+            .iter()
+            .map(|c| c.total_demand(self.class))
+            .collect()
+    }
+
     /// Index of the constrained core: the one with the highest demand.
     pub fn constrained_core(&self) -> usize {
-        let mut best = 0;
-        let mut best_d = ProcessingUnits::ZERO;
-        for (i, c) in self.cores.iter().enumerate() {
-            let d = c.total_demand(self.class);
-            if i == 0 || d > best_d {
-                best = i;
-                best_d = d;
-            }
-        }
-        best
+        constrained_of(&self.demands())
     }
 
     /// Index of the most over-supplied core other than the constrained one
     /// (the paper's sole migration target per cluster). Falls back to the
     /// only core when the cluster has just one.
     pub fn most_oversupplied_unconstrained(&self) -> usize {
-        if self.cores.len() == 1 {
-            return 0;
-        }
-        let constrained = self.constrained_core();
-        let supply = self.ladder[self.level];
-        let mut best = usize::MAX;
-        let mut best_slack = f64::NEG_INFINITY;
-        for (i, c) in self.cores.iter().enumerate() {
-            if i == constrained {
-                continue;
-            }
-            let slack = supply.value() - c.total_demand(self.class).value();
-            if slack > best_slack {
-                best_slack = slack;
-                best = i;
-            }
-        }
-        best
+        most_oversupplied_of(self, &self.demands())
     }
+}
+
+/// Index of the highest of the per-core `demands` (the first on a tie).
+fn constrained_of(demands: &[ProcessingUnits]) -> usize {
+    let mut best = 0;
+    let mut best_d = ProcessingUnits::ZERO;
+    for (i, &d) in demands.iter().enumerate() {
+        if i == 0 || d > best_d {
+            best = i;
+            best_d = d;
+        }
+    }
+    best
+}
+
+/// [`ClusterSnapshot::most_oversupplied_unconstrained`] of `cluster`, whose
+/// per-core summed demands are `demands`.
+fn most_oversupplied_of(cluster: &ClusterSnapshot, demands: &[ProcessingUnits]) -> usize {
+    if demands.len() == 1 {
+        return 0;
+    }
+    let constrained = constrained_of(demands);
+    let supply = cluster.ladder[cluster.level];
+    let mut best = usize::MAX;
+    let mut best_slack = f64::NEG_INFINITY;
+    for (i, d) in demands.iter().enumerate() {
+        if i == constrained {
+            continue;
+        }
+        let slack = supply.value() - d.value();
+        if slack > best_slack {
+            best_slack = slack;
+            best = i;
+        }
+    }
+    best
 }
 
 /// Index of the lowest supply in `ladder` that covers `demand` (rounded
@@ -184,7 +214,7 @@ fn price_at(price: Price, from: usize, to: usize, tolerance: f64) -> Price {
 /// Not to be confused with the executor's `ppm_sched::SystemSnapshot` (the
 /// raw observable state): an `LbtSnapshot` is the *market-level* view the
 /// PPM manager derives from it for migration speculation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LbtSnapshot {
     /// All clusters.
     pub clusters: Vec<ClusterSnapshot>,
@@ -218,26 +248,19 @@ pub struct ClusterEstimate {
 /// Tolerance for ratio/spend comparisons.
 const EPS: f64 = 1e-6;
 
-/// Estimate the steady state of `cluster` when its cores host `assignment`
-/// (one task list per core, same order as `cluster.cores`).
-///
-/// The estimate follows §3.3: the cluster settles at the lowest level whose
-/// supply covers the constrained demand (demand rounded up to the next
-/// supply value); the price at that level follows the Eq. 2 recursion from
-/// the currently observed price; each core's supply is divided among its
-/// tasks proportionally to priority but capped at demand; the steady-state
-/// bid of a task is `price × supply`.
-pub fn estimate_cluster(
+/// The settled level, per-core supply and price of `cluster` when its cores'
+/// summed demands are `demands` (§3.3): the lowest level whose supply covers
+/// the constrained demand (demand rounded up to the next supply value),
+/// never above the current level under the cap, priced by the Eq. 2
+/// recursion from the currently observed price.
+fn settle(
     snapshot: &LbtSnapshot,
     cluster: &ClusterSnapshot,
-    assignment: &[Vec<&TaskSnapshot>],
-) -> ClusterEstimate {
-    debug_assert_eq!(assignment.len(), cluster.cores.len());
-    let class = cluster.class;
+    demands: impl IntoIterator<Item = ProcessingUnits>,
+) -> (usize, ProcessingUnits, Price) {
     // Constrained demand decides the settled level.
-    let constrained_demand = assignment
-        .iter()
-        .map(|ts| -> ProcessingUnits { ts.iter().map(|t| t.demand_on(class)).sum() })
+    let constrained_demand = demands
+        .into_iter()
         .fold(ProcessingUnits::ZERO, ProcessingUnits::max);
     let mut level = level_covering(&cluster.ladder, constrained_demand);
     if snapshot.supply_capped {
@@ -252,58 +275,118 @@ pub fn estimate_cluster(
     if !price.is_positive() && supply.is_positive() {
         price = Price(snapshot.min_bid.value() / supply.value());
     }
+    (level, supply, price)
+}
 
+/// Divide `supply` among one core's `(priority, demand)` tasks in
+/// proportion to priority, capped at demand (water-filling), into `grants`.
+/// `active` is scratch.
+fn water_fill(
+    tasks: &[(u32, ProcessingUnits)],
+    supply: ProcessingUnits,
+    grants: &mut Vec<ProcessingUnits>,
+    active: &mut Vec<usize>,
+) {
+    grants.clear();
+    grants.resize(tasks.len(), ProcessingUnits::ZERO);
+    active.clear();
+    active.extend(0..tasks.len());
+    let mut remaining = supply;
+    while !active.is_empty() && remaining.is_positive() {
+        let total_r: f64 = active.iter().map(|&i| tasks[i].0 as f64).sum();
+        if total_r <= 0.0 {
+            break;
+        }
+        let mut consumed = ProcessingUnits::ZERO;
+        let mut kept = 0;
+        for k in 0..active.len() {
+            let i = active[k];
+            let (priority, demand) = tasks[i];
+            let share = remaining * (priority as f64 / total_r);
+            let headroom = demand - grants[i];
+            if share >= headroom {
+                grants[i] = demand;
+                consumed += headroom;
+            } else {
+                grants[i] += share;
+                consumed += share;
+                active[kept] = i;
+                kept += 1;
+            }
+        }
+        remaining -= consumed;
+        if kept == active.len() {
+            break;
+        }
+        active.truncate(kept);
+    }
+}
+
+/// A task's supply/demand ratio when granted `grant` of `demand`.
+fn ratio(grant: ProcessingUnits, demand: ProcessingUnits) -> f64 {
+    let ratio = if demand.is_positive() {
+        grant / demand
+    } else {
+        1.0
+    };
+    ratio.min(1.0)
+}
+
+/// Aggregate spending and consumed PU of a cluster's tasks, folded one
+/// grant at a time in core and task order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fold {
+    spend: Money,
+    used: ProcessingUnits,
+}
+
+impl Fold {
+    /// A task granted `grant` at `price` bids `price × grant`.
+    fn add(&mut self, price: Price, grant: ProcessingUnits) {
+        self.spend += price * grant;
+        self.used += grant;
+    }
+}
+
+/// Estimate the steady state of `cluster` when its cores host `assignment`
+/// (one task list per core, same order as `cluster.cores`).
+///
+/// The estimate follows §3.3: the cluster settles at the lowest level whose
+/// supply covers the constrained demand (demand rounded up to the next
+/// supply value); the price at that level follows the Eq. 2 recursion from
+/// the currently observed price; each core's supply is divided among its
+/// tasks proportionally to priority but capped at demand; the steady-state
+/// bid of a task is `price × supply`. The LBT pass makes the same split and
+/// fold, splitting only the cores a move touches.
+pub fn estimate_cluster(
+    snapshot: &LbtSnapshot,
+    cluster: &ClusterSnapshot,
+    assignment: &[Vec<&TaskSnapshot>],
+) -> ClusterEstimate {
+    debug_assert_eq!(assignment.len(), cluster.cores.len());
+    let class = cluster.class;
+    let demands = assignment
+        .iter()
+        .map(|ts| -> ProcessingUnits { ts.iter().map(|t| t.demand_on(class)).sum() });
+    let (level, supply, price) = settle(snapshot, cluster, demands);
+    let mut split = CoreSplit::default();
+    let mut active = Vec::new();
     let mut ratios = Vec::new();
-    let mut spend = Money::ZERO;
-    let mut used = ProcessingUnits::ZERO;
+    let mut fold = Fold::default();
     for tasks in assignment {
-        if tasks.is_empty() {
-            continue;
-        }
-        // Priority-proportional split capped at demand (water-filling).
-        let mut grants = vec![ProcessingUnits::ZERO; tasks.len()];
-        let mut remaining = supply;
-        let mut active: Vec<usize> = (0..tasks.len()).collect();
-        while !active.is_empty() && remaining.is_positive() {
-            let total_r: f64 = active.iter().map(|&i| tasks[i].priority as f64).sum();
-            if total_r <= 0.0 {
-                break;
-            }
-            let mut saturated = Vec::new();
-            let mut consumed = ProcessingUnits::ZERO;
-            for &i in &active {
-                let share = remaining * (tasks[i].priority as f64 / total_r);
-                let headroom = tasks[i].demand_on(class) - grants[i];
-                if share >= headroom {
-                    grants[i] = tasks[i].demand_on(class);
-                    consumed += headroom;
-                    saturated.push(i);
-                } else {
-                    grants[i] += share;
-                    consumed += share;
-                }
-            }
-            remaining -= consumed;
-            if saturated.is_empty() {
-                break;
-            }
-            active.retain(|i| !saturated.contains(i));
-        }
-        for (i, t) in tasks.iter().enumerate() {
-            let d = t.demand_on(class);
-            let ratio = if d.is_positive() { grants[i] / d } else { 1.0 };
-            ratios.push((t.id, t.priority, ratio.min(1.0)));
-            spend += price * grants[i];
-            used += grants[i];
+        split.refill(tasks.iter().copied(), class);
+        split.run(supply, &mut active);
+        for (t, &grant) in tasks.iter().zip(&split.grants) {
+            ratios.push((t.id, t.priority, ratio(grant, t.demand_on(class))));
+            fold.add(price, grant);
         }
     }
-    let has_tasks = !ratios.is_empty();
-    let power = cluster.power.power(level, used, has_tasks);
+    let power = cluster.power.power(level, fold.used, !ratios.is_empty());
     ClusterEstimate {
         level,
         price,
         ratios,
-        spend,
+        spend: fold.spend,
         power,
     }
 }
@@ -311,8 +394,8 @@ pub fn estimate_cluster(
 /// How a move changes the supply/demand ratios of the tasks it touches,
 /// folded in one pass over `(priority, old, new)` triples, one per task.
 /// §3.3's two comparisons depend only on each task's own pair, and an
-/// unchanged ratio satisfies both, so a move is judged on the tasks of the
-/// clusters it touches.
+/// unchanged ratio satisfies both, so a move is judged on the tasks whose
+/// ratio it can change; the fold is a maximum, so their order is free.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PerfChange {
     /// Highest priority among the tasks whose ratio rises.
@@ -326,13 +409,26 @@ impl PerfChange {
     pub fn of(triples: impl IntoIterator<Item = (u32, f64, f64)>) -> Self {
         let mut change = PerfChange::default();
         for (priority, old, new) in triples {
-            if new > old + EPS {
-                change.improved = change.improved.max(Some(priority));
-            } else if new < old - EPS {
-                change.worsened = change.worsened.max(Some(priority));
-            }
+            change.add(priority, old, new);
         }
         change
+    }
+
+    /// Fold one task's `(priority, old, new)` triple.
+    fn add(&mut self, priority: u32, old: f64, new: f64) {
+        if new > old + EPS {
+            self.improved = self.improved.max(Some(priority));
+        } else if new < old - EPS {
+            self.worsened = self.worsened.max(Some(priority));
+        }
+    }
+
+    /// The fold of both changes' triples.
+    fn merge(self, other: PerfChange) -> PerfChange {
+        PerfChange {
+            improved: self.improved.max(other.improved),
+            worsened: self.worsened.max(other.worsened),
+        }
     }
 
     /// `perf(M′) > perf(M)` (§3.3): some task's ratio rises and no
@@ -387,117 +483,305 @@ impl fmt::Display for Move {
     }
 }
 
-/// Assignment of a cluster as plain reference lists (one per core).
-fn assignment_of(cluster: &ClusterSnapshot) -> Vec<Vec<&TaskSnapshot>> {
-    cluster
-        .cores
-        .iter()
-        .map(|c| c.tasks.iter().collect())
-        .collect()
+/// One core's `(priority, demand)` task list and its split.
+#[derive(Debug, Default)]
+struct CoreSplit {
+    tasks: Vec<(u32, ProcessingUnits)>,
+    grants: Vec<ProcessingUnits>,
 }
 
-/// Tasks on the cores before `core`: where that core's tasks start in a
-/// cluster estimate's ratios, which follow assignment order.
-fn ratio_offset<T>(cores: &[Vec<T>], core: usize) -> usize {
-    cores[..core].iter().map(Vec::len).sum()
+impl CoreSplit {
+    /// Refill the task list with `tasks` as seen on a core of `class`.
+    fn refill<'t>(&mut self, tasks: impl Iterator<Item = &'t TaskSnapshot>, class: CoreClass) {
+        self.tasks.clear();
+        self.tasks
+            .extend(tasks.map(|t| (t.priority, t.demand_on(class))));
+    }
+
+    /// Summed demand of the task list.
+    fn demand(&self) -> ProcessingUnits {
+        self.tasks.iter().map(|&(_, d)| d).sum()
+    }
+
+    /// Split `supply` among the task list.
+    fn run(&mut self, supply: ProcessingUnits, active: &mut Vec<usize>) {
+        water_fill(&self.tasks, supply, &mut self.grants, active);
+    }
 }
 
-/// One LBT invocation: each cluster's current mapping is estimated once and
-/// shared by every candidate of both searches.
-struct Pass<'a> {
-    snapshot: &'a LbtSnapshot,
-    /// Estimate of each cluster's current mapping.
-    before: Vec<ClusterEstimate>,
-    /// Whether every task meets its demand under `before`.
-    all_meet: bool,
-    /// Each cluster's most over-supplied unconstrained core.
-    targets: Vec<usize>,
+/// The settled state of one cluster under a mapping, as a move is judged.
+#[derive(Debug, Clone, Copy, Default)]
+struct Settled {
+    level: usize,
+    spend: Money,
+    power: Watts,
 }
 
-impl<'a> Pass<'a> {
-    fn new(snapshot: &'a LbtSnapshot) -> Self {
-        let clusters = &snapshot.clusters;
-        let before: Vec<ClusterEstimate> = clusters
-            .iter()
-            .map(|cl| estimate_cluster(snapshot, cl, &assignment_of(cl)))
-            .collect();
-        let all_meet = before
-            .iter()
-            .all(|est| est.ratios.iter().all(|&(_, _, r)| r >= 1.0 - EPS));
-        let targets = clusters
-            .iter()
-            .map(ClusterSnapshot::most_oversupplied_unconstrained)
-            .collect();
-        Pass {
-            snapshot,
-            before,
-            all_meet,
-            targets,
+/// Where one cluster's state sits in an [`Lbt`]'s flat buffers, and what
+/// the pass derived for it.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClusterPass {
+    /// Index of the cluster's first core in the per-core buffers.
+    first_core: usize,
+    /// Tasks hosted by the cluster.
+    tasks: usize,
+    /// Offset of the cluster's per-level entries in [`Lbt::rows`].
+    first_level: usize,
+    /// The constrained core.
+    constrained: usize,
+    /// The most over-supplied unconstrained core.
+    target: usize,
+    /// The current mapping's settled state.
+    before: Settled,
+}
+
+/// The LBT module's working state, kept across invocations: per-core demand
+/// sums, the per-level split caches and the scratch a candidate is judged
+/// in. Every buffer is sized by the snapshot and refilled in place, so once
+/// they have grown to the chip an invocation does not allocate.
+#[derive(Debug, Default)]
+pub struct Lbt {
+    clusters: Vec<ClusterPass>,
+    /// Summed demand `D_c` of every core, clusters in order.
+    demands: Vec<ProcessingUnits>,
+    /// Offset of every core's first task among its cluster's tasks.
+    first_task: Vec<usize>,
+    /// Split rows, one `(grant, ratio)` per task of a cluster at one level
+    /// of its ladder, appended as the pass first needs them.
+    splits: Vec<(ProcessingUnits, f64)>,
+    /// Where each cluster's row at each level starts in [`Lbt::splits`],
+    /// once computed this pass.
+    rows: Vec<Option<usize>>,
+    /// Scratch: a split row being computed, the source core without the
+    /// mover, the destination core with it, and the water-filling worklist.
+    filling: CoreSplit,
+    src: CoreSplit,
+    dst: CoreSplit,
+    active: Vec<usize>,
+    /// The movers of the source cluster being searched, with the source
+    /// cluster's state after each leaves (migration only).
+    movers: Vec<(usize, Settled, PerfChange)>,
+}
+
+impl Lbt {
+    /// One LBT invocation (§3.3): with `migrate`, the best cross-cluster
+    /// migration, else (or when none qualifies) the best intra-cluster
+    /// load-balancing move. Both searches share one estimate of the current
+    /// mapping; at most one move is approved.
+    pub fn decide_move(&mut self, snapshot: &LbtSnapshot, migrate: bool) -> Option<Move> {
+        let mut pass = Pass::new(snapshot, self);
+        let migration = if migrate { pass.best(true) } else { None };
+        migration.or_else(|| pass.best(false))
+    }
+
+    /// The split row of cluster `ci` (`cluster`) at `level`: each core's
+    /// supply at that level divided among its tasks. Computed once per
+    /// level and pass.
+    fn fill(&mut self, ci: usize, cluster: &ClusterSnapshot, level: usize) {
+        let row = &mut self.rows[self.clusters[ci].first_level + level];
+        if row.is_some() {
+            return;
+        }
+        *row = Some(self.splits.len());
+        let supply = cluster.ladder[level];
+        for core in &cluster.cores {
+            self.filling.refill(core.tasks.iter(), cluster.class);
+            self.filling.run(supply, &mut self.active);
+            let split = self.filling.tasks.iter().zip(&self.filling.grants);
+            self.splits
+                .extend(split.map(|(&(_, demand), &grant)| (grant, ratio(grant, demand))));
         }
     }
 
-    /// Move the `mover`-th task of core `src_core` in cluster `src` to core
-    /// `dst_core` of cluster `dst`, returning the move (its goal left for
-    /// the caller to set), the performance change and the mover's ratio
-    /// before and after. Only the touched clusters' after-mappings are
-    /// estimated: one within a cluster, two across clusters.
+    /// Task `i` of cluster `ci`'s `(grant, ratio)` at `level`.
+    fn split(&self, ci: usize, level: usize, i: usize) -> (ProcessingUnits, f64) {
+        let row = self.rows[self.clusters[ci].first_level + level];
+        self.splits[row.expect("the row is split before it is read") + i]
+    }
+}
+
+/// One LBT invocation over `snapshot`: each cluster's current mapping is
+/// estimated once and shared by every candidate of both searches.
+struct Pass<'a> {
+    snapshot: &'a LbtSnapshot,
+    lbt: &'a mut Lbt,
+    /// Whether every task meets its demand under the current mapping.
+    all_meet: bool,
+}
+
+impl<'a> Pass<'a> {
+    fn new(snapshot: &'a LbtSnapshot, lbt: &'a mut Lbt) -> Self {
+        lbt.clusters.clear();
+        lbt.demands.clear();
+        lbt.first_task.clear();
+        lbt.splits.clear();
+        lbt.rows.clear();
+        let mut all_meet = true;
+        for (ci, cl) in snapshot.clusters.iter().enumerate() {
+            let first_core = lbt.demands.len();
+            let mut tasks = 0;
+            for core in &cl.cores {
+                lbt.demands.push(core.total_demand(cl.class));
+                lbt.first_task.push(tasks);
+                tasks += core.tasks.len();
+            }
+            let demands = &lbt.demands[first_core..];
+            let (level, _, price) = settle(snapshot, cl, demands.iter().copied());
+            lbt.clusters.push(ClusterPass {
+                first_core,
+                tasks,
+                first_level: lbt.rows.len(),
+                constrained: constrained_of(demands),
+                target: most_oversupplied_of(cl, demands),
+                before: Settled::default(),
+            });
+            lbt.rows.resize(lbt.rows.len() + cl.ladder.len(), None);
+            lbt.fill(ci, cl, level);
+            let mut fold = Fold::default();
+            for i in 0..tasks {
+                let (grant, ratio) = lbt.split(ci, level, i);
+                fold.add(price, grant);
+                all_meet &= ratio >= 1.0 - EPS;
+            }
+            lbt.clusters[ci].before = Settled {
+                level,
+                spend: fold.spend,
+                power: cl.power.power(level, fold.used, tasks > 0),
+            };
+        }
+        Pass {
+            snapshot,
+            lbt,
+            all_meet,
+        }
+    }
+
+    /// Cluster `ci` after a move takes task `removed.1` off core
+    /// `removed.0` and/or appends task `added.1` to core `added.0`: its
+    /// settled state, the change in its other tasks' ratios, and the
+    /// appended task's ratio. Only the touched cores are split afresh; the
+    /// others come from the split row of the settled level.
+    fn side(
+        &mut self,
+        ci: usize,
+        removed: Option<(usize, usize)>,
+        added: Option<(usize, &TaskSnapshot)>,
+    ) -> (Settled, PerfChange, Option<f64>) {
+        let snapshot = self.snapshot;
+        let cl = &snapshot.clusters[ci];
+        let lbt = &mut *self.lbt;
+        let cp = lbt.clusters[ci];
+        let src_core = removed.map(|(core, _)| core);
+        let dst_core = added.map(|(core, _)| core);
+        if let Some((core, mover)) = removed {
+            let tasks = &cl.cores[core].tasks;
+            lbt.src
+                .refill(tasks[..mover].iter().chain(&tasks[mover + 1..]), cl.class);
+        }
+        if let Some((core, task)) = added {
+            lbt.dst
+                .refill(cl.cores[core].tasks.iter().chain([task]), cl.class);
+        }
+        let demands = (0..cl.cores.len()).map(|k| match k {
+            k if Some(k) == src_core => lbt.src.demand(),
+            k if Some(k) == dst_core => lbt.dst.demand(),
+            k => lbt.demands[cp.first_core + k],
+        });
+        let (level, supply, price) = settle(snapshot, cl, demands);
+        lbt.fill(ci, cl, level);
+        if removed.is_some() {
+            lbt.src.run(supply, &mut lbt.active);
+        }
+        if added.is_some() {
+            lbt.dst.run(supply, &mut lbt.active);
+        }
+
+        let lbt = &*lbt;
+        let before = |i: usize| lbt.split(ci, cp.before.level, i).1;
+        let mut fold = Fold::default();
+        let mut perf = PerfChange::default();
+        let mut appended = None;
+        for (k, core) in cl.cores.iter().enumerate() {
+            let first = lbt.first_task[cp.first_core + k];
+            if let Some((_, mover)) = removed.filter(|&(c, _)| c == k) {
+                for (j, (&(priority, demand), &grant)) in
+                    lbt.src.tasks.iter().zip(&lbt.src.grants).enumerate()
+                {
+                    fold.add(price, grant);
+                    let i = if j < mover { j } else { j + 1 };
+                    perf.add(priority, before(first + i), ratio(grant, demand));
+                }
+            } else if Some(k) == dst_core {
+                for (i, (&(priority, demand), &grant)) in
+                    lbt.dst.tasks.iter().zip(&lbt.dst.grants).enumerate()
+                {
+                    fold.add(price, grant);
+                    let new = ratio(grant, demand);
+                    if i < core.tasks.len() {
+                        perf.add(priority, before(first + i), new);
+                    } else {
+                        appended = Some(new);
+                    }
+                }
+            } else {
+                for (i, t) in (first..).zip(&core.tasks) {
+                    let (grant, new) = lbt.split(ci, level, i);
+                    fold.add(price, grant);
+                    // At the same level an untouched core splits as before.
+                    if level != cp.before.level {
+                        perf.add(t.priority, before(i), new);
+                    }
+                }
+            }
+        }
+        let has_tasks = cp.tasks + usize::from(added.is_some()) > usize::from(removed.is_some());
+        let after = Settled {
+            level,
+            spend: fold.spend,
+            power: cl.power.power(level, fold.used, has_tasks),
+        };
+        (after, perf, appended)
+    }
+
+    /// Move the `mover`-th task (the `m`-th listed mover) of core
+    /// `src_core` in cluster `src` to core `dst_core` of cluster `dst`,
+    /// returning the move (its goal left for the caller to set), the
+    /// performance change and the mover's ratio before and after.
     fn evaluate(
-        &self,
+        &mut self,
         src: usize,
         src_core: usize,
-        mover: usize,
+        (m, mover): (usize, usize),
         dst: usize,
         dst_core: usize,
     ) -> (Move, PerfChange, (f64, f64)) {
         let clusters = &self.snapshot.clusters;
-        let task = &clusters[src].cores[src_core].tasks[mover];
-        let mut touched = vec![(src, assignment_of(&clusters[src]))];
-        let old_at = ratio_offset(&touched[0].1, src_core) + mover;
-        touched[0].1[src_core].remove(mover);
-        if dst != src {
-            touched.push((dst, assignment_of(&clusters[dst])));
-        }
-        let dst_asg = &mut touched.last_mut().expect("the source is touched").1;
-        dst_asg[dst_core].push(task);
-        // The mover is the last task of its new core.
-        let new_at = ratio_offset(dst_asg, dst_core + 1) - 1;
-        let after: Vec<(&ClusterEstimate, ClusterEstimate)> = touched
-            .iter()
-            .map(|(ci, asg)| {
-                (
-                    &self.before[*ci],
-                    estimate_cluster(self.snapshot, &clusters[*ci], asg),
-                )
-            })
-            .collect();
-
-        let mover_ratios = (
-            self.before[src].ratios[old_at].2,
-            after[after.len() - 1].1.ratios[new_at].2,
-        );
-        // Outside the mover, a move keeps each ratio list in order, so the
-        // lists align once the mover is skipped on both sides.
-        let stays = |r: &&(TaskId, u32, f64)| r.0 != task.id;
-        let triples = after.iter().flat_map(|(before, after)| {
-            let pairs = before
-                .ratios
-                .iter()
-                .filter(stays)
-                .zip(after.ratios.iter().filter(stays));
-            pairs.map(|(&(id, priority, old), &(after_id, _, new))| {
-                debug_assert_eq!(id, after_id, "ratio lists out of step");
-                (priority, old, new)
-            })
-        });
-        let perf = PerfChange::of(triples.chain([(task.priority, mover_ratios.0, mover_ratios.1)]));
-        let (spend_delta, power_delta) = match after.as_slice() {
-            [(before, after)] => (after.spend - before.spend, after.power - before.power),
-            [(src_before, src_after), (dst_before, dst_after)] => (
+        let task: &'a TaskSnapshot = &clusters[src].cores[src_core].tasks[mover];
+        let src_before = self.lbt.clusters[src].before;
+        let first = self.lbt.first_task[self.lbt.clusters[src].first_core + src_core];
+        let old = self.lbt.split(src, src_before.level, first + mover).1;
+        let (spend_delta, power_delta, mut perf, new) = if dst == src {
+            let (after, perf, new) =
+                self.side(src, Some((src_core, mover)), Some((dst_core, task)));
+            (
+                after.spend - src_before.spend,
+                after.power - src_before.power,
+                perf,
+                new,
+            )
+        } else {
+            let (_, src_after, src_perf) = self.lbt.movers[m];
+            let dst_before = self.lbt.clusters[dst].before;
+            let (dst_after, dst_perf, new) = self.side(dst, None, Some((dst_core, task)));
+            (
                 (src_after.spend + dst_after.spend) - (src_before.spend + dst_before.spend),
                 (src_after.power + dst_after.power) - (src_before.power + dst_before.power),
-            ),
-            _ => unreachable!("a move touches one or two clusters"),
+                src_perf.merge(dst_perf),
+                new,
+            )
         };
+        let new = new.expect("the mover is appended to its destination");
+        perf.add(task.priority, old, new);
         let m = Move {
             task: task.id,
             to_core: clusters[dst].cores[dst_core].id,
@@ -505,44 +789,55 @@ impl<'a> Pass<'a> {
             spend_delta,
             power_delta,
         };
-        (m, perf, mover_ratios)
+        (m, perf, (old, new))
     }
 
     /// Figure 3's decision procedure over the migration or the
     /// load-balancing targets: either reduce spending without hurting
     /// performance (all demands met) or raise the ratio of the
     /// highest-priority unsatisfied task.
-    fn best(&self, migration: bool) -> Option<Move> {
+    fn best(&mut self, migration: bool) -> Option<Move> {
+        let clusters: &'a [ClusterSnapshot] = &self.snapshot.clusters;
         let mut best: Option<(Move, f64)> = None; // (move, performance gain key)
-        for (src, cl) in self.snapshot.clusters.iter().enumerate() {
-            let constrained = cl.constrained_core();
+        for (src, cl) in clusters.iter().enumerate() {
+            let cp = self.lbt.clusters[src];
+            let constrained = cp.constrained;
             let tasks = &cl.cores[constrained].tasks;
-            let offset: usize = cl.cores[..constrained].iter().map(|c| c.tasks.len()).sum();
-            let ratios = &self.before[src].ratios[offset..offset + tasks.len()];
+            let first = self.lbt.first_task[cp.first_core + constrained];
             // Candidate movers: task agents in the constrained core; when
             // some demands are unmet, only the unsatisfied ones there
-            // contemplate moving (Figure 3).
-            let movers: Vec<usize> = (0..tasks.len())
-                .filter(|&i| self.all_meet || ratios[i].2 < 1.0 - EPS)
-                .collect();
+            // contemplate moving (Figure 3). A migration's source side is
+            // the same whatever the destination, so it is settled once.
+            self.lbt.movers.clear();
+            for mover in 0..tasks.len() {
+                let ratio = self.lbt.split(src, cp.before.level, first + mover).1;
+                if !(self.all_meet || ratio < 1.0 - EPS) {
+                    continue;
+                }
+                let (after, perf) = if migration {
+                    let (after, perf, _) = self.side(src, Some((constrained, mover)), None);
+                    (after, perf)
+                } else {
+                    Default::default()
+                };
+                self.lbt.movers.push((mover, after, perf));
+            }
             // Migration targets every other cluster's most over-supplied
             // unconstrained core; load balancing, the source cluster's own.
-            let dsts = self
-                .targets
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(ci, core)| {
-                    if migration {
-                        ci != src
-                    } else {
-                        ci == src && cl.cores.len() > 1 && core != constrained
-                    }
-                });
-            for (dst, dst_core) in dsts {
-                for &mover in &movers {
+            for dst in 0..clusters.len() {
+                let dst_core = self.lbt.clusters[dst].target;
+                let eligible = if migration {
+                    dst != src
+                } else {
+                    dst == src && cl.cores.len() > 1 && dst_core != constrained
+                };
+                if !eligible {
+                    continue;
+                }
+                for m in 0..self.lbt.movers.len() {
+                    let mover = self.lbt.movers[m].0;
                     let (cand, perf, (old_r, new_r)) =
-                        self.evaluate(src, constrained, mover, dst, dst_core);
+                        self.evaluate(src, constrained, (m, mover), dst, dst_core);
                     let (goal, gain, better) = if self.all_meet {
                         // Power goal (Figure 3, left branch): the profiled
                         // power estimate must drop while performance does
@@ -578,14 +873,10 @@ impl<'a> Pass<'a> {
     }
 }
 
-/// One LBT invocation (§3.3): with `migrate`, the best cross-cluster
-/// migration, else (or when none qualifies) the best intra-cluster
-/// load-balancing move. Both searches share one estimate of the current
-/// mapping; at most one move is approved.
+/// One LBT invocation with fresh working state; see [`Lbt::decide_move`],
+/// which the manager runs on state it keeps.
 pub fn decide_move(snapshot: &LbtSnapshot, migrate: bool) -> Option<Move> {
-    let pass = Pass::new(snapshot);
-    let migration = if migrate { pass.best(true) } else { None };
-    migration.or_else(|| pass.best(false))
+    Lbt::default().decide_move(snapshot, migrate)
 }
 
 /// Cross-cluster task migration (§3.3): consider, for every cluster's
@@ -593,18 +884,27 @@ pub fn decide_move(snapshot: &LbtSnapshot, migrate: bool) -> Option<Move> {
 /// unconstrained core of each *other* cluster. At most one move is approved
 /// per invocation.
 pub fn decide_migration(snapshot: &LbtSnapshot) -> Option<Move> {
-    Pass::new(snapshot).best(true)
+    Pass::new(snapshot, &mut Lbt::default()).best(true)
 }
 
 /// Intra-cluster load balancing (§3.3): move one task from the constrained
 /// core to the most over-supplied unconstrained core of the *same* cluster.
 pub fn decide_load_balance(snapshot: &LbtSnapshot) -> Option<Move> {
-    Pass::new(snapshot).best(false)
+    Pass::new(snapshot, &mut Lbt::default()).best(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Assignment of a cluster as plain reference lists (one per core).
+    fn assignment_of(cluster: &ClusterSnapshot) -> Vec<Vec<&TaskSnapshot>> {
+        cluster
+            .cores
+            .iter()
+            .map(|c| c.tasks.iter().collect())
+            .collect()
+    }
 
     fn task(id: usize, prio: u32, d_little: f64, speedup: f64, supply: f64) -> TaskSnapshot {
         TaskSnapshot {

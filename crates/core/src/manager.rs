@@ -30,7 +30,7 @@ use ppm_predict::OnlineEstimator;
 
 use crate::config::PpmConfig;
 use crate::lbt::{
-    decide_move, ClusterPowerProfile, ClusterSnapshot, CoreSnapshot, LbtSnapshot, TaskSnapshot,
+    ClusterPowerProfile, ClusterSnapshot, CoreSnapshot, Lbt, LbtSnapshot, TaskSnapshot,
 };
 use crate::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs, VfStep};
 use crate::state::PowerState;
@@ -58,35 +58,6 @@ struct MigrationWatch {
     next_retry: u64,
 }
 
-/// `snap.tasks` bucketed by core in one pass, ascending by id within each
-/// core (the order `SystemSnapshot::tasks_on` yields), so building the LBT
-/// view costs O(tasks) instead of O(cores × tasks).
-struct TasksByCore<'a> {
-    /// Tasks sorted by core; stable, so ids stay ascending per core.
-    tasks: Vec<&'a TaskSnap>,
-    /// `tasks[start[c]..start[c + 1]]` are the tasks on core `c`.
-    start: Vec<usize>,
-}
-
-impl<'a> TasksByCore<'a> {
-    fn new(snap: &'a SystemSnapshot) -> TasksByCore<'a> {
-        let mut tasks: Vec<&TaskSnap> = snap.tasks.iter().collect();
-        tasks.sort_by_key(|t| t.core.0);
-        let mut start = vec![0; snap.cores.len() + 1];
-        for t in &tasks {
-            start[t.core.0 + 1] += 1;
-        }
-        for c in 1..start.len() {
-            start[c] += start[c - 1];
-        }
-        TasksByCore { tasks, start }
-    }
-
-    fn on(&self, core: CoreId) -> &[&'a TaskSnap] {
-        &self.tasks[self.start[core.0]..self.start[core.0 + 1]]
-    }
-}
-
 /// Price-theory power manager (PPM).
 #[derive(Debug)]
 pub struct PpmManager {
@@ -106,9 +77,13 @@ pub struct PpmManager {
     current_tasks: Vec<TaskId>,
     /// Scratch for grouping shares by core in nice actuation.
     nice_scratch: Vec<(CoreId, TaskId, f64)>,
-    /// Per-cluster profiled power behaviour for LBT speculation, cached at
-    /// `init` (the power model is static).
-    lbt_profiles: Vec<ClusterPowerProfile>,
+    /// The LBT module's view of the chip, built at `init` (ladders and
+    /// profiled power are static) and refilled in place per invocation.
+    lbt_view: LbtSnapshot,
+    /// `(cluster, core)` indices into `lbt_view` of every core, by core id.
+    lbt_slots: Vec<(usize, usize)>,
+    /// The LBT module's caches, reused across invocations.
+    lbt: Lbt,
     /// Online demand estimator (when `config.online_estimation` is set).
     estimator: OnlineEstimator,
     /// Bid rounds this manager has run (cadence base for retry backoff).
@@ -153,7 +128,9 @@ impl PpmManager {
             known_tasks: Vec::new(),
             current_tasks: Vec::new(),
             nice_scratch: Vec::new(),
-            lbt_profiles: Vec::new(),
+            lbt_view: LbtSnapshot::default(),
+            lbt_slots: Vec::new(),
+            lbt: Lbt::default(),
             estimator: OnlineEstimator::new(),
             bid_rounds: 0,
             last_good_power: None,
@@ -472,15 +449,19 @@ impl PpmManager {
         }
     }
 
-    /// Cache each cluster's profiled power behaviour (static: derived from
-    /// the chip's power model and V-F tables).
-    fn cache_lbt_profiles(&mut self, sys: &System) {
+    /// Build the LBT view of `sys`'s chip: each cluster's ladder and
+    /// profiled power behaviour (static: derived from the chip's power model
+    /// and V-F tables) and its cores, whose task lists every invocation
+    /// refills.
+    fn init_lbt_view(&mut self, sys: &System) {
         let chip = sys.chip();
         let model = chip.power_model();
-        self.lbt_profiles = chip
+        let mut slots = vec![(0, 0); chip.cores().len()];
+        let clusters = chip
             .clusters()
             .iter()
-            .map(|cl| {
+            .enumerate()
+            .map(|(ci, cl)| {
                 let params = model.params(cl.class());
                 let n = cl.core_count() as f64;
                 let idle = cl
@@ -499,50 +480,59 @@ impl PpmManager {
                         params.dynamic_coeff * v * v
                     })
                     .collect();
-                ClusterPowerProfile { idle, watts_per_pu }
-            })
-            .collect();
-    }
-
-    /// Build the LBT snapshot from the executor snapshot and market state.
-    fn lbt_snapshot(&self, snap: &SystemSnapshot) -> LbtSnapshot {
-        let by_core = TasksByCore::new(snap);
-        let clusters = snap
-            .clusters
-            .iter()
-            .map(|cl| {
-                // Constrained-core price from the last round; fall back to a
-                // minimum-bid-implied price.
-                let price = self.cluster_price(snap, &by_core, cl.id);
                 let cores = cl
-                    .cores
+                    .cores()
                     .iter()
-                    .map(|&core| CoreSnapshot {
-                        id: core,
-                        tasks: by_core
-                            .on(core)
-                            .iter()
-                            .map(|t| self.task_snapshot(t))
-                            .collect(),
+                    .enumerate()
+                    .map(|(k, &id)| {
+                        slots[id.0] = (ci, k);
+                        CoreSnapshot {
+                            id,
+                            tasks: Vec::new(),
+                        }
                     })
                     .collect();
                 ClusterSnapshot {
-                    id: cl.id,
-                    class: cl.class,
-                    ladder: cl.ladder.clone(),
-                    level: cl.level,
-                    price,
-                    power: self.lbt_profiles[cl.id.0].clone(),
+                    id: cl.id(),
+                    class: cl.class(),
+                    ladder: Vec::new(),
+                    level: 0,
+                    price: Price::ZERO,
+                    power: ClusterPowerProfile { idle, watts_per_pu },
                     cores,
                 }
             })
             .collect();
-        LbtSnapshot {
+        self.lbt_view = LbtSnapshot {
             clusters,
-            tolerance: self.config.tolerance,
-            min_bid: self.config.min_bid,
-            supply_capped: self.market.state() != PowerState::Normal,
+            ..LbtSnapshot::default()
+        };
+        self.lbt_slots = slots;
+    }
+
+    /// Refill the LBT view from the executor snapshot and market state, in
+    /// place, so once its task lists have grown it does not allocate.
+    fn fill_lbt_view(&mut self, snap: &SystemSnapshot) {
+        let mut view = std::mem::take(&mut self.lbt_view);
+        for (cluster, cl) in view.clusters.iter_mut().zip(&snap.clusters) {
+            cluster.ladder.clone_from(&cl.ladder);
+            cluster.level = cl.level;
+            for core in &mut cluster.cores {
+                core.tasks.clear();
+            }
         }
+        // `snap.tasks` is ascending by id, so every core's list is too.
+        for t in &snap.tasks {
+            let (ci, k) = self.lbt_slots[t.core.0];
+            view.clusters[ci].cores[k].tasks.push(self.task_snapshot(t));
+        }
+        for cluster in &mut view.clusters {
+            cluster.price = self.cluster_price(cluster);
+        }
+        view.tolerance = self.config.tolerance;
+        view.min_bid = self.config.min_bid;
+        view.supply_capped = self.market.state() != PowerState::Normal;
+        self.lbt_view = view;
     }
 
     fn task_snapshot(&self, t: &TaskSnap) -> TaskSnapshot {
@@ -564,12 +554,7 @@ impl PpmManager {
     }
 
     /// Price of the constrained core of `cluster` from the last decision.
-    fn cluster_price(
-        &self,
-        snap: &SystemSnapshot,
-        by_core: &TasksByCore<'_>,
-        cluster: ClusterId,
-    ) -> Price {
+    fn cluster_price(&self, cluster: &ClusterSnapshot) -> Price {
         let Some(decision) = &self.last_decision else {
             return Price::ZERO;
         };
@@ -577,9 +562,9 @@ impl PpmManager {
         // `decision.tasks` and `decision.prices` are sorted by id, so the
         // lookups are binary searches.
         let mut best: Option<(ProcessingUnits, CoreId)> = None;
-        for &core in &snap.cluster(cluster).cores {
-            let d: ProcessingUnits = by_core
-                .on(core)
+        for core in &cluster.cores {
+            let d: ProcessingUnits = core
+                .tasks
                 .iter()
                 .map(|t| {
                     decision
@@ -589,7 +574,7 @@ impl PpmManager {
                 })
                 .sum();
             if best.is_none_or(|(bd, _)| d > bd) {
-                best = Some((d, core));
+                best = Some((d, core.id));
             }
         }
         best.and_then(|(_, core)| {
@@ -604,8 +589,8 @@ impl PpmManager {
 
     /// Run the LBT module and queue at most one move.
     fn run_lbt(&mut self, snap: &SystemSnapshot, plan: &mut ActuationPlan, migrate: bool) {
-        let snapshot = self.lbt_snapshot(snap);
-        if let Some(m) = decide_move(&snapshot, migrate) {
+        self.fill_lbt_view(snap);
+        if let Some(m) = self.lbt.decide_move(&self.lbt_view, migrate) {
             // Moving to a gated cluster requires powering it up first.
             let target_cluster = snap.core(m.to_core).cluster;
             if plan.cluster_off(snap, target_cluster) {
@@ -652,7 +637,7 @@ impl PowerManager for PpmManager {
             let n = residents[core.0].max(1) as f64;
             sys.set_share(id, supply / n);
         }
-        self.cache_lbt_profiles(sys);
+        self.init_lbt_view(sys);
         self.manage_gating_now(sys);
     }
 

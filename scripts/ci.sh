@@ -27,7 +27,7 @@ echo ">>> 256-chip V64/C8 acceptance epochs (ignored in tier-1; release only)"
 cargo test -q --release -p ppm-fleet large_fleet_epoch_is_auditor_clean -- --ignored
 cargo test -q --release --test fleet openloop_fleet_256_chips_is_auditor_clean -- --ignored
 
-echo ">>> Table 7 (the constrained-core scan prints its 12 grid rows and the scaling line)"
+echo ">>> Table 7 (the constrained-core scan and the whole-chip pass print their 12 grid rows and the scaling line)"
 table7_out="$(cargo run --release --quiet -p ppm-bench --bin table7)"
 table7_rows="$(grep -cE '^\| [0-9]+ \| [0-9]+ \| [0-9]+ \| [0-9]+ \|' <<< "$table7_out" || true)"
 if [ "$table7_rows" -ne 12 ] || ! grep -q '^scaling: ' <<< "$table7_out"; then
@@ -46,6 +46,9 @@ cargo run --release --quiet -p ppm --bin ppm-sim -- \
 
 echo ">>> lazy task capture (the lazy-vs-eager snapshot property again, second pinned seed)"
 PROPTEST_SEED=1303 cargo test -q --release --test substrate_properties lazy_task_capture_matches_eager_capture
+
+echo ">>> LBT reference (the incremental pass against the whole-cluster reference, second pinned seed)"
+PROPTEST_SEED=1303 cargo test -q --release --test lbt_properties decide_move_matches_the_whole_cluster_reference
 
 echo ">>> telemetry smoke (ppm-sim --trace/--metrics/--profile + artifact validation)"
 obs_tmp="$(mktemp -d)"

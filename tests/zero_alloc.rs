@@ -292,8 +292,8 @@ fn steady_state_ppm_bid_rounds_do_not_allocate() {
     use ppm::sched::Simulation;
 
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    // LBT builds its view per invocation by design, so the proof covers the
-    // bid rounds: observation, churn check, market round and actuation.
+    // The bid rounds alone: observation, churn check, market round and
+    // actuation. The LBT-on twin below adds the LBT invocations.
     let (sys, mgr) = tc2_ppm_system(tc2_task_mix(), PpmConfig::tc2().without_lbt());
     let mut sim = Simulation::new(sys, mgr);
 
@@ -310,6 +310,49 @@ fn steady_state_ppm_bid_rounds_do_not_allocate() {
     let rounds = sim.manager().market().rounds() - rounds_before;
     assert!(rounds >= 31, "only {rounds} bid rounds ran");
     assert!(sim.metrics().vf_transitions > 0);
+}
+
+/// The bid rounds with LBT on: every load-balancing and migration
+/// invocation refills the manager's retained view and judges its
+/// candidates in the LBT module's retained caches, so once both have grown
+/// an invocation does not allocate either. Phase profiling (itself
+/// allocation-free) counts the invocations in the measured window.
+#[test]
+fn steady_state_ppm_bid_rounds_with_lbt_do_not_allocate() {
+    use ppm::core::manager::tc2_ppm_system;
+    use ppm::obs::{Phase, Telemetry};
+    use ppm::sched::Simulation;
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let config = PpmConfig::tc2();
+    assert!(config.lbt_enabled);
+    // One invocation in `migrate_every` migrates; the others only balance.
+    let migrate_every = u64::from(config.migrate_every);
+    assert!(migrate_every >= 2);
+    let (sys, mgr) = tc2_ppm_system(tc2_task_mix(), config);
+    let mut sim = Simulation::new(sys, mgr).with_telemetry(Telemetry::new(512).with_profiling());
+    let invocations = |sim: &Simulation<_>| {
+        let tel = sim.telemetry().expect("telemetry attached");
+        tel.profiler.hist(Phase::Lbt).count()
+    };
+
+    // Warm-up: as above, plus the LBT view's task lists and the LBT
+    // module's caches, over a dozen invocations.
+    sim.run_for(SimDuration::from_secs(2));
+    assert!(invocations(&sim) >= 12, "LBT ran during warm-up");
+    let before = invocations(&sim);
+
+    assert_no_alloc("steady-state PPM bid rounds with LBT", || {
+        sim.run_for(SimDuration::from_secs(1));
+    });
+    // Sanity: the window held `migrate_every` consecutive invocations or
+    // more, so at least one migration and one load-balancing invocation
+    // (a retry reruns the window and only adds more).
+    let window = invocations(&sim) - before;
+    assert!(
+        window >= migrate_every,
+        "only {window} LBT invocations in the window"
+    );
 }
 
 /// [`TogglingManager`] plus one migration per quantum between the first two
