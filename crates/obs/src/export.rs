@@ -3,28 +3,35 @@
 //! (one row per quantum — ready to regenerate the paper's figures), and a
 //! human-readable phase summary table.
 //!
-//! The CSV and JSONL row serializers also run *during* the simulation, at
-//! every [`TelemetryStream`](crate::stream::TelemetryStream) flush, so
-//! they write straight into the caller's buffer and copy each cell whose
-//! value has not changed since the previous row from a per-cell render
-//! cache instead of formatting it again; once the cache is warm a row
-//! allocates nothing. The Chrome trace and summary writers run only after
-//! the run and allocate freely. What none of them may do is lie —
-//! wrapped-away rows are reported via [`SeriesRecorder::dropped`], `NaN`
-//! cells export as empty/`null` and are *omitted* from the Chrome trace
-//! (JSON has no NaN), and span durations are the measured wall
-//! nanoseconds, not invented.
+//! The CSV and JSONL row serializers read a row view (a shape and one
+//! contiguous slice of cells), so the same code renders a row in the ring
+//! and a row the [`TelemetryStream`](crate::stream::TelemetryStream) has
+//! copied to its writer thread. They run there for every row of a live
+//! run, so they keep the previous row's text and copy each run of
+//! unchanged cells from it instead of formatting them again; once the
+//! cache is warm a row allocates nothing. The Chrome trace and summary
+//! writers run only after the run and allocate freely. What none of them
+//! may do is lie — wrapped-away rows are reported via
+//! [`SeriesRecorder::dropped`], `NaN` cells export as empty/`null` and are
+//! *omitted* from the Chrome trace (JSON has no NaN), and span durations
+//! are the measured wall nanoseconds, not invented.
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::profiler::{Phase, PhaseProfiler};
-use crate::recorder::SeriesRecorder;
+use crate::recorder::*;
+use crate::stream::StreamFormat;
 
 /// The CSV header for `rec`'s column shape. Scalar columns first, then
 /// per-phase wall ns, then per-cluster / per-core / per-task groups.
 pub fn csv_header(rec: &SeriesRecorder) -> String {
-    let (n_cl, n_co, n_t) = rec.shape();
+    header(rec.row_shape())
+}
+
+/// The CSV header for rows of `shape`.
+pub(crate) fn header(shape: Shape) -> String {
+    let (n_cl, n_co, n_t) = (shape.clusters, shape.cores, shape.tasks);
     let mut h = String::from(
         "t_s,chip_power_w,tdp_headroom_w,hottest_c,allowance,money_supply,\
          sensor_fallbacks,dvfs_retries,migration_retries,tasks_orphaned,\
@@ -86,187 +93,263 @@ pub(crate) fn jstr(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Rendered text of every cell position of the last row written, keyed by
-/// the value's bits: consecutive quanta repeat most cells (cluster
-/// frequencies, prices, SLOs, counters), so an unchanged cell is copied
-/// instead of formatted again. Bits, not `==`, decide a hit, so `-0.0`
-/// and `0.0` keep their own text. Non-finite values bypass the cache and
-/// write their format's literal.
-///
-/// Positions are only meaningful under one recorder shape; the cache
-/// empties itself when the shape changes (entity admission). Use one cache
-/// per recorder and format.
-#[derive(Debug, Default)]
-pub(crate) struct RowCache {
-    shape: (usize, usize, usize),
-    /// `(bits, text)` per cell position. `text` renders `bits` whenever
-    /// they are a finite `f64` or a `u64`; a non-finite entry is a
-    /// placeholder no lookup ever matches.
-    cells: Vec<(u64, String)>,
-    /// Position of the next cell in the row being written.
-    next: usize,
+/// How a cell's bits render: a counter, or an `f64` reading whose
+/// non-finite values render as the format's literal ([`cell`] or
+/// [`jnum`]).
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Counter,
+    CsvReading,
+    JsonReading,
 }
 
-/// Room for a typical rendered number, so cache entries rarely grow.
-const CELL_TEXT_CAPACITY: usize = 32;
-
-impl RowCache {
-    /// Start a row of `rec`: rewind to the first cell, emptying the cache
-    /// when `rec`'s shape differs from the one it was filled under.
-    fn begin(&mut self, rec: &SeriesRecorder) {
-        let shape = rec.shape();
-        if shape != self.shape {
-            self.shape = shape;
-            self.cells.clear();
+fn render(out: &mut String, kind: Kind, bits: u64) {
+    match kind {
+        Kind::Counter => {
+            let _ = write!(out, "{bits}");
         }
-        self.next = 0;
+        Kind::CsvReading => cell(out, f64::from_bits(bits)),
+        Kind::JsonReading => jnum(out, f64::from_bits(bits)),
     }
+}
 
-    /// Append the text of the cell whose value has `bits`, rendering it
-    /// only when the position last held different bits.
-    fn put(&mut self, out: &mut String, bits: u64, render: impl FnOnce(&mut String)) {
-        let k = self.next;
-        self.next += 1;
-        if let Some((cached, text)) = self.cells.get_mut(k) {
-            if *cached != bits {
-                *cached = bits;
-                text.clear();
-                render(text);
-            }
-            out.push_str(text);
+/// A CSV row after `t_s`: every other cell, comma-separated, in row
+/// order.
+fn csv_layout(shape: Shape, e: &mut Lay) {
+    for k in 1..shape.width() {
+        e.lit(",");
+        let kind = if is_counter(k) {
+            Kind::Counter
         } else {
-            let mut text = String::with_capacity(CELL_TEXT_CAPACITY);
-            render(&mut text);
-            out.push_str(&text);
-            self.cells.push((bits, text));
-        }
+            Kind::CsvReading
+        };
+        e.cell(k, kind);
     }
+}
 
-    /// Append a float cell: finite values through the cache, non-finite
-    /// ones through the format's `literal` writer ([`cell`] or [`jnum`]).
-    fn num(&mut self, out: &mut String, v: f64, literal: fn(&mut String, f64)) {
-        if v.is_finite() {
-            self.put(out, v.to_bits(), |t| {
-                let _ = write!(t, "{v}");
-            });
+/// The JSONL scalar keys after `t_s`, in row order.
+const JSON_SCALARS: [&str; PHASE_NS - 1] = [
+    ",\"chip_power_w\":",
+    ",\"tdp_headroom_w\":",
+    ",\"hottest_c\":",
+    ",\"allowance\":",
+    ",\"money_supply\":",
+    ",\"sensor_fallbacks\":",
+    ",\"dvfs_retries\":",
+    ",\"migration_retries\":",
+    ",\"tasks_orphaned\":",
+    ",\"obs_dropped_rows\":",
+    ",\"obs_alerts_firing\":",
+    ",\"obs_stream_rows\":",
+    ",\"obs_stream_lost\":",
+    ",\"obs_stream_flushes\":",
+];
+
+/// A JSONL object after `t_s`: the scalars, the phase ns as an object,
+/// then one array per entity field.
+fn jsonl_layout(shape: Shape, e: &mut Lay) {
+    for (k, key) in JSON_SCALARS.iter().enumerate().map(|(j, key)| (j + 1, key)) {
+        e.lit(key);
+        let kind = if is_counter(k) {
+            Kind::Counter
         } else {
-            if self.next == self.cells.len() {
-                self.cells
-                    .push((v.to_bits(), String::with_capacity(CELL_TEXT_CAPACITY)));
-            }
-            self.next += 1;
-            literal(out, v);
+            Kind::JsonReading
+        };
+        e.cell(k, kind);
+    }
+    e.lit(",\"phase_ns\":{");
+    for (p, phase) in Phase::ALL.iter().enumerate() {
+        if p > 0 {
+            e.lit(",");
         }
+        e.lit("\"");
+        e.lit(phase.name());
+        e.lit("\":");
+        e.cell(PHASE_NS + p, Kind::Counter);
+    }
+    e.lit("}");
+    let mut array = |key: &str, n: usize, index: &dyn Fn(usize) -> usize| {
+        e.lit(key);
+        for x in 0..n {
+            if x > 0 {
+                e.lit(",");
+            }
+            e.cell(index(x), Kind::JsonReading);
+        }
+        e.lit("]");
+    };
+    let (cl, co, t) = (shape.clusters, shape.cores, shape.tasks);
+    array(",\"cluster_freq_mhz\":[", cl, &|c| {
+        shape.cluster(c, CL_FREQ_MHZ)
+    });
+    array(",\"cluster_volt_mv\":[", cl, &|c| {
+        shape.cluster(c, CL_VOLT_MV)
+    });
+    array(",\"cluster_power_w\":[", cl, &|c| {
+        shape.cluster(c, CL_POWER_W)
+    });
+    array(",\"cluster_temp_c\":[", cl, &|c| {
+        shape.cluster(c, CL_TEMP_C)
+    });
+    array(",\"core_supply_pu\":[", co, &|c| shape.core(c, CORE_SUPPLY));
+    array(",\"core_price\":[", co, &|c| shape.core(c, CORE_PRICE));
+    array(",\"task_share_pu\":[", t, &|x| shape.task(x, TASK_SHARE));
+    array(",\"task_granted_pu\":[", t, &|x| {
+        shape.task(x, TASK_GRANTED)
+    });
+    array(",\"task_hr\":[", t, &|x| shape.task(x, TASK_HR));
+    array(",\"task_hr_norm\":[", t, &|x| shape.task(x, TASK_HR_NORM));
+    array(",\"task_queue\":[", t, &|x| shape.task(x, TASK_QUEUE));
+    array(",\"task_p99_ms\":[", t, &|x| shape.task(x, TASK_P99_MS));
+    array(",\"task_slo_ms\":[", t, &|x| shape.task(x, TASK_SLO_MS));
+    array(",\"task_shed\":[", t, &|x| shape.task(x, TASK_SHED));
+    e.lit("}");
+}
+
+/// One cell of the cached row: which row cell it shows, how, the bits it
+/// last showed, and where that text sits in the previous row's text.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    k: usize,
+    kind: Kind,
+    bits: u64,
+    start: usize,
+    end: usize,
+}
+
+/// The previous row's text (everything after `t_s`) and each cell's span
+/// in it. Consecutive quanta repeat most cells (cluster frequencies,
+/// prices, SLOs, counters), and the text between two cells is fixed for a
+/// shape and format, so a row is one compare per cell: each run of
+/// unchanged cells is copied from the previous text in one piece, and only
+/// a cell whose bits changed is rendered afresh. Bits, not `==`, decide,
+/// so `-0.0` and `0.0` keep their own text.
+///
+/// The first row, and the first after the shape or the format changes, is
+/// rendered in full and lays out the spans. Use one cache per recorder and
+/// format.
+#[derive(Debug, Default)]
+pub(crate) struct RowCache {
+    layout: Option<(StreamFormat, Shape)>,
+    slots: Vec<Slot>,
+    prev: String,
+}
+
+/// The full render of a row, which lays out the cache: it writes the
+/// fixed text and every cell, and records each cell's span.
+struct Lay<'a> {
+    slots: &'a mut Vec<Slot>,
+    out: &'a mut String,
+    base: usize,
+    cells: &'a [u64],
+}
+
+impl Lay<'_> {
+    fn lit(&mut self, text: &str) {
+        self.out.push_str(text);
     }
 
-    /// Append an integer cell through the cache.
-    fn int(&mut self, out: &mut String, v: u64) {
-        self.put(out, v, |t| {
-            let _ = write!(t, "{v}");
+    fn cell(&mut self, k: usize, kind: Kind) {
+        let bits = self.cells[k];
+        let start = self.out.len() - self.base;
+        render(self.out, kind, bits);
+        let end = self.out.len() - self.base;
+        self.slots.push(Slot {
+            k,
+            kind,
+            bits,
+            start,
+            end,
         });
     }
 }
 
-/// Append the simulated time of row `i` in seconds. It changes every row,
-/// so it is formatted directly rather than through a cache.
-fn t_s(out: &mut String, rec: &SeriesRecorder, i: usize) {
-    let _ = write!(out, "{}", rec.t_us[i] as f64 / 1e6);
-}
-
-/// Append row `i`'s cells — everything after `t_s` — to `line`. Shared by
-/// the single-recorder CSV and the fleet join, so the two stay
-/// column-for-column consistent.
-fn csv_row_cells(rec: &SeriesRecorder, i: usize, cache: &mut RowCache, line: &mut String) {
-    let (n_cl, n_co, n_t) = rec.shape();
-    cache.begin(rec);
-    for v in [
-        rec.chip_power_w[i],
-        rec.tdp_headroom_w[i],
-        rec.hottest_c[i],
-        rec.allowance[i],
-        rec.money_supply[i],
-    ] {
-        line.push(',');
-        cache.num(line, v, cell);
-    }
-    for v in [
-        rec.sensor_fallbacks[i],
-        rec.dvfs_retries[i],
-        rec.migration_retries[i],
-        rec.tasks_orphaned[i],
-        rec.obs_dropped_rows[i],
-        rec.obs_alerts_firing[i],
-    ] {
-        line.push(',');
-        cache.int(line, v);
-    }
-    for v in [
-        rec.obs_stream_rows[i],
-        rec.obs_stream_lost[i],
-        rec.obs_stream_flushes[i],
-    ] {
-        line.push(',');
-        cache.num(line, v, cell);
-    }
-    for p in 0..Phase::COUNT {
-        line.push(',');
-        cache.int(line, rec.phase_ns[p][i]);
-    }
-    for c in 0..n_cl {
-        for v in [
-            rec.cluster_freq_mhz[c][i],
-            rec.cluster_volt_mv[c][i],
-            rec.cluster_power_w[c][i],
-            rec.cluster_temp_c[c][i],
-        ] {
-            line.push(',');
-            cache.num(line, v, cell);
+impl RowCache {
+    /// Append `row`'s text after `t_s` in `format` to `out`.
+    fn cells(&mut self, format: StreamFormat, row: RowView, out: &mut String) {
+        let base = out.len();
+        if self.layout == Some((format, row.shape)) {
+            let RowCache { slots, prev, .. } = self;
+            // Positions in `prev` up to `copied` are in `out` already;
+            // `shift` carries an unchanged span from `prev` to `out`.
+            let mut copied = 0;
+            let mut shift = 0usize;
+            for s in slots.iter_mut() {
+                let bits = row.cells[s.k];
+                if bits == s.bits {
+                    s.start = s.start.wrapping_add(shift);
+                    s.end = s.end.wrapping_add(shift);
+                    continue;
+                }
+                out.push_str(&prev[copied..s.start]);
+                copied = s.end;
+                s.bits = bits;
+                s.start = out.len() - base;
+                render(out, s.kind, bits);
+                s.end = out.len() - base;
+                shift = s.end.wrapping_sub(copied);
+            }
+            out.push_str(&prev[copied..]);
+        } else {
+            self.layout = Some((format, row.shape));
+            self.slots.clear();
+            let mut lay = Lay {
+                slots: &mut self.slots,
+                out,
+                base,
+                cells: row.cells,
+            };
+            match format {
+                StreamFormat::Csv => csv_layout(row.shape, &mut lay),
+                StreamFormat::Jsonl => jsonl_layout(row.shape, &mut lay),
+            }
         }
-    }
-    for c in 0..n_co {
-        for v in [rec.core_supply[c][i], rec.core_price[c][i]] {
-            line.push(',');
-            cache.num(line, v, cell);
-        }
-    }
-    for t in 0..n_t {
-        for v in [
-            rec.task_share[t][i],
-            rec.task_granted[t][i],
-            rec.task_hr[t][i],
-            rec.task_hr_norm[t][i],
-            rec.task_queue[t][i],
-            rec.task_p99_ms[t][i],
-            rec.task_slo_ms[t][i],
-            rec.task_shed[t][i],
-        ] {
-            line.push(',');
-            cache.num(line, v, cell);
-        }
+        self.prev.clear();
+        self.prev.push_str(&out[base..]);
     }
 }
 
-/// Append row `i` as one full CSV line (`t_s` plus every cell) to `line`.
-/// Shared by [`write_csv`] and the incremental
-/// [`TelemetryStream`](crate::stream::TelemetryStream), so streamed output
-/// is byte-identical to a post-run export.
-pub(crate) fn csv_row(rec: &SeriesRecorder, i: usize, cache: &mut RowCache, line: &mut String) {
-    t_s(line, rec, i);
-    csv_row_cells(rec, i, cache, line);
+/// Append the row's simulated time in seconds. It changes every row, so
+/// it is formatted directly rather than through the cache.
+fn t_s(out: &mut String, row: RowView) {
+    let _ = write!(out, "{}", row.u(T_US) as f64 / 1e6);
+}
+
+/// Append `row` as one line of `format`, without the newline: a CSV row
+/// (`t_s` plus every cell) or a JSONL object. Shared by [`write_csv`],
+/// [`write_jsonl`] and the [`TelemetryStream`](crate::stream::TelemetryStream)
+/// writer, so streamed output is byte-identical to a post-run export.
+pub(crate) fn row_line(
+    format: StreamFormat,
+    row: RowView,
+    cache: &mut RowCache,
+    line: &mut String,
+) {
+    if format == StreamFormat::Jsonl {
+        line.push_str("{\"t_s\":");
+    }
+    t_s(line, row);
+    cache.cells(format, row, line);
+}
+
+/// Write the held rows in `format`, oldest first, one per line.
+fn write_rows<W: Write>(rec: &SeriesRecorder, format: StreamFormat, w: &mut W) -> io::Result<()> {
+    let mut cache = RowCache::default();
+    let mut line = String::new();
+    for i in rec.row_indices() {
+        line.clear();
+        row_line(format, rec.row(i), &mut cache, &mut line);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
+    }
+    Ok(())
 }
 
 /// Write the held rows as CSV, oldest first: the header, then one row per
 /// recorded quantum.
 pub fn write_csv<W: Write>(rec: &SeriesRecorder, w: &mut W) -> io::Result<()> {
     writeln!(w, "{}", csv_header(rec))?;
-    let mut cache = RowCache::default();
-    let mut line = String::new();
-    for i in rec.row_indices() {
-        line.clear();
-        csv_row(rec, i, &mut cache, &mut line);
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
+    write_rows(rec, StreamFormat::Csv, w)
 }
 
 /// The header for a fleet CSV: one shared `t_s`, then every chip's columns
@@ -306,9 +389,9 @@ pub fn write_fleet_csv<W: Write>(recs: &[&SeriesRecorder], w: &mut W) -> io::Res
     let mut line = String::new();
     for (k, &row) in indices[0].iter().enumerate() {
         line.clear();
-        t_s(&mut line, first, row);
+        t_s(&mut line, first.row(row));
         for (chip, rec) in recs.iter().enumerate() {
-            csv_row_cells(rec, indices[chip][k], &mut caches[chip], &mut line);
+            caches[chip].cells(StreamFormat::Csv, rec.row(indices[chip][k]), &mut line);
         }
         writeln!(w, "{line}")?;
     }
@@ -318,88 +401,7 @@ pub fn write_fleet_csv<W: Write>(recs: &[&SeriesRecorder], w: &mut W) -> io::Res
 /// Write the held rows as JSONL: one self-describing JSON object per
 /// quantum (entity columns as arrays), oldest first.
 pub fn write_jsonl<W: Write>(rec: &SeriesRecorder, w: &mut W) -> io::Result<()> {
-    let mut cache = RowCache::default();
-    let mut line = String::new();
-    for i in rec.row_indices() {
-        line.clear();
-        jsonl_row(rec, i, &mut cache, &mut line);
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
-}
-
-/// Append row `i` as one JSONL object to `line`. Shared by [`write_jsonl`]
-/// and the incremental [`TelemetryStream`](crate::stream::TelemetryStream).
-pub(crate) fn jsonl_row(rec: &SeriesRecorder, i: usize, cache: &mut RowCache, line: &mut String) {
-    let (n_cl, n_co, n_t) = rec.shape();
-    cache.begin(rec);
-    line.push_str("{\"t_s\":");
-    t_s(line, rec, i);
-    for (k, v) in [
-        (",\"chip_power_w\":", rec.chip_power_w[i]),
-        (",\"tdp_headroom_w\":", rec.tdp_headroom_w[i]),
-        (",\"hottest_c\":", rec.hottest_c[i]),
-        (",\"allowance\":", rec.allowance[i]),
-        (",\"money_supply\":", rec.money_supply[i]),
-    ] {
-        line.push_str(k);
-        cache.num(line, v, jnum);
-    }
-    for (k, v) in [
-        (",\"sensor_fallbacks\":", rec.sensor_fallbacks[i]),
-        (",\"dvfs_retries\":", rec.dvfs_retries[i]),
-        (",\"migration_retries\":", rec.migration_retries[i]),
-        (",\"tasks_orphaned\":", rec.tasks_orphaned[i]),
-        (",\"obs_dropped_rows\":", rec.obs_dropped_rows[i]),
-        (",\"obs_alerts_firing\":", rec.obs_alerts_firing[i]),
-    ] {
-        line.push_str(k);
-        cache.int(line, v);
-    }
-    for (k, v) in [
-        (",\"obs_stream_rows\":", rec.obs_stream_rows[i]),
-        (",\"obs_stream_lost\":", rec.obs_stream_lost[i]),
-        (",\"obs_stream_flushes\":", rec.obs_stream_flushes[i]),
-    ] {
-        line.push_str(k);
-        cache.num(line, v, jnum);
-    }
-    line.push_str(",\"phase_ns\":{");
-    for (k, p) in Phase::ALL.iter().enumerate() {
-        if k > 0 {
-            line.push(',');
-        }
-        line.push('"');
-        line.push_str(p.name());
-        line.push_str("\":");
-        cache.int(line, rec.phase_ns[k][i]);
-    }
-    line.push('}');
-    let mut arr = |line: &mut String, key: &str, column: &[Vec<f64>], n: usize| {
-        line.push_str(key);
-        for (e, values) in column[..n].iter().enumerate() {
-            if e > 0 {
-                line.push(',');
-            }
-            cache.num(line, values[i], jnum);
-        }
-        line.push(']');
-    };
-    arr(line, ",\"cluster_freq_mhz\":[", &rec.cluster_freq_mhz, n_cl);
-    arr(line, ",\"cluster_volt_mv\":[", &rec.cluster_volt_mv, n_cl);
-    arr(line, ",\"cluster_power_w\":[", &rec.cluster_power_w, n_cl);
-    arr(line, ",\"cluster_temp_c\":[", &rec.cluster_temp_c, n_cl);
-    arr(line, ",\"core_supply_pu\":[", &rec.core_supply, n_co);
-    arr(line, ",\"core_price\":[", &rec.core_price, n_co);
-    arr(line, ",\"task_share_pu\":[", &rec.task_share, n_t);
-    arr(line, ",\"task_granted_pu\":[", &rec.task_granted, n_t);
-    arr(line, ",\"task_hr\":[", &rec.task_hr, n_t);
-    arr(line, ",\"task_hr_norm\":[", &rec.task_hr_norm, n_t);
-    arr(line, ",\"task_queue\":[", &rec.task_queue, n_t);
-    arr(line, ",\"task_p99_ms\":[", &rec.task_p99_ms, n_t);
-    arr(line, ",\"task_slo_ms\":[", &rec.task_slo_ms, n_t);
-    arr(line, ",\"task_shed\":[", &rec.task_shed, n_t);
-    line.push('}');
+    write_rows(rec, StreamFormat::Jsonl, w)
 }
 
 /// One Chrome counter event on `pid`: `name` at `ts_us` with the finite
@@ -483,16 +485,18 @@ fn recorder_events(
         if k % stride != 0 {
             continue;
         }
-        let ts = rec.t_us[i] as f64;
+        let row = rec.row(i);
+        let s = row.shape;
+        let ts = row.u(T_US) as f64;
 
         // Counters (simulated timeline).
-        let mut power = vec![("chip".to_string(), rec.chip_power_w[i])];
-        let mut temp = vec![("hottest".to_string(), rec.hottest_c[i])];
+        let mut power = vec![("chip".to_string(), row.f(CHIP_POWER_W))];
+        let mut temp = vec![("hottest".to_string(), row.f(HOTTEST_C))];
         let mut freq = Vec::new();
         for c in 0..n_cl {
-            power.push((format!("cl{c}"), rec.cluster_power_w[c][i]));
-            temp.push((format!("cl{c}"), rec.cluster_temp_c[c][i]));
-            freq.push((format!("cl{c}"), rec.cluster_freq_mhz[c][i]));
+            power.push((format!("cl{c}"), row.f(s.cluster(c, CL_POWER_W))));
+            temp.push((format!("cl{c}"), row.f(s.cluster(c, CL_TEMP_C))));
+            freq.push((format!("cl{c}"), row.f(s.cluster(c, CL_FREQ_MHZ))));
         }
         counter(ev, pid_counters, ts, "power_w", &power);
         counter(ev, pid_counters, ts, "temp_c", &temp);
@@ -502,7 +506,7 @@ fn recorder_events(
             pid_counters,
             ts,
             "tdp_headroom_w",
-            &[("headroom".to_string(), rec.tdp_headroom_w[i])],
+            &[("headroom".to_string(), row.f(TDP_HEADROOM_W))],
         );
         counter(
             ev,
@@ -510,24 +514,24 @@ fn recorder_events(
             ts,
             "money",
             &[
-                ("allowance".to_string(), rec.allowance[i]),
-                ("supply".to_string(), rec.money_supply[i]),
+                ("allowance".to_string(), row.f(ALLOWANCE)),
+                ("supply".to_string(), row.f(MONEY_SUPPLY)),
             ],
         );
         let price: Vec<(String, f64)> = (0..n_co)
-            .map(|c| (format!("core{c}"), rec.core_price[c][i]))
+            .map(|c| (format!("core{c}"), row.f(s.core(c, CORE_PRICE))))
             .collect();
         counter(ev, pid_counters, ts, "price", &price);
         let supply: Vec<(String, f64)> = (0..n_co)
-            .map(|c| (format!("core{c}"), rec.core_supply[c][i]))
+            .map(|c| (format!("core{c}"), row.f(s.core(c, CORE_SUPPLY))))
             .collect();
         counter(ev, pid_counters, ts, "supply_pu", &supply);
         let hr: Vec<(String, f64)> = (0..n_t)
-            .map(|t| (format!("task{t}"), rec.task_hr_norm[t][i]))
+            .map(|t| (format!("task{t}"), row.f(s.task(t, TASK_HR_NORM))))
             .collect();
         counter(ev, pid_counters, ts, "hr_norm", &hr);
         let share: Vec<(String, f64)> = (0..n_t)
-            .map(|t| (format!("task{t}"), rec.task_share[t][i]))
+            .map(|t| (format!("task{t}"), row.f(s.task(t, TASK_SHARE))))
             .collect();
         counter(ev, pid_counters, ts, "share_pu", &share);
         counter(
@@ -538,14 +542,14 @@ fn recorder_events(
             &[
                 (
                     "sensor_fallbacks".to_string(),
-                    rec.sensor_fallbacks[i] as f64,
+                    row.u(SENSOR_FALLBACKS) as f64,
                 ),
-                ("dvfs_retries".to_string(), rec.dvfs_retries[i] as f64),
+                ("dvfs_retries".to_string(), row.u(DVFS_RETRIES) as f64),
                 (
                     "migration_retries".to_string(),
-                    rec.migration_retries[i] as f64,
+                    row.u(MIGRATION_RETRIES) as f64,
                 ),
-                ("tasks_orphaned".to_string(), rec.tasks_orphaned[i] as f64),
+                ("tasks_orphaned".to_string(), row.u(TASKS_ORPHANED) as f64),
             ],
         );
 
@@ -560,7 +564,7 @@ fn recorder_events(
             Phase::Step,
             Phase::Audit,
         ] {
-            let ns = rec.phase_ns[p as usize][i];
+            let ns = row.u(PHASE_NS + p as usize);
             if ns == 0 {
                 continue;
             }
@@ -581,7 +585,7 @@ fn recorder_events(
             Phase::MarketDvfs,
             Phase::Lbt,
         ] {
-            let ns = rec.phase_ns[p as usize][i];
+            let ns = row.u(PHASE_NS + p as usize);
             if ns == 0 {
                 continue;
             }

@@ -2,12 +2,13 @@
 //!
 //! Six pieces, all dependency-free:
 //!
-//! - [`recorder::SeriesRecorder`] — a per-quantum time-series in columnar
-//!   ring buffers: per-core price/supply, per-cluster V/f/power/
-//!   temperature, chip power vs TDP headroom, money supply and allowance,
-//!   per-task share/granted/heart-rate, and the degradation counters.
-//!   Allocation happens at construction and at entity admission only;
-//!   every steady-state row write is indexed stores.
+//! - [`recorder::SeriesRecorder`] — a per-quantum time-series in a
+//!   row-major ring, one contiguous row per quantum: per-core
+//!   price/supply, per-cluster V/f/power/temperature, chip power vs TDP
+//!   headroom, money supply and allowance, per-task share/granted/
+//!   heart-rate, and the degradation counters. Allocation happens at
+//!   construction and entity admission only; every steady-state row
+//!   write is a template copy and stores into one slice.
 //! - [`profiler::PhaseProfiler`] — wall-clock spans around the stages of a
 //!   quantum (capture, plan with market bid / price / DVFS / LBT
 //!   sub-phases, apply, step, audit) aggregated into fixed-bucket log2
@@ -17,10 +18,11 @@
 //!   the minimal parser the validation tooling uses on those artifacts.
 //!   [`stream::TelemetryStream`], attached to the [`Telemetry`] whose
 //!   recorder it reads, flushes the same rows incrementally to disk
-//!   during the run, so an undersized ring loses no history. Row
-//!   serialization writes into reused chunk buffers through a per-cell
-//!   render cache (unchanged cells are copied, not re-formatted), so a
-//!   steady-state flush allocates nothing either.
+//!   during the run, so an undersized ring loses no history. A flush
+//!   only copies the window's raw rows to a writer thread, which formats
+//!   them through a render cache that copies unchanged runs of the
+//!   previous row's text, so the simulation thread formats nothing and
+//!   neither thread allocates in steady state.
 //! - [`aggregate`] — live tumbling-window rollups over the recorder's
 //!   columns (gauges, counter deltas, log2 sketch quantiles), mergeable
 //!   per-chip → fleet the way the auditor's reports absorb.
@@ -64,6 +66,7 @@ pub use crate::recorder::{PolicySample, RowWriter, SeriesRecorder};
 pub use crate::stream::{StreamFormat, StreamStats, TelemetryStream};
 
 use crate::profiler::Phase as Ph;
+use crate::recorder as col;
 
 /// The telemetry sink a simulation carries: the time-series recorder, the
 /// phase profiler, the policy-sample scratch the manager fills, and —
@@ -171,7 +174,7 @@ impl Telemetry {
     /// no-op without aggregation or a stream.
     ///
     /// Hot-path contract: reads and indexed stores only (a stream flush
-    /// reuses its chunk buffers after warm-up).
+    /// copies the window into a window buffer reused after warm-up).
     pub fn roll_forward(&mut self) {
         self.fold_row();
         if let Some(stream) = &mut self.stream {
@@ -190,15 +193,16 @@ impl Telemetry {
             return;
         }
         let i = ((total - 1) % rec.capacity() as u64) as usize;
+        let row = rec.row(i);
+        let shape = row.shape;
 
-        let (_, _, n_tasks) = rec.shape();
         let mut worst_ratio = f64::NAN;
         let mut worst_p99_ms = 0.0f64;
         let mut slo_bad = false;
         let mut shed_total = 0u64;
-        for t in 0..n_tasks {
-            let p99 = rec.task_p99_ms[t][i];
-            let slo = rec.task_slo_ms[t][i];
+        for t in 0..shape.tasks {
+            let p99 = row.f(shape.task(t, col::TASK_P99_MS));
+            let slo = row.f(shape.task(t, col::TASK_SLO_MS));
             if p99.is_nan() {
                 continue;
             }
@@ -212,17 +216,17 @@ impl Telemetry {
                 }
                 slo_bad |= p99 > slo;
             }
-            let shed = rec.task_shed[t][i];
+            let shed = row.f(shape.task(t, col::TASK_SHED));
             if shed.is_finite() {
                 shed_total = shed_total.saturating_add(shed as u64);
             }
         }
-        let degradation_total = rec.sensor_fallbacks[i]
-            + rec.dvfs_retries[i]
-            + rec.migration_retries[i]
-            + rec.tasks_orphaned[i];
+        let degradation_total = row.u(col::SENSOR_FALLBACKS)
+            + row.u(col::DVFS_RETRIES)
+            + row.u(col::MIGRATION_RETRIES)
+            + row.u(col::TASKS_ORPHANED);
         let stream_lost = {
-            let lost = rec.obs_stream_lost[i];
+            let lost = row.f(col::OBS_STREAM_LOST);
             if lost.is_finite() {
                 lost as u64
             } else {
@@ -230,17 +234,17 @@ impl Telemetry {
             }
         };
         let sample = QuantumSample {
-            t_us: rec.t_us[i],
-            power_w: rec.chip_power_w[i],
-            headroom_w: rec.tdp_headroom_w[i],
-            hottest_c: rec.hottest_c[i],
+            t_us: row.u(col::T_US),
+            power_w: row.f(col::CHIP_POWER_W),
+            headroom_w: row.f(col::TDP_HEADROOM_W),
+            hottest_c: row.f(col::HOTTEST_C),
             p99_over_slo: worst_ratio,
             slo_bad,
             shed_total,
             degradation_total,
             dropped_rows: rec.dropped(),
             stream_lost,
-            plan_ns: rec.phase_ns[Ph::Plan as usize][i],
+            plan_ns: row.u(col::PHASE_NS + Ph::Plan as usize),
             task_p99_ns: (worst_p99_ms * 1e6) as u64,
         };
         let closed = agg.observe(&sample);
@@ -250,7 +254,7 @@ impl Telemetry {
             }
         }
         if let Some(engine) = &self.alerts {
-            self.recorder.obs_alerts_firing[i] = engine.firing_count();
+            self.recorder.row_mut(i)[col::OBS_ALERTS_FIRING] = engine.firing_count();
         }
     }
 }

@@ -1,11 +1,21 @@
 //! The per-quantum time-series recorder.
 //!
-//! Columnar storage in a ring: every column is a `Vec` preallocated to the
-//! ring capacity at construction (scalars) or at first sight of the entity
-//! population (per-cluster / per-core / per-task columns), after which a
-//! row write is pure indexed stores — no allocation, no branching beyond
-//! the ring modulo. When the ring wraps, the oldest rows are overwritten
-//! and counted in [`SeriesRecorder::dropped`], never silently.
+//! Row-major storage in a ring: one slab of `capacity × width` cells, in
+//! which a row is one contiguous slice of `u64` cells (counters as
+//! themselves, readings as `f64` bits). Opening a row copies a template
+//! row over the slot (readings `NaN`, counters zero), and the writer's
+//! setters then store into that one slice, so a row write touches a few
+//! consecutive cache lines however many entities the chip has. No
+//! allocation happens after the entity population is first seen. When the
+//! ring wraps, the oldest rows are overwritten and counted in
+//! [`SeriesRecorder::dropped`], never silently.
+//!
+//! A row's cells run in CSV column order: `t_us`, the chip and market
+//! scalars, the degradation and self-observation counters, the per-phase
+//! wall ns, then one group per cluster, per core and per task. Growing
+//! the population widens every row; the held rows are moved to the new
+//! width in place, back to front, so the ring is never resident twice,
+//! and their new entity cells read `NaN`.
 //!
 //! The column set mirrors the paper's evaluation figures: per-core price
 //! and supply (Fig. 4's market state), per-cluster frequency / voltage /
@@ -66,56 +76,131 @@ impl PolicySample {
     }
 }
 
-/// One scalar column: a ring of `f64` sized to capacity at construction.
-type Col = Vec<f64>;
+// Cell indices of the scalar part of a row, in CSV column order.
+pub(crate) const T_US: usize = 0;
+pub(crate) const CHIP_POWER_W: usize = 1;
+pub(crate) const TDP_HEADROOM_W: usize = 2;
+pub(crate) const HOTTEST_C: usize = 3;
+pub(crate) const ALLOWANCE: usize = 4;
+pub(crate) const MONEY_SUPPLY: usize = 5;
+pub(crate) const SENSOR_FALLBACKS: usize = 6;
+pub(crate) const DVFS_RETRIES: usize = 7;
+pub(crate) const MIGRATION_RETRIES: usize = 8;
+pub(crate) const TASKS_ORPHANED: usize = 9;
+// Observability self-metrics: the recorder/stream watching itself, so
+// telemetry loss is itself telemetry (ring wrap, stream backlog).
+pub(crate) const OBS_DROPPED_ROWS: usize = 10;
+pub(crate) const OBS_ALERTS_FIRING: usize = 11;
+pub(crate) const OBS_STREAM_ROWS: usize = 12;
+pub(crate) const OBS_STREAM_LOST: usize = 13;
+pub(crate) const OBS_STREAM_FLUSHES: usize = 14;
+/// First of the [`Phase::COUNT`] per-phase wall-ns cells.
+pub(crate) const PHASE_NS: usize = 15;
+/// Cells before the first entity group.
+pub(crate) const SCALARS: usize = PHASE_NS + Phase::COUNT;
 
-/// The columnar ring recorder. See the module docs for the layout.
+// Offsets within one cluster's group.
+pub(crate) const CL_FREQ_MHZ: usize = 0;
+pub(crate) const CL_VOLT_MV: usize = 1;
+pub(crate) const CL_POWER_W: usize = 2;
+pub(crate) const CL_TEMP_C: usize = 3;
+const CLUSTER_CELLS: usize = 4;
+
+// Offsets within one core's group.
+pub(crate) const CORE_SUPPLY: usize = 0;
+pub(crate) const CORE_PRICE: usize = 1;
+const CORE_CELLS: usize = 2;
+
+// Offsets within one task's group.
+pub(crate) const TASK_SHARE: usize = 0;
+pub(crate) const TASK_GRANTED: usize = 1;
+pub(crate) const TASK_HR: usize = 2;
+pub(crate) const TASK_HR_NORM: usize = 3;
+pub(crate) const TASK_QUEUE: usize = 4;
+pub(crate) const TASK_P99_MS: usize = 5;
+pub(crate) const TASK_SLO_MS: usize = 6;
+pub(crate) const TASK_SHED: usize = 7;
+const TASK_CELLS: usize = 8;
+
+/// Whether cell `k` holds a `u64` counter (`t_us`, the degradation and
+/// self-observation counts, phase ns) rather than `f64` bits.
+pub(crate) fn is_counter(k: usize) -> bool {
+    k == T_US
+        || (SENSOR_FALLBACKS..=OBS_ALERTS_FIRING).contains(&k)
+        || (PHASE_NS..SCALARS).contains(&k)
+}
+
+/// The entity population a row is laid out for, which fixes its width and
+/// where each entity's group starts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Shape {
+    pub clusters: usize,
+    pub cores: usize,
+    pub tasks: usize,
+}
+
+impl Shape {
+    /// Cells per row.
+    pub fn width(self) -> usize {
+        self.task_base() + TASK_CELLS * self.tasks
+    }
+
+    fn core_base(self) -> usize {
+        SCALARS + CLUSTER_CELLS * self.clusters
+    }
+
+    fn task_base(self) -> usize {
+        self.core_base() + CORE_CELLS * self.cores
+    }
+
+    /// Cell index of `field` (a `CL_*` offset) of cluster `c`.
+    pub fn cluster(self, c: usize, field: usize) -> usize {
+        SCALARS + CLUSTER_CELLS * c + field
+    }
+
+    /// Cell index of `field` (a `CORE_*` offset) of core `c`.
+    pub fn core(self, c: usize, field: usize) -> usize {
+        self.core_base() + CORE_CELLS * c + field
+    }
+
+    /// Cell index of `field` (a `TASK_*` offset) of task `t`.
+    pub fn task(self, t: usize, field: usize) -> usize {
+        self.task_base() + TASK_CELLS * t + field
+    }
+}
+
+/// One recorded row: its shape and its cells. What the serializers and
+/// the aggregation fold read, whether the row sits in the ring or in a
+/// copy on the stream's writer thread.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowView<'a> {
+    pub shape: Shape,
+    pub cells: &'a [u64],
+}
+
+impl RowView<'_> {
+    /// Reading cell `k` as `f64`.
+    pub fn f(&self, k: usize) -> f64 {
+        f64::from_bits(self.cells[k])
+    }
+
+    /// Counter cell `k`.
+    pub fn u(&self, k: usize) -> u64 {
+        self.cells[k]
+    }
+}
+
+/// The row-major ring recorder. See the module docs for the layout.
 #[derive(Debug, Clone)]
 pub struct SeriesRecorder {
     cap: usize,
     /// Rows ever written (the ring index is `total % cap`).
     total: u64,
-    n_clusters: usize,
-    n_cores: usize,
-    n_tasks: usize,
-
-    // Scalar columns (preallocated to `cap` in `new`).
-    pub(crate) t_us: Vec<u64>,
-    pub(crate) chip_power_w: Col,
-    pub(crate) tdp_headroom_w: Col,
-    pub(crate) hottest_c: Col,
-    pub(crate) allowance: Col,
-    pub(crate) money_supply: Col,
-    pub(crate) sensor_fallbacks: Vec<u64>,
-    pub(crate) dvfs_retries: Vec<u64>,
-    pub(crate) migration_retries: Vec<u64>,
-    pub(crate) tasks_orphaned: Vec<u64>,
-    // Observability self-metrics: the recorder/stream watching itself, so
-    // telemetry loss is itself telemetry (ring wrap, stream backlog).
-    pub(crate) obs_dropped_rows: Vec<u64>,
-    pub(crate) obs_stream_rows: Col,
-    pub(crate) obs_stream_lost: Col,
-    pub(crate) obs_stream_flushes: Col,
-    pub(crate) obs_alerts_firing: Vec<u64>,
-    /// Per-phase wall ns spent on this quantum, indexed `[phase][row]`.
-    pub(crate) phase_ns: Vec<Vec<u64>>,
-
-    // Entity columns, indexed `[entity][row]`; allocated by `ensure_shape`
-    // when the population is first seen (setup), then written in place.
-    pub(crate) cluster_freq_mhz: Vec<Col>,
-    pub(crate) cluster_volt_mv: Vec<Col>,
-    pub(crate) cluster_power_w: Vec<Col>,
-    pub(crate) cluster_temp_c: Vec<Col>,
-    pub(crate) core_supply: Vec<Col>,
-    pub(crate) core_price: Vec<Col>,
-    pub(crate) task_share: Vec<Col>,
-    pub(crate) task_granted: Vec<Col>,
-    pub(crate) task_hr: Vec<Col>,
-    pub(crate) task_hr_norm: Vec<Col>,
-    pub(crate) task_queue: Vec<Col>,
-    pub(crate) task_p99_ms: Vec<Col>,
-    pub(crate) task_slo_ms: Vec<Col>,
-    pub(crate) task_shed: Vec<Col>,
+    shape: Shape,
+    /// `cap` rows of `shape.width()` cells, row `i` at `i * width`.
+    cells: Vec<u64>,
+    /// A freshly opened row: `NaN` readings, zero counters.
+    template: Vec<u64>,
 }
 
 impl SeriesRecorder {
@@ -126,125 +211,76 @@ impl SeriesRecorder {
     /// Panics on zero capacity.
     pub fn new(capacity: usize) -> SeriesRecorder {
         assert!(capacity > 0, "recorder capacity must be positive");
+        let shape = Shape::default();
         SeriesRecorder {
             cap: capacity,
             total: 0,
-            n_clusters: 0,
-            n_cores: 0,
-            n_tasks: 0,
-            t_us: vec![0; capacity],
-            chip_power_w: vec![f64::NAN; capacity],
-            tdp_headroom_w: vec![f64::NAN; capacity],
-            hottest_c: vec![f64::NAN; capacity],
-            allowance: vec![f64::NAN; capacity],
-            money_supply: vec![f64::NAN; capacity],
-            sensor_fallbacks: vec![0; capacity],
-            dvfs_retries: vec![0; capacity],
-            migration_retries: vec![0; capacity],
-            tasks_orphaned: vec![0; capacity],
-            obs_dropped_rows: vec![0; capacity],
-            obs_stream_rows: vec![f64::NAN; capacity],
-            obs_stream_lost: vec![f64::NAN; capacity],
-            obs_stream_flushes: vec![f64::NAN; capacity],
-            obs_alerts_firing: vec![0; capacity],
-            phase_ns: (0..Phase::COUNT).map(|_| vec![0; capacity]).collect(),
-            cluster_freq_mhz: Vec::new(),
-            cluster_volt_mv: Vec::new(),
-            cluster_power_w: Vec::new(),
-            cluster_temp_c: Vec::new(),
-            core_supply: Vec::new(),
-            core_price: Vec::new(),
-            task_share: Vec::new(),
-            task_granted: Vec::new(),
-            task_hr: Vec::new(),
-            task_hr_norm: Vec::new(),
-            task_queue: Vec::new(),
-            task_p99_ms: Vec::new(),
-            task_slo_ms: Vec::new(),
-            task_shed: Vec::new(),
+            shape,
+            cells: vec![0; capacity * shape.width()],
+            template: template(shape),
         }
     }
 
-    /// Grow the entity columns to cover `clusters`/`cores`/`tasks`. Only
-    /// grows (a shrinking population keeps its columns, recording `NaN`),
-    /// and only allocates when the population actually changed — task
-    /// admission is setup, so steady state takes three equality checks.
+    /// Grow the rows to cover `clusters`/`cores`/`tasks`. Only grows (a
+    /// shrinking population keeps its cells, recording `NaN`), and only
+    /// allocates when the population actually changed — task admission is
+    /// setup, so steady state takes three compares.
+    ///
+    /// The held rows keep their values and read `NaN` in the new entity
+    /// cells. They are widened in place: the slab grows to exactly the new
+    /// size, then each row, last first, moves its groups to their new
+    /// offsets, so no second copy of the ring is ever made.
     pub fn ensure_shape(&mut self, clusters: usize, cores: usize, tasks: usize) {
-        fn grow(cols: &mut Vec<Col>, to: usize, cap: usize) {
-            while cols.len() < to {
-                cols.push(vec![f64::NAN; cap]);
-            }
+        let old = self.shape;
+        let new = Shape {
+            clusters: clusters.max(old.clusters),
+            cores: cores.max(old.cores),
+            tasks: tasks.max(old.tasks),
+        };
+        if new == old {
+            return;
         }
-        if clusters > self.n_clusters {
-            grow(&mut self.cluster_freq_mhz, clusters, self.cap);
-            grow(&mut self.cluster_volt_mv, clusters, self.cap);
-            grow(&mut self.cluster_power_w, clusters, self.cap);
-            grow(&mut self.cluster_temp_c, clusters, self.cap);
-            self.n_clusters = clusters;
+        let (old_w, new_w) = (old.width(), new.width());
+        self.cells
+            .reserve_exact(self.cap * new_w - self.cells.len());
+        self.cells.resize(self.cap * new_w, 0);
+        let nan = f64::NAN.to_bits();
+        let (old_cores, new_cores) = (old.core_base(), new.core_base());
+        let (old_tasks, new_tasks) = (old.task_base(), new.task_base());
+        for r in (0..self.rows()).rev() {
+            let (src, dst) = (r * old_w, r * new_w);
+            // Highest group first: each destination lies at or after its
+            // source and after every source not yet moved.
+            self.cells
+                .copy_within(src + old_tasks..src + old_w, dst + new_tasks);
+            self.cells
+                .copy_within(src + old_cores..src + old_tasks, dst + new_cores);
+            self.cells.copy_within(src..src + old_cores, dst);
+            let row = &mut self.cells[dst..dst + new_w];
+            row[old_cores..new_cores].fill(nan);
+            row[new_cores + (old_tasks - old_cores)..new_tasks].fill(nan);
+            row[new_tasks + (old_w - old_tasks)..].fill(nan);
         }
-        if cores > self.n_cores {
-            grow(&mut self.core_supply, cores, self.cap);
-            grow(&mut self.core_price, cores, self.cap);
-            self.n_cores = cores;
-        }
-        if tasks > self.n_tasks {
-            grow(&mut self.task_share, tasks, self.cap);
-            grow(&mut self.task_granted, tasks, self.cap);
-            grow(&mut self.task_hr, tasks, self.cap);
-            grow(&mut self.task_hr_norm, tasks, self.cap);
-            grow(&mut self.task_queue, tasks, self.cap);
-            grow(&mut self.task_p99_ms, tasks, self.cap);
-            grow(&mut self.task_slo_ms, tasks, self.cap);
-            grow(&mut self.task_shed, tasks, self.cap);
-            self.n_tasks = tasks;
-        }
+        self.shape = new;
+        self.template = template(new);
     }
 
     /// Open the next row at simulated time `t_us`, returning a writer over
-    /// it. Entity cells default to `NaN` for this row; scalar cells are
-    /// overwritten by the writer's setters.
+    /// it. Every reading defaults to `NaN` and every counter to zero until
+    /// the writer's setters store into it.
     pub fn push_row(&mut self, t_us: u64) -> RowWriter<'_> {
+        let w = self.shape.width();
         let i = (self.total % self.cap as u64) as usize;
         self.total += 1;
-        self.t_us[i] = t_us;
-        self.chip_power_w[i] = f64::NAN;
-        self.tdp_headroom_w[i] = f64::NAN;
-        self.hottest_c[i] = f64::NAN;
-        self.allowance[i] = f64::NAN;
-        self.money_supply[i] = f64::NAN;
-        self.sensor_fallbacks[i] = 0;
-        self.dvfs_retries[i] = 0;
-        self.migration_retries[i] = 0;
-        self.tasks_orphaned[i] = 0;
-        self.obs_dropped_rows[i] = self.total.saturating_sub(self.cap as u64);
-        self.obs_stream_rows[i] = f64::NAN;
-        self.obs_stream_lost[i] = f64::NAN;
-        self.obs_stream_flushes[i] = f64::NAN;
-        self.obs_alerts_firing[i] = 0;
-        for col in &mut self.phase_ns {
-            col[i] = 0;
+        let dropped = self.dropped();
+        let row = &mut self.cells[i * w..(i + 1) * w];
+        row.copy_from_slice(&self.template);
+        row[T_US] = t_us;
+        row[OBS_DROPPED_ROWS] = dropped;
+        RowWriter {
+            row,
+            shape: self.shape,
         }
-        for cols in [
-            &mut self.cluster_freq_mhz,
-            &mut self.cluster_volt_mv,
-            &mut self.cluster_power_w,
-            &mut self.cluster_temp_c,
-            &mut self.core_supply,
-            &mut self.core_price,
-            &mut self.task_share,
-            &mut self.task_granted,
-            &mut self.task_hr,
-            &mut self.task_hr_norm,
-            &mut self.task_queue,
-            &mut self.task_p99_ms,
-            &mut self.task_slo_ms,
-            &mut self.task_shed,
-        ] {
-            for col in cols.iter_mut() {
-                col[i] = f64::NAN;
-            }
-        }
-        RowWriter { rec: self, i }
     }
 
     /// Ring capacity.
@@ -267,9 +303,14 @@ impl SeriesRecorder {
         self.total.saturating_sub(self.cap as u64)
     }
 
-    /// Entity population covered by the columns `(clusters, cores, tasks)`.
+    /// Entity population covered by the rows `(clusters, cores, tasks)`.
     pub fn shape(&self) -> (usize, usize, usize) {
-        (self.n_clusters, self.n_cores, self.n_tasks)
+        (self.shape.clusters, self.shape.cores, self.shape.tasks)
+    }
+
+    /// The layout every held row currently has.
+    pub(crate) fn row_shape(&self) -> Shape {
+        self.shape
     }
 
     /// Ring indices of the held rows, oldest first.
@@ -285,33 +326,75 @@ impl SeriesRecorder {
 
     /// Simulated time of row at ring index `i`, in µs.
     pub fn time_us(&self, i: usize) -> u64 {
-        self.t_us[i]
+        self.cells[i * self.shape.width() + T_US]
     }
+
+    /// The row at ring index `i`.
+    pub(crate) fn row(&self, i: usize) -> RowView<'_> {
+        let w = self.shape.width();
+        RowView {
+            shape: self.shape,
+            cells: &self.cells[i * w..(i + 1) * w],
+        }
+    }
+
+    /// The cells of the row at ring index `i`, for in-place edits.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        let w = self.shape.width();
+        &mut self.cells[i * w..(i + 1) * w]
+    }
+
+    /// The cells of the rows written since absolute row `from`, oldest
+    /// first: one slice, or two when the ring wraps between them.
+    ///
+    /// `from` must not be older than the oldest held row.
+    pub(crate) fn rows_since(&self, from: u64) -> (&[u64], &[u64]) {
+        debug_assert!(from >= self.dropped() && from <= self.total);
+        let w = self.shape.width();
+        let n = (self.total - from) as usize;
+        let start = (from % self.cap as u64) as usize;
+        let first = n.min(self.cap - start);
+        (
+            &self.cells[start * w..(start + first) * w],
+            &self.cells[..(n - first) * w],
+        )
+    }
+}
+
+/// A fresh row of `shape`: `NaN` readings, zero counters.
+fn template(shape: Shape) -> Vec<u64> {
+    (0..shape.width())
+        .map(|k| if is_counter(k) { 0 } else { f64::NAN.to_bits() })
+        .collect()
 }
 
 /// Write handle over one just-opened recorder row.
 #[derive(Debug)]
 pub struct RowWriter<'a> {
-    rec: &'a mut SeriesRecorder,
-    i: usize,
+    row: &'a mut [u64],
+    shape: Shape,
 }
 
 impl RowWriter<'_> {
+    fn set(&mut self, k: usize, v: f64) {
+        self.row[k] = v.to_bits();
+    }
+
     /// Chip-level scalars: power, headroom to the TDP (`NaN` without a
     /// cap), hottest cluster temperature (`NaN` without a thermal model).
     pub fn chip(&mut self, power_w: f64, tdp_headroom_w: f64, hottest_c: f64) -> &mut Self {
-        self.rec.chip_power_w[self.i] = power_w;
-        self.rec.tdp_headroom_w[self.i] = tdp_headroom_w;
-        self.rec.hottest_c[self.i] = hottest_c;
+        self.set(CHIP_POWER_W, power_w);
+        self.set(TDP_HEADROOM_W, tdp_headroom_w);
+        self.set(HOTTEST_C, hottest_c);
         self
     }
 
     /// Market scalars from the [`PolicySample`].
     pub fn policy(&mut self, sample: &PolicySample) -> &mut Self {
-        self.rec.allowance[self.i] = sample.allowance;
-        self.rec.money_supply[self.i] = sample.money_supply;
-        for c in 0..self.rec.n_cores {
-            self.rec.core_price[c][self.i] = sample.core_price(c);
+        self.set(ALLOWANCE, sample.allowance);
+        self.set(MONEY_SUPPLY, sample.money_supply);
+        for c in 0..self.shape.cores {
+            self.set(self.shape.core(c, CORE_PRICE), sample.core_price(c));
         }
         self
     }
@@ -319,19 +402,17 @@ impl RowWriter<'_> {
     /// Cumulative degradation counters (sensor fallbacks, DVFS retries,
     /// migration retries, orphaned tasks).
     pub fn degradation(&mut self, sf: u64, dr: u64, mr: u64, orphaned: u64) -> &mut Self {
-        self.rec.sensor_fallbacks[self.i] = sf;
-        self.rec.dvfs_retries[self.i] = dr;
-        self.rec.migration_retries[self.i] = mr;
-        self.rec.tasks_orphaned[self.i] = orphaned;
+        self.row[SENSOR_FALLBACKS] = sf;
+        self.row[DVFS_RETRIES] = dr;
+        self.row[MIGRATION_RETRIES] = mr;
+        self.row[TASKS_ORPHANED] = orphaned;
         self
     }
 
     /// This quantum's per-phase wall ns (from
     /// [`PhaseProfiler::take_last`](crate::profiler::PhaseProfiler::take_last)).
     pub fn phases(&mut self, last_ns: &[u64; Phase::COUNT]) -> &mut Self {
-        for (p, &ns) in last_ns.iter().enumerate() {
-            self.rec.phase_ns[p][self.i] = ns;
-        }
+        self.row[PHASE_NS..SCALARS].copy_from_slice(last_ns);
         self
     }
 
@@ -345,19 +426,20 @@ impl RowWriter<'_> {
         power_w: f64,
         temp_c: f64,
     ) -> &mut Self {
-        if c < self.rec.n_clusters {
-            self.rec.cluster_freq_mhz[c][self.i] = freq_mhz;
-            self.rec.cluster_volt_mv[c][self.i] = volt_mv;
-            self.rec.cluster_power_w[c][self.i] = power_w;
-            self.rec.cluster_temp_c[c][self.i] = temp_c;
+        if c < self.shape.clusters {
+            let k = self.shape.cluster(c, 0);
+            self.set(k + CL_FREQ_MHZ, freq_mhz);
+            self.set(k + CL_VOLT_MV, volt_mv);
+            self.set(k + CL_POWER_W, power_w);
+            self.set(k + CL_TEMP_C, temp_c);
         }
         self
     }
 
     /// One core's supply (PU available this quantum).
     pub fn core_supply(&mut self, c: usize, supply: f64) -> &mut Self {
-        if c < self.rec.n_cores {
-            self.rec.core_supply[c][self.i] = supply;
+        if c < self.shape.cores {
+            self.set(self.shape.core(c, CORE_SUPPLY), supply);
         }
         self
     }
@@ -366,11 +448,12 @@ impl RowWriter<'_> {
     /// per quantum), heart rate, and normalized heart rate. Inactive slots
     /// simply skip the call and stay `NaN`.
     pub fn task(&mut self, t: usize, share: f64, granted: f64, hr: f64, hr_norm: f64) -> &mut Self {
-        if t < self.rec.n_tasks {
-            self.rec.task_share[t][self.i] = share;
-            self.rec.task_granted[t][self.i] = granted;
-            self.rec.task_hr[t][self.i] = hr;
-            self.rec.task_hr_norm[t][self.i] = hr_norm;
+        if t < self.shape.tasks {
+            let k = self.shape.task(t, 0);
+            self.set(k + TASK_SHARE, share);
+            self.set(k + TASK_GRANTED, granted);
+            self.set(k + TASK_HR, hr);
+            self.set(k + TASK_HR_NORM, hr_norm);
         }
         self
     }
@@ -379,18 +462,18 @@ impl RowWriter<'_> {
     /// ([`StreamStats`](crate::stream::StreamStats)-shaped:
     /// rows flushed, rows lost to wrap, flushes), so stream backlog is
     /// itself on the record. Runs without a stream skip the call and the
-    /// columns stay `NaN`; the ring-wrap count is written unconditionally
+    /// cells stay `NaN`; the ring-wrap count is written unconditionally
     /// by [`SeriesRecorder::push_row`].
     pub fn obs_stream(&mut self, rows: f64, lost: f64, flushes: f64) -> &mut Self {
-        self.rec.obs_stream_rows[self.i] = rows;
-        self.rec.obs_stream_lost[self.i] = lost;
-        self.rec.obs_stream_flushes[self.i] = flushes;
+        self.set(OBS_STREAM_ROWS, rows);
+        self.set(OBS_STREAM_LOST, lost);
+        self.set(OBS_STREAM_FLUSHES, flushes);
         self
     }
 
     /// One open-loop task's request-queue state: queue depth, windowed p99
     /// latency, its SLO (both ms), and the cumulative shed count. Closed-loop
-    /// tasks skip the call and the columns stay `NaN`.
+    /// tasks skip the call and the cells stay `NaN`.
     pub fn task_latency(
         &mut self,
         t: usize,
@@ -399,11 +482,12 @@ impl RowWriter<'_> {
         slo_ms: f64,
         shed: f64,
     ) -> &mut Self {
-        if t < self.rec.n_tasks {
-            self.rec.task_queue[t][self.i] = queue;
-            self.rec.task_p99_ms[t][self.i] = p99_ms;
-            self.rec.task_slo_ms[t][self.i] = slo_ms;
-            self.rec.task_shed[t][self.i] = shed;
+        if t < self.shape.tasks {
+            let k = self.shape.task(t, 0);
+            self.set(k + TASK_QUEUE, queue);
+            self.set(k + TASK_P99_MS, p99_ms);
+            self.set(k + TASK_SLO_MS, slo_ms);
+            self.set(k + TASK_SHED, shed);
         }
         self
     }
@@ -426,7 +510,7 @@ mod tests {
         // Oldest-first iteration yields quanta 6..10.
         let times: Vec<u64> = r.row_indices().map(|i| r.time_us(i)).collect();
         assert_eq!(times, vec![6000, 7000, 8000, 9000]);
-        let powers: Vec<f64> = r.row_indices().map(|i| r.chip_power_w[i]).collect();
+        let powers: Vec<f64> = r.row_indices().map(|i| r.row(i).f(CHIP_POWER_W)).collect();
         assert_eq!(powers, vec![7.0, 8.0, 9.0, 10.0]);
     }
 
@@ -437,10 +521,11 @@ mod tests {
         let mut row = r.push_row(0);
         row.task(0, 0.5, 0.4, 30.0, 1.0);
         // Task 1 untouched → NaN; core supplies untouched → NaN.
-        let i = r.row_indices().next().unwrap();
-        assert!(r.task_share[1][i].is_nan());
-        assert!(r.core_supply[0][i].is_nan());
-        assert_eq!(r.task_share[0][i], 0.5);
+        let row = r.row(r.row_indices().next().unwrap());
+        assert!(row.f(row.shape.task(1, TASK_SHARE)).is_nan());
+        assert!(row.f(row.shape.core(0, CORE_SUPPLY)).is_nan());
+        assert_eq!(row.f(row.shape.task(0, TASK_SHARE)), 0.5);
+        assert_eq!(row.u(SENSOR_FALLBACKS), 0);
     }
 
     #[test]
@@ -449,6 +534,145 @@ mod tests {
         r.ensure_shape(2, 4, 8);
         r.ensure_shape(1, 2, 3); // shrink: no-op
         assert_eq!(r.shape(), (2, 4, 8));
+    }
+
+    /// Every cell of row `q` of a `shape` population, written through the
+    /// setters: distinct per row and per cell, so a misplaced move shows.
+    fn write_row(r: &mut SeriesRecorder, q: u64, shape: (usize, usize, usize)) {
+        let v = |k: usize| q as f64 * 1000.0 + k as f64;
+        let mut phases = [0u64; Phase::COUNT];
+        for (p, ns) in phases.iter_mut().enumerate() {
+            *ns = q * 100 + p as u64;
+        }
+        let mut sample = PolicySample::new();
+        sample.reset(shape.1);
+        sample.allowance = v(1);
+        sample.money_supply = v(2);
+        for c in 0..shape.1 {
+            sample.set_core_price(c, v(300 + c));
+        }
+        let mut row = r.push_row(q * 1000);
+        row.chip(v(3), v(4), v(5))
+            .degradation(q, q + 1, q + 2, q + 3)
+            .phases(&phases)
+            .policy(&sample)
+            .obs_stream(v(6), v(7), v(8));
+        for c in 0..shape.0 {
+            row.cluster(c, v(100 + c), v(120 + c), v(140 + c), v(160 + c));
+        }
+        for c in 0..shape.1 {
+            row.core_supply(c, v(200 + c));
+        }
+        for t in 0..shape.2 {
+            row.task(t, v(400 + t), v(420 + t), v(440 + t), v(460 + t))
+                .task_latency(t, v(480 + t), v(500 + t), v(520 + t), v(540 + t));
+        }
+    }
+
+    /// Every cell of the row at ring index `i`, named by what it records,
+    /// as bits, for the entities of `shape`.
+    fn named_cells(
+        r: &SeriesRecorder,
+        i: usize,
+        shape: (usize, usize, usize),
+    ) -> Vec<(String, u64)> {
+        let row = r.row(i);
+        let s = row.shape;
+        let mut out: Vec<(String, u64)> =
+            (0..SCALARS).map(|k| (format!("s{k}"), row.u(k))).collect();
+        for c in 0..shape.0 {
+            for f in 0..CLUSTER_CELLS {
+                out.push((format!("cl{c}.{f}"), row.u(s.cluster(c, f))));
+            }
+        }
+        for c in 0..shape.1 {
+            for f in 0..CORE_CELLS {
+                out.push((format!("core{c}.{f}"), row.u(s.core(c, f))));
+            }
+        }
+        for t in 0..shape.2 {
+            for f in 0..TASK_CELLS {
+                out.push((format!("task{t}.{f}"), row.u(s.task(t, f))));
+            }
+        }
+        out
+    }
+
+    /// Growing each group, or all three, after the ring has wrapped: every
+    /// held row keeps every value, and only the new entity cells read NaN.
+    #[test]
+    fn growth_after_wrap_keeps_held_rows_and_reads_nan_in_new_cells() {
+        let from = (2, 3, 2);
+        for to in [(4, 3, 2), (2, 6, 2), (2, 3, 5), (3, 4, 3), (5, 9, 7)] {
+            let mut r = SeriesRecorder::new(5);
+            r.ensure_shape(from.0, from.1, from.2);
+            for q in 0..13 {
+                write_row(&mut r, q, from);
+            }
+            assert!(r.dropped() > 0, "the ring wrapped");
+            let before: Vec<_> = r.row_indices().map(|i| named_cells(&r, i, from)).collect();
+            r.ensure_shape(to.0, to.1, to.2);
+            assert_eq!(r.shape(), to);
+            let after: Vec<_> = r.row_indices().map(|i| named_cells(&r, i, from)).collect();
+            assert_eq!(before, after, "held rows moved intact to {to:?}");
+            let s = r.row_shape();
+            for i in r.row_indices() {
+                let row = r.row(i);
+                let fresh = (from.0..to.0)
+                    .flat_map(|c| (0..CLUSTER_CELLS).map(move |f| s.cluster(c, f)))
+                    .chain((from.1..to.1).flat_map(|c| (0..CORE_CELLS).map(move |f| s.core(c, f))))
+                    .chain((from.2..to.2).flat_map(|t| (0..TASK_CELLS).map(move |f| s.task(t, f))));
+                for k in fresh {
+                    assert!(row.f(k).is_nan(), "new cell {k} of row {i} is {}", row.f(k));
+                }
+            }
+            // The slab grew to exactly the new ring, never to a second copy.
+            assert_eq!(r.cells.len(), 5 * s.width());
+            assert_eq!(r.cells.capacity(), 5 * s.width());
+            // Rows written after the growth fill the new cells.
+            write_row(&mut r, 13, to);
+            let last = r.row_indices().last().unwrap();
+            assert_eq!(
+                r.row(last).f(s.task(to.2 - 1, TASK_SHED)),
+                13.0 * 1000.0 + (540 + to.2 - 1) as f64
+            );
+        }
+    }
+
+    /// Growth before the ring fills moves only the rows it holds, and the
+    /// ring then wraps under the new width.
+    #[test]
+    fn growth_before_the_ring_fills_then_wraps() {
+        let (from, to) = ((1, 2, 1), (2, 2, 3));
+        let mut r = SeriesRecorder::new(6);
+        r.ensure_shape(from.0, from.1, from.2);
+        for q in 0..3 {
+            write_row(&mut r, q, from);
+        }
+        let before: Vec<_> = r.row_indices().map(|i| named_cells(&r, i, from)).collect();
+        r.ensure_shape(to.0, to.1, to.2);
+        let after: Vec<_> = r.row_indices().map(|i| named_cells(&r, i, from)).collect();
+        assert_eq!(before, after);
+        for q in 3..10 {
+            write_row(&mut r, q, to);
+        }
+        let times: Vec<u64> = r.row_indices().map(|i| r.time_us(i)).collect();
+        assert_eq!(times, (4..10).map(|q| q * 1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rows_since_splits_at_the_wrap() {
+        let mut r = SeriesRecorder::new(4);
+        for q in 0..6u64 {
+            r.push_row(q);
+        }
+        let w = r.row_shape().width();
+        let (a, b) = r.rows_since(3);
+        // Absolute rows 3 (ring index 3), then 4 and 5 (ring indices 0, 1).
+        assert_eq!((a.len(), b.len()), (w, 2 * w));
+        assert_eq!((a[T_US], b[T_US], b[w + T_US]), (3, 4, 5));
+        let (a, b) = r.rows_since(6);
+        assert!(a.is_empty() && b.is_empty());
     }
 
     #[test]

@@ -13,13 +13,14 @@ use std::sync::{Arc, Mutex};
 
 use crate::export::{csv_header, fleet_csv_header, write_csv, write_fleet_csv, write_jsonl};
 use crate::profiler::Phase;
-use crate::recorder::SeriesRecorder;
+use crate::recorder::{is_counter, SeriesRecorder};
 use crate::stream::{StreamFormat, TelemetryStream};
 
 /// The reference renderer: every cell formatted afresh into its own
-/// `String`.
+/// `String`, read through the recorder's named cells.
 mod reference {
     use super::{Phase, SeriesRecorder};
+    use crate::recorder::*;
 
     fn cell(v: f64) -> String {
         if v.is_nan() {
@@ -38,154 +39,138 @@ mod reference {
     }
 
     pub fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
-        let (n_cl, n_co, n_t) = rec.shape();
-        for v in [
-            rec.chip_power_w[i],
-            rec.tdp_headroom_w[i],
-            rec.hottest_c[i],
-            rec.allowance[i],
-            rec.money_supply[i],
+        let row = rec.row(i);
+        let s = row.shape;
+        for k in [
+            CHIP_POWER_W,
+            TDP_HEADROOM_W,
+            HOTTEST_C,
+            ALLOWANCE,
+            MONEY_SUPPLY,
         ] {
             line.push(',');
-            line.push_str(&cell(v));
+            line.push_str(&cell(row.f(k)));
         }
-        for v in [
-            rec.sensor_fallbacks[i],
-            rec.dvfs_retries[i],
-            rec.migration_retries[i],
-            rec.tasks_orphaned[i],
-            rec.obs_dropped_rows[i],
-            rec.obs_alerts_firing[i],
+        for k in [
+            SENSOR_FALLBACKS,
+            DVFS_RETRIES,
+            MIGRATION_RETRIES,
+            TASKS_ORPHANED,
+            OBS_DROPPED_ROWS,
+            OBS_ALERTS_FIRING,
         ] {
-            line.push_str(&format!(",{v}"));
+            line.push_str(&format!(",{}", row.u(k)));
         }
-        for v in [
-            rec.obs_stream_rows[i],
-            rec.obs_stream_lost[i],
-            rec.obs_stream_flushes[i],
-        ] {
+        for k in [OBS_STREAM_ROWS, OBS_STREAM_LOST, OBS_STREAM_FLUSHES] {
             line.push(',');
-            line.push_str(&cell(v));
+            line.push_str(&cell(row.f(k)));
         }
         for p in 0..Phase::COUNT {
-            line.push_str(&format!(",{}", rec.phase_ns[p][i]));
+            line.push_str(&format!(",{}", row.u(PHASE_NS + p)));
         }
-        for c in 0..n_cl {
-            for v in [
-                rec.cluster_freq_mhz[c][i],
-                rec.cluster_volt_mv[c][i],
-                rec.cluster_power_w[c][i],
-                rec.cluster_temp_c[c][i],
-            ] {
+        for c in 0..s.clusters {
+            for f in [CL_FREQ_MHZ, CL_VOLT_MV, CL_POWER_W, CL_TEMP_C] {
                 line.push(',');
-                line.push_str(&cell(v));
+                line.push_str(&cell(row.f(s.cluster(c, f))));
             }
         }
-        for c in 0..n_co {
-            for v in [rec.core_supply[c][i], rec.core_price[c][i]] {
+        for c in 0..s.cores {
+            for f in [CORE_SUPPLY, CORE_PRICE] {
                 line.push(',');
-                line.push_str(&cell(v));
+                line.push_str(&cell(row.f(s.core(c, f))));
             }
         }
-        for t in 0..n_t {
-            for v in [
-                rec.task_share[t][i],
-                rec.task_granted[t][i],
-                rec.task_hr[t][i],
-                rec.task_hr_norm[t][i],
-                rec.task_queue[t][i],
-                rec.task_p99_ms[t][i],
-                rec.task_slo_ms[t][i],
-                rec.task_shed[t][i],
+        for t in 0..s.tasks {
+            for f in [
+                TASK_SHARE,
+                TASK_GRANTED,
+                TASK_HR,
+                TASK_HR_NORM,
+                TASK_QUEUE,
+                TASK_P99_MS,
+                TASK_SLO_MS,
+                TASK_SHED,
             ] {
                 line.push(',');
-                line.push_str(&cell(v));
+                line.push_str(&cell(row.f(s.task(t, f))));
             }
         }
     }
 
     pub fn csv_row(rec: &SeriesRecorder, i: usize, line: &mut String) {
-        line.push_str(&format!("{}", rec.t_us[i] as f64 / 1e6));
+        line.push_str(&format!("{}", rec.time_us(i) as f64 / 1e6));
         csv_row_cells(rec, i, line);
     }
 
     pub fn jsonl_row(rec: &SeriesRecorder, i: usize, line: &mut String) {
-        let (n_cl, n_co, n_t) = rec.shape();
+        let row = rec.row(i);
+        let s = row.shape;
         line.push('{');
-        line.push_str(&format!("\"t_s\":{}", rec.t_us[i] as f64 / 1e6));
-        for (k, v) in [
-            ("chip_power_w", rec.chip_power_w[i]),
-            ("tdp_headroom_w", rec.tdp_headroom_w[i]),
-            ("hottest_c", rec.hottest_c[i]),
-            ("allowance", rec.allowance[i]),
-            ("money_supply", rec.money_supply[i]),
+        line.push_str(&format!("\"t_s\":{}", rec.time_us(i) as f64 / 1e6));
+        for (k, c) in [
+            ("chip_power_w", CHIP_POWER_W),
+            ("tdp_headroom_w", TDP_HEADROOM_W),
+            ("hottest_c", HOTTEST_C),
+            ("allowance", ALLOWANCE),
+            ("money_supply", MONEY_SUPPLY),
         ] {
-            line.push_str(&format!(",\"{k}\":{}", jnum(v)));
+            line.push_str(&format!(",\"{k}\":{}", jnum(row.f(c))));
         }
-        for (k, v) in [
-            ("sensor_fallbacks", rec.sensor_fallbacks[i]),
-            ("dvfs_retries", rec.dvfs_retries[i]),
-            ("migration_retries", rec.migration_retries[i]),
-            ("tasks_orphaned", rec.tasks_orphaned[i]),
-            ("obs_dropped_rows", rec.obs_dropped_rows[i]),
-            ("obs_alerts_firing", rec.obs_alerts_firing[i]),
+        for (k, c) in [
+            ("sensor_fallbacks", SENSOR_FALLBACKS),
+            ("dvfs_retries", DVFS_RETRIES),
+            ("migration_retries", MIGRATION_RETRIES),
+            ("tasks_orphaned", TASKS_ORPHANED),
+            ("obs_dropped_rows", OBS_DROPPED_ROWS),
+            ("obs_alerts_firing", OBS_ALERTS_FIRING),
         ] {
-            line.push_str(&format!(",\"{k}\":{v}"));
+            line.push_str(&format!(",\"{k}\":{}", row.u(c)));
         }
-        for (k, v) in [
-            ("obs_stream_rows", rec.obs_stream_rows[i]),
-            ("obs_stream_lost", rec.obs_stream_lost[i]),
-            ("obs_stream_flushes", rec.obs_stream_flushes[i]),
+        for (k, c) in [
+            ("obs_stream_rows", OBS_STREAM_ROWS),
+            ("obs_stream_lost", OBS_STREAM_LOST),
+            ("obs_stream_flushes", OBS_STREAM_FLUSHES),
         ] {
-            line.push_str(&format!(",\"{k}\":{}", jnum(v)));
+            line.push_str(&format!(",\"{k}\":{}", jnum(row.f(c))));
         }
         line.push_str(",\"phase_ns\":{");
         for (k, p) in Phase::ALL.iter().enumerate() {
             if k > 0 {
                 line.push(',');
             }
-            line.push_str(&format!("\"{}\":{}", p.name(), rec.phase_ns[k][i]));
+            line.push_str(&format!("\"{}\":{}", p.name(), row.u(PHASE_NS + k)));
         }
         line.push('}');
-        let arr = |line: &mut String, key: &str, get: &dyn Fn(usize) -> f64, n: usize| {
+        let arr = |line: &mut String, key: &str, get: &dyn Fn(usize) -> usize, n: usize| {
             line.push_str(&format!(",\"{key}\":["));
             for e in 0..n {
                 if e > 0 {
                     line.push(',');
                 }
-                line.push_str(&jnum(get(e)));
+                line.push_str(&jnum(row.f(get(e))));
             }
             line.push(']');
         };
+        let (n_cl, n_co, n_t) = (s.clusters, s.cores, s.tasks);
         arr(
             line,
             "cluster_freq_mhz",
-            &|c| rec.cluster_freq_mhz[c][i],
+            &|c| s.cluster(c, CL_FREQ_MHZ),
             n_cl,
         );
-        arr(
-            line,
-            "cluster_volt_mv",
-            &|c| rec.cluster_volt_mv[c][i],
-            n_cl,
-        );
-        arr(
-            line,
-            "cluster_power_w",
-            &|c| rec.cluster_power_w[c][i],
-            n_cl,
-        );
-        arr(line, "cluster_temp_c", &|c| rec.cluster_temp_c[c][i], n_cl);
-        arr(line, "core_supply_pu", &|c| rec.core_supply[c][i], n_co);
-        arr(line, "core_price", &|c| rec.core_price[c][i], n_co);
-        arr(line, "task_share_pu", &|t| rec.task_share[t][i], n_t);
-        arr(line, "task_granted_pu", &|t| rec.task_granted[t][i], n_t);
-        arr(line, "task_hr", &|t| rec.task_hr[t][i], n_t);
-        arr(line, "task_hr_norm", &|t| rec.task_hr_norm[t][i], n_t);
-        arr(line, "task_queue", &|t| rec.task_queue[t][i], n_t);
-        arr(line, "task_p99_ms", &|t| rec.task_p99_ms[t][i], n_t);
-        arr(line, "task_slo_ms", &|t| rec.task_slo_ms[t][i], n_t);
-        arr(line, "task_shed", &|t| rec.task_shed[t][i], n_t);
+        arr(line, "cluster_volt_mv", &|c| s.cluster(c, CL_VOLT_MV), n_cl);
+        arr(line, "cluster_power_w", &|c| s.cluster(c, CL_POWER_W), n_cl);
+        arr(line, "cluster_temp_c", &|c| s.cluster(c, CL_TEMP_C), n_cl);
+        arr(line, "core_supply_pu", &|c| s.core(c, CORE_SUPPLY), n_co);
+        arr(line, "core_price", &|c| s.core(c, CORE_PRICE), n_co);
+        arr(line, "task_share_pu", &|t| s.task(t, TASK_SHARE), n_t);
+        arr(line, "task_granted_pu", &|t| s.task(t, TASK_GRANTED), n_t);
+        arr(line, "task_hr", &|t| s.task(t, TASK_HR), n_t);
+        arr(line, "task_hr_norm", &|t| s.task(t, TASK_HR_NORM), n_t);
+        arr(line, "task_queue", &|t| s.task(t, TASK_QUEUE), n_t);
+        arr(line, "task_p99_ms", &|t| s.task(t, TASK_P99_MS), n_t);
+        arr(line, "task_slo_ms", &|t| s.task(t, TASK_SLO_MS), n_t);
+        arr(line, "task_shed", &|t| s.task(t, TASK_SHED), n_t);
         line.push('}');
     }
 }
@@ -239,56 +224,26 @@ impl Mix {
 }
 
 /// Push one row into `rec`, sometimes growing its shape first, with every
-/// column drawn by `mix`.
+/// cell but `t_us` drawn by `mix`.
 fn push_random_row(rec: &mut SeriesRecorder, mix: &mut Mix, t_us: u64) {
     if mix.below(6) == 0 {
         let (cl, co, t) = rec.shape();
         rec.ensure_shape(cl + mix.below(2), co + mix.below(3), t + mix.below(2));
     }
-    let prev =
-        (rec.total_rows() > 0).then(|| ((rec.total_rows() - 1) % rec.capacity() as u64) as usize);
+    let prev = (rec.total_rows() > 0).then(|| {
+        let i = ((rec.total_rows() - 1) % rec.capacity() as u64) as usize;
+        rec.row(i).cells.to_vec()
+    });
     rec.push_row(t_us);
     let i = ((rec.total_rows() - 1) % rec.capacity() as u64) as usize;
-    let floats = [
-        &mut rec.chip_power_w,
-        &mut rec.tdp_headroom_w,
-        &mut rec.hottest_c,
-        &mut rec.allowance,
-        &mut rec.money_supply,
-        &mut rec.obs_stream_rows,
-        &mut rec.obs_stream_lost,
-        &mut rec.obs_stream_flushes,
-    ]
-    .into_iter()
-    .chain(rec.cluster_freq_mhz.iter_mut())
-    .chain(rec.cluster_volt_mv.iter_mut())
-    .chain(rec.cluster_power_w.iter_mut())
-    .chain(rec.cluster_temp_c.iter_mut())
-    .chain(rec.core_supply.iter_mut())
-    .chain(rec.core_price.iter_mut())
-    .chain(rec.task_share.iter_mut())
-    .chain(rec.task_granted.iter_mut())
-    .chain(rec.task_hr.iter_mut())
-    .chain(rec.task_hr_norm.iter_mut())
-    .chain(rec.task_queue.iter_mut())
-    .chain(rec.task_p99_ms.iter_mut())
-    .chain(rec.task_slo_ms.iter_mut())
-    .chain(rec.task_shed.iter_mut());
-    for col in floats {
-        col[i] = mix.pick(prev.map(|p| col[p]), &F64_POOL);
-    }
-    let ints = [
-        &mut rec.sensor_fallbacks,
-        &mut rec.dvfs_retries,
-        &mut rec.migration_retries,
-        &mut rec.tasks_orphaned,
-        &mut rec.obs_dropped_rows,
-        &mut rec.obs_alerts_firing,
-    ]
-    .into_iter()
-    .chain(rec.phase_ns.iter_mut());
-    for col in ints {
-        col[i] = mix.pick(prev.map(|p| col[p]), &U64_POOL);
+    let row = rec.row_mut(i);
+    for k in 1..row.len() {
+        let last = prev.as_ref().map(|p| p[k]);
+        row[k] = if is_counter(k) {
+            mix.pick(last, &U64_POOL)
+        } else {
+            mix.pick(last.map(f64::from_bits), &F64_POOL).to_bits()
+        };
     }
 }
 
@@ -431,7 +386,7 @@ proptest! {
         reference.push('\n');
         let indices: Vec<Vec<usize>> = refs.iter().map(|r| r.row_indices().collect()).collect();
         for (k, &row) in indices[0].iter().enumerate() {
-            reference.push_str(&format!("{}", refs[0].t_us[row] as f64 / 1e6));
+            reference.push_str(&format!("{}", refs[0].time_us(row) as f64 / 1e6));
             for (chip, rec) in refs.iter().enumerate() {
                 reference::csv_row_cells(rec, indices[chip][k], &mut reference);
             }

@@ -2,33 +2,37 @@
 //! CSV or JSONL file *during* the run, so hour-long simulations keep their
 //! full history even when the in-memory ring is far smaller than the run.
 //!
-//! The hot-path contract mirrors the rest of this crate: the per-quantum
-//! [`TelemetryStream::pump`] is two integer compares until a flush boundary
-//! is crossed; only then does it serialize the pending rows into a chunk
-//! buffer and send it to a dedicated writer thread over a **bounded**
-//! channel. A slow disk therefore back-pressures the simulation instead of
-//! growing an unbounded queue, and the simulation never blocks on
-//! `write(2)` itself in the common case. The writer hands each written
-//! chunk back over a second bounded channel, and the stream keeps a
-//! per-cell render cache, so after warm-up a flush allocates nothing: it
-//! copies unchanged cells and formats only the ones that moved.
+//! The simulation thread only copies; a dedicated writer thread formats.
+//! The per-quantum [`TelemetryStream::pump`] is two integer compares until
+//! a flush boundary is crossed. Only then does it copy the window's raw
+//! rows — their cells and the recorder's shape, at most two `memcpy`s out
+//! of the row-major ring — into a reused buffer and send that over a
+//! **bounded** channel. The writer renders the rows through the shared
+//! row serializers and their render cache into a reused text buffer,
+//! writes the bytes, and hands the raw buffer back over a second bounded
+//! channel. So after warm-up neither thread allocates, a slow disk
+//! back-pressures the simulation instead of growing an unbounded queue,
+//! and the simulation never formats a number or blocks on `write(2)`.
 //!
-//! Loss accounting: rows the ring overwrote before they could be flushed
-//! are counted in [`StreamStats::lost`], never silently skipped. With
-//! `flush_every ≤ ring capacity` (checked at the first flush, in every
-//! build profile) and a pump every quantum, no row is ever lost — the
-//! acceptance test drives an undersized ring for exactly this property.
-//! Streamed bytes reuse the same per-row serializers as the post-run
+//! Failure stays on the simulation side. Loss accounting: rows the ring
+//! overwrote before they could be flushed are counted in
+//! [`StreamStats::lost`], never silently skipped. With `flush_every ≤ ring
+//! capacity` (checked at the first flush, in every build profile) and a
+//! pump every quantum, no row is ever lost — the acceptance test drives an
+//! undersized ring for exactly this property. A writer that dies on an
+//! I/O error closes its channel: later flushes stop copying at once
+//! instead of blocking, and [`TelemetryStream::finish`] returns the error.
+//! Streamed bytes come from the same per-row serializers as the post-run
 //! exporters, so `obs_validate` accepts streamed artifacts unchanged.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use crate::export::{self, RowCache};
-use crate::recorder::SeriesRecorder;
+use crate::recorder::{RowView, SeriesRecorder, Shape};
 
 /// On-disk format of a stream, chosen from the target path's extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,23 +46,31 @@ pub enum StreamFormat {
 /// Totals reported by [`TelemetryStream::finish`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Rows serialized and handed to the writer.
+    /// Rows handed to the writer.
     pub rows: u64,
     /// Rows the ring overwrote before they could be flushed (0 whenever
     /// `flush_every ≤ ring capacity` and the stream is pumped every row).
     pub lost: u64,
-    /// Flush chunks sent to the writer thread.
+    /// Flush windows sent to the writer thread.
     pub flushes: u64,
 }
 
-/// How many chunks may sit in the channel before `pump` blocks on the
+/// How many windows may sit in the channel before `pump` blocks on the
 /// writer (bounded back-pressure, not an unbounded queue).
 const CHANNEL_DEPTH: usize = 4;
 
-/// How many written chunks the return channel holds for reuse: every
-/// chunk that can be in flight (the queued ones, the one being written,
+/// How many written windows the return channel holds for reuse: every
+/// window that can be in flight (the queued ones, the one being written,
 /// the one being filled), so the writer never has to drop one.
 const SPARE_DEPTH: usize = CHANNEL_DEPTH + 2;
+
+/// One flush window on its way to the writer: raw rows laid out under
+/// `shape`, oldest first.
+#[derive(Debug, Default)]
+struct Window {
+    shape: Shape,
+    cells: Vec<u64>,
+}
 
 /// An incremental exporter bound to one output file. Create before the
 /// run, [`TelemetryStream::pump`] after every recorded row, and
@@ -66,18 +78,17 @@ const SPARE_DEPTH: usize = CHANNEL_DEPTH + 2;
 /// the writer thread.
 #[derive(Debug)]
 pub struct TelemetryStream {
-    tx: Option<SyncSender<String>>,
-    /// Written chunks coming back from the writer, ready for reuse.
-    spare: Receiver<String>,
+    tx: Option<SyncSender<Window>>,
+    /// Written windows coming back from the writer, ready for reuse.
+    spare: Receiver<Window>,
     writer: Option<JoinHandle<io::Result<()>>>,
     format: StreamFormat,
-    cache: RowCache,
     flush_every: usize,
-    /// Absolute row count already serialized (or counted lost).
+    /// Absolute row count already sent (or counted lost).
     cursor: u64,
-    header_sent: bool,
     stats: StreamStats,
-    /// First write error observed on the channel (writer died).
+    /// The writer has died (its channel is closed); its error surfaces in
+    /// `finish`.
     broken: bool,
 }
 
@@ -114,27 +125,16 @@ impl TelemetryStream {
         flush_every: usize,
     ) -> TelemetryStream {
         assert!(flush_every > 0, "flush_every must be positive");
-        let (tx, rx) = sync_channel::<String>(CHANNEL_DEPTH);
-        let (spare_tx, spare) = sync_channel::<String>(SPARE_DEPTH);
-        let writer = std::thread::spawn(move || -> io::Result<()> {
-            let mut out = BufWriter::new(sink);
-            while let Ok(chunk) = rx.recv() {
-                out.write_all(chunk.as_bytes())?;
-                // Hand the buffer back; it is simply dropped once the
-                // stream is gone.
-                let _ = spare_tx.try_send(chunk);
-            }
-            out.flush()
-        });
+        let (tx, rx) = sync_channel::<Window>(CHANNEL_DEPTH);
+        let (spare_tx, spare) = sync_channel::<Window>(SPARE_DEPTH);
+        let writer = std::thread::spawn(move || write_windows(sink, format, &rx, &spare_tx));
         TelemetryStream {
             tx: Some(tx),
             spare,
             writer: Some(writer),
             format,
-            cache: RowCache::default(),
             flush_every,
             cursor: 0,
-            header_sent: false,
             stats: StreamStats::default(),
             broken: false,
         }
@@ -163,8 +163,8 @@ impl TelemetryStream {
         }
     }
 
-    /// Serialize every not-yet-flushed row still in the ring into a reused
-    /// chunk and send it.
+    /// Copy every not-yet-flushed row still in the ring into a reused
+    /// window and send it to the writer.
     fn flush(&mut self, rec: &SeriesRecorder) {
         let total = rec.total_rows();
         if self.cursor >= total {
@@ -177,37 +177,25 @@ impl TelemetryStream {
             rec.capacity()
         );
         // Rows older than the ring's oldest surviving row are gone.
-        let oldest = total.saturating_sub(rec.capacity() as u64);
+        let oldest = rec.dropped();
         if self.cursor < oldest {
             self.stats.lost += oldest - self.cursor;
             self.cursor = oldest;
         }
-        let cap = rec.capacity() as u64;
-        let mut chunk = self.spare.try_recv().unwrap_or_default();
-        chunk.clear();
-        if self.format == StreamFormat::Csv && !self.header_sent {
-            chunk.push_str(&crate::csv_header(rec));
-            chunk.push('\n');
-        }
-        self.header_sent = true;
-        for abs in self.cursor..total {
-            let i = (abs % cap) as usize;
-            match self.format {
-                StreamFormat::Csv => export::csv_row(rec, i, &mut self.cache, &mut chunk),
-                StreamFormat::Jsonl => export::jsonl_row(rec, i, &mut self.cache, &mut chunk),
-            }
-            chunk.push('\n');
+        if let (Some(tx), false) = (&self.tx, self.broken) {
+            let mut window = self.spare.try_recv().unwrap_or_default();
+            let (older, newer) = rec.rows_since(self.cursor);
+            window.shape = rec.row_shape();
+            window.cells.clear();
+            window.cells.extend_from_slice(older);
+            window.cells.extend_from_slice(newer);
+            // A send error means the writer thread died on an I/O error;
+            // remember it and surface the underlying error in `finish`.
+            self.broken = tx.send(window).is_err();
         }
         self.stats.rows += total - self.cursor;
         self.stats.flushes += 1;
         self.cursor = total;
-        if let Some(tx) = &self.tx {
-            // A send error means the writer thread died on an I/O error;
-            // remember it and surface the underlying error in `finish`.
-            if tx.send(chunk).is_err() {
-                self.broken = true;
-            }
-        }
     }
 
     /// Flush the tail (rows below the boundary), close the channel, and
@@ -229,6 +217,41 @@ impl TelemetryStream {
         }
         Ok(self.stats)
     }
+}
+
+/// The writer thread: render each window's rows into one reused text
+/// buffer (the CSV header before the first), write it, and hand the
+/// window back. Returns at the first I/O error, which closes the channel.
+fn write_windows<W: Write>(
+    mut sink: W,
+    format: StreamFormat,
+    windows: &Receiver<Window>,
+    spare: &SyncSender<Window>,
+) -> io::Result<()> {
+    let mut cache = RowCache::default();
+    let mut text = String::new();
+    let mut header_sent = false;
+    while let Ok(window) = windows.recv() {
+        text.clear();
+        if format == StreamFormat::Csv && !header_sent {
+            text.push_str(&export::header(window.shape));
+            text.push('\n');
+        }
+        header_sent = true;
+        for cells in window.cells.chunks_exact(window.shape.width()) {
+            let row = RowView {
+                shape: window.shape,
+                cells,
+            };
+            export::row_line(format, row, &mut cache, &mut text);
+            text.push('\n');
+        }
+        sink.write_all(text.as_bytes())?;
+        // Hand the window back; it is simply dropped once the stream is
+        // gone.
+        let _ = spare.try_send(window);
+    }
+    sink.flush()
 }
 
 impl Drop for TelemetryStream {
@@ -358,5 +381,51 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_flush_interval_panics() {
         let _ = TelemetryStream::with_writer(Vec::new(), StreamFormat::Csv, 0);
+    }
+
+    /// A sink that accepts `ok` writes, then fails every later one.
+    struct FailingSink {
+        ok: usize,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.ok == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            self.ok -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_failing_mid_run_surfaces_its_error_and_never_blocks_pump() {
+        // The simulation side runs on its own thread so that a pump
+        // blocked on a dead writer shows as a timeout, not a hung test.
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let sim = std::thread::spawn(move || {
+            let stream =
+                TelemetryStream::with_writer(FailingSink { ok: 2 }, StreamFormat::Jsonl, 4);
+            let mut tel = crate::Telemetry::new(8).with_stream(stream);
+            tel.recorder.ensure_shape(1, 1, 1);
+            for q in 0..4000u64 {
+                tel.recorder.push_row(q * 1000).chip(1.0, f64::NAN, 40.0);
+                tel.roll_forward();
+            }
+            let stats = tel.stream_stats().expect("stream attached");
+            done_tx.send(()).unwrap();
+            (tel.finish_stream().expect("stream attached"), stats)
+        });
+        done.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pump blocked after the writer died");
+        let (result, stats) = sim.join().unwrap();
+        let err = result.expect_err("the sink's error surfaces from finish_stream");
+        assert_eq!(err.to_string(), "disk full");
+        // Loss accounting still ran on the simulation side.
+        assert_eq!((stats.rows, stats.lost, stats.flushes), (4000, 0, 1000));
     }
 }

@@ -7,11 +7,16 @@
 //! decision buffer, the snapshot and the plan), a block of further
 //! rounds/quanta must not touch the allocator at all. The test binary is
 //! dedicated to this check so the global allocator override cannot interfere
-//! with other integration tests, and each check runs in one `#[test]` with
-//! the counter sampled around a single-threaded region.
+//! with other integration tests. The allocator counts per thread as well as
+//! in total, so an allocation on the thread that runs the block fails the
+//! first measured window; the stream proofs read the stream writer
+//! thread's own count through its sink.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ppm::core::config::PpmConfig;
 use ppm::core::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs};
@@ -22,23 +27,36 @@ use ppm::workload::task::TaskId;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// without a destructor, so reading it never allocates itself.
+    static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
 struct CountingAlloc;
 
+impl CountingAlloc {
+    fn count(&self) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        THREAD_ALLOC_CALLS.with(|n| n.set(n.get() + 1));
+    }
+}
+
 // SAFETY: delegates every operation to the system allocator unchanged; the
-// counter is a side effect only.
+// counters are a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,8 +68,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations on every thread.
 fn allocations() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+/// Allocations on the calling thread.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOC_CALLS.with(Cell::get)
 }
 
 /// The `#[test]`s below share the one global counter, and the libtest
@@ -59,22 +83,29 @@ fn allocations() -> u64 {
 /// measures another's allocations.
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Assert `block` performs zero allocations, retrying up to twice: the
-/// gate serialises the *tests*, but the libtest harness itself still
+/// Assert `block` performs zero allocations. One on the calling thread
+/// fails at once. One seen only on other threads is retried up to twice:
+/// the gate serialises the *tests*, but the libtest harness itself still
 /// bookkeeps finished tests and spawns waiting ones on other threads, and
-/// those allocations land in the same global counter. A genuine hot-path
-/// allocation reproduces on every retry; harness noise does not.
+/// those allocations land in the global counter. A genuine allocation on
+/// a thread the block drives reproduces on every retry; harness noise does
+/// not.
 fn assert_no_alloc(what: &str, mut block: impl FnMut()) {
     for attempt in 0..3 {
-        let before = allocations();
+        let (before, own_before) = (allocations(), thread_allocations());
         block();
+        let own = thread_allocations() - own_before;
+        assert_eq!(
+            own, 0,
+            "{what}: {own} allocation(s) on the measuring thread in the steady-state block"
+        );
         let delta = allocations() - before;
         if delta == 0 {
             return;
         }
         assert!(
             attempt < 2,
-            "{what}: {delta} allocation(s) in the measured steady-state block"
+            "{what}: {delta} allocation(s) on other threads in every steady-state block"
         );
     }
 }
@@ -317,6 +348,11 @@ fn steady_state_ppm_bid_rounds_do_not_allocate() {
 /// candidates in the LBT module's retained caches, so once both have grown
 /// an invocation does not allocate either. Phase profiling (itself
 /// allocation-free) counts the invocations in the measured window.
+///
+/// The window holds at least as many invocations as the warm-up, so a
+/// buffer that grows by a fixed step on every invocation, whose capacity
+/// doubles, must reallocate inside it: from `n` invocations to `2n` its
+/// length doubles too, past the capacity it had after `n`.
 #[test]
 fn steady_state_ppm_bid_rounds_with_lbt_do_not_allocate() {
     use ppm::core::manager::tc2_ppm_system;
@@ -343,15 +379,16 @@ fn steady_state_ppm_bid_rounds_with_lbt_do_not_allocate() {
     let before = invocations(&sim);
 
     assert_no_alloc("steady-state PPM bid rounds with LBT", || {
-        sim.run_for(SimDuration::from_secs(1));
+        sim.run_for(SimDuration::from_secs(3));
     });
-    // Sanity: the window held `migrate_every` consecutive invocations or
-    // more, so at least one migration and one load-balancing invocation
-    // (a retry reruns the window and only adds more).
+    // Sanity: the window held as many invocations as the warm-up, and at
+    // least `migrate_every` consecutive ones, so at least one migration
+    // and one load-balancing invocation (a retry reruns the window and
+    // only adds more).
     let window = invocations(&sim) - before;
     assert!(
-        window >= migrate_every,
-        "only {window} LBT invocations in the window"
+        window >= before.max(migrate_every),
+        "only {window} LBT invocations in the window, {before} in the warm-up"
     );
 }
 
@@ -615,11 +652,69 @@ fn steady_state_openloop_quantum_does_not_allocate() {
     assert!(measured > 0, "no task measured a p99 — nothing was served");
 }
 
-/// Streaming telemetry does not allocate in steady state, flushes
-/// included: the per-row render cache copies unchanged cells into the
-/// chunk instead of formatting them, and the writer thread hands every
-/// written chunk back for reuse, so once the warm-up has grown the chunks
-/// and the cache a 64-row JSONL flush touches no allocator.
+/// The sink of the stream proofs: it drops the bytes and, at every write
+/// and flush, publishes how many allocations the thread calling it — the
+/// stream's writer thread — has made so far. Its first write stalls, so
+/// the bounded channel fills and the simulation thread blocks on it during
+/// warm-up: blocking, too, then happens before the measured window.
+#[derive(Clone, Default)]
+struct WriterProbe {
+    allocs: Arc<AtomicU64>,
+    writes: Arc<AtomicU64>,
+}
+
+impl WriterProbe {
+    /// The writer thread's allocations as of its last write.
+    fn writer_allocations(&self) -> u64 {
+        self.allocs.load(Ordering::SeqCst)
+    }
+}
+
+impl Write for WriterProbe {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.writes.fetch_add(1, Ordering::SeqCst) == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(500));
+        }
+        self.allocs.store(thread_allocations(), Ordering::SeqCst);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.allocs.store(thread_allocations(), Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// Run `sim`'s measured second under [`assert_no_alloc`], then finish its
+/// stream and assert the writer thread made no allocation from before the
+/// window through the tail flush. Returns the stream's totals.
+fn assert_stream_steady<M: ppm::sched::PowerManager>(
+    what: &str,
+    sim: &mut ppm::sched::Simulation<M>,
+    probe: &WriterProbe,
+) -> ppm::obs::StreamStats {
+    let writer_before = probe.writer_allocations();
+    assert_no_alloc(what, || {
+        sim.run_for(SimDuration::from_secs(1));
+    });
+    let stats = sim
+        .finish_stream()
+        .expect("stream attached")
+        .expect("writer clean");
+    let writer = probe.writer_allocations() - writer_before;
+    assert_eq!(
+        writer, 0,
+        "{what}: {writer} allocation(s) on the writer thread"
+    );
+    assert_eq!(stats.lost, 0);
+    stats
+}
+
+/// Streaming telemetry does not allocate in steady state, on either side
+/// of the channel: a flush copies the window's raw rows into a window
+/// buffer the writer handed back, and the writer renders them through its
+/// render cache into its reused text buffer, so once the warm-up has grown
+/// the buffers and the cache a 64-row JSONL flush touches no allocator.
 #[test]
 fn stream_flushes_do_not_allocate_after_warmup() {
     use ppm::obs::{StreamFormat, Telemetry, TelemetryStream};
@@ -643,24 +738,74 @@ fn stream_flushes_do_not_allocate_after_warmup() {
     // A 256-row ring flushed every 64 rows, as `ppm-sim --stream` runs:
     // the 2 s warm-up crosses 31 flush boundaries, each measured 1 s block
     // (up to three attempts) another 15.
+    let probe = WriterProbe::default();
     let mut sim = Simulation::new(sys, TogglingManager { flip: false })
         .with_telemetry(Telemetry::new(256))
         .with_stream(TelemetryStream::with_writer(
-            std::io::sink(),
+            probe.clone(),
             StreamFormat::Jsonl,
             64,
         ));
     sim.run_for(SimDuration::from_secs(2));
 
-    assert_no_alloc("streaming with 64-row flushes", || {
-        sim.run_for(SimDuration::from_secs(1));
-    });
-    // Every row reached the writer through the reused chunks.
-    let stats = sim
-        .finish_stream()
-        .expect("stream attached")
-        .expect("writer clean");
-    assert_eq!(stats.lost, 0);
+    let stats = assert_stream_steady("streaming with 64-row flushes", &mut sim, &probe);
+    // Every row reached the writer through the reused windows.
     assert!(stats.rows >= 3000, "all quanta reached the file");
     assert!(stats.flushes >= 3000 / 64, "flushed every 64 rows");
+}
+
+/// The `serve_ol2_obs` benchmark configuration, whole: the seeded `ol2`
+/// bursty open-loop family on TC2 at 4 W under PPM (LBT on), a 4096-row
+/// ring, 1 s windowed aggregation, the default burn-rate alerts, and a
+/// JSONL stream flushed every 64 rows. After a warm-up past the first
+/// ring wrap, neither the simulation thread nor the stream's writer
+/// thread allocates.
+#[test]
+fn serve_ol2_obs_configuration_does_not_allocate_on_either_thread() {
+    use ppm::core::manager::{place_on_little, PpmManager};
+    use ppm::obs::{StreamFormat, Telemetry, TelemetryStream, DEFAULT_AGG_WINDOW_US};
+    use ppm::platform::chip::Chip;
+    use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
+    use ppm::workload::task::Priority;
+    use ppm::workload::{bursty_template, openloop_family};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let tdp = Watts(4.0);
+    let mut sys = SimSystem::new(Chip::tc2(), AllocationPolicy::Market);
+    for task in openloop_family("ol2", bursty_template(), 1303).spawn(0, Priority::NORMAL) {
+        sys.add_task(task, CoreId(0));
+    }
+    place_on_little(&mut sys);
+    sys.set_tdp_accounting(tdp);
+    let probe = WriterProbe::default();
+    let tel = Telemetry::new(4096)
+        .with_aggregation(DEFAULT_AGG_WINDOW_US)
+        .with_alerts();
+    let mut sim = Simulation::new(sys, PpmManager::new(PpmConfig::tc2_with_tdp(tdp)))
+        .with_telemetry(tel)
+        .with_stream(TelemetryStream::with_writer(
+            probe.clone(),
+            StreamFormat::Jsonl,
+            64,
+        ));
+    // Warm-up: past the ring's first wrap at 4.096 s, five aggregation
+    // windows closed, and LBT, the request rings and the alert engine in
+    // regime.
+    sim.run_for(SimDuration::from_secs(5));
+    assert!(sim.telemetry().expect("attached").recorder.dropped() > 0);
+
+    let stats = assert_stream_steady("serve_ol2_obs configuration", &mut sim, &probe);
+    assert!(stats.rows >= 6000, "every quantum streamed");
+    let tel = sim.take_telemetry().expect("telemetry attached");
+    assert_eq!(stats.rows, tel.recorder.total_rows());
+    let agg = tel.aggregate.as_ref().expect("aggregation attached");
+    assert!(agg.windows_closed() >= 5, "1 s windows closed in the run");
+    let s = sim.system();
+    let served = s
+        .task_ids()
+        .iter()
+        .filter_map(|&t| s.task(t).open_loop_snap())
+        .filter(|o| o.p99_ms > 0.0)
+        .count();
+    assert!(served > 0, "requests were served");
 }
