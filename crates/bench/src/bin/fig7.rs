@@ -51,7 +51,7 @@ fn run_case(swaptions_priority: u32) {
         if second > 0 {
             sim.run_for(SimDuration::from_secs(1));
         }
-        let hr = |id: TaskId| sim.system().task(id).normalized_heart_rate();
+        let hr = |id: TaskId| sim.system().normalized_heart_rate(id);
         println!("{second},{:.3},{:.3}", hr(TaskId(0)), hr(TaskId(1)));
     }
     // Finish the 300 s run before reading the out-of-range totals.

@@ -51,8 +51,8 @@ fn main() {
     for _ in 0..600 {
         sim.run_for(SimDuration::from_secs(1));
         let t = sim.system().now().as_secs_f64();
-        let hr0 = sim.system().task(TaskId(0)).normalized_heart_rate();
-        let hr1 = sim.system().task(TaskId(1)).normalized_heart_rate();
+        let hr0 = sim.system().normalized_heart_rate(TaskId(0));
+        let hr1 = sim.system().normalized_heart_rate(TaskId(1));
         let savings = sim.manager().market().savings_of(TaskId(1));
         println!("{:.0},{:.3},{:.3},{:.3}", t, hr0, hr1, savings.value());
         segments.push((t, hr0, hr1));

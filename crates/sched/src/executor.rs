@@ -17,6 +17,7 @@ use ppm_platform::faults::{ActuationOutcome, FaultPlan};
 use ppm_platform::thermal::{Celsius, ThermalModel};
 use ppm_platform::units::{ProcessingUnits, SimDuration, SimTime, Watts};
 use ppm_platform::vf::VfLevel;
+use ppm_workload::heartbeat::HeartbeatWindows;
 use ppm_workload::task::{Task, TaskId};
 
 use crate::affinity::CpuMask;
@@ -54,6 +55,9 @@ struct TaskEntry {
     pelt: PeltTracker,
     granted: ProcessingUnits,
     active: bool,
+    /// The window's cost per beat when the task was removed: a removed
+    /// task's window stops where it was.
+    cost_at_exit: Option<f64>,
 }
 
 /// Reused buffers for [`System::step`]: once capacities have warmed up, a
@@ -102,6 +106,8 @@ pub struct System {
     tdp: Option<Watts>,
     /// Optional lumped thermal model, stepped with the cluster powers.
     thermal: Option<ThermalModel>,
+    /// Every task's heart-rate window, one row per quantum.
+    heartbeats: HeartbeatWindows,
     scratch: StepScratch,
 }
 
@@ -121,6 +127,7 @@ impl System {
             metrics: RunMetrics::new(clusters),
             tdp: None,
             thermal: None,
+            heartbeats: HeartbeatWindows::new(),
             scratch: StepScratch::default(),
         }
     }
@@ -182,7 +189,9 @@ impl System {
             pelt: PeltTracker::new(),
             granted: ProcessingUnits::ZERO,
             active: true,
+            cost_at_exit: None,
         });
+        self.heartbeats.admit();
         // Pre-size metric storage so steady-state recording never grows it.
         let levels = self
             .chip
@@ -241,12 +250,16 @@ impl System {
 
     /// Remove a task from the system (task exit). The id stays allocated —
     /// ids are dense and stable — but the task no longer runs, competes for
-    /// supply, or contributes to metrics.
+    /// supply, or contributes to metrics. Its heart rate and cost per beat
+    /// stay what they were at removal.
     ///
     /// # Panics
     ///
     /// Panics if `id` was never admitted.
     pub fn remove_task(&mut self, id: TaskId) {
+        if self.entries[id.0].active {
+            self.entries[id.0].cost_at_exit = self.heartbeats.cost_per_beat(id.0);
+        }
         let e = &mut self.entries[id.0];
         e.active = false;
         e.share = ProcessingUnits::ZERO;
@@ -265,6 +278,30 @@ impl System {
     /// Panics if `id` was never admitted.
     pub fn task(&self, id: TaskId) -> &Task {
         &self.entries[id.0].task
+    }
+
+    /// The task's heart rate (hb/s) over its heartbeat window as of the
+    /// last quantum.
+    pub fn heart_rate(&self, id: TaskId) -> f64 {
+        self.heartbeats.heart_rate(id.0)
+    }
+
+    /// The task's heart rate normalised to its target (1.0 = exactly on
+    /// target), as plotted in Figures 7 and 8.
+    pub fn normalized_heart_rate(&self, id: TaskId) -> f64 {
+        self.heart_rate(id) / self.entries[id.0].task.spec().target_range().target()
+    }
+
+    /// The task's observed cycles per heartbeat over its heartbeat window,
+    /// when enough beats have been seen: the raw signal online estimators
+    /// consume, and the measurement [`Task::demand`] converts.
+    pub fn cost_per_beat(&self, id: TaskId) -> Option<f64> {
+        let e = &self.entries[id.0];
+        if e.active {
+            self.heartbeats.cost_per_beat(id.0)
+        } else {
+            e.cost_at_exit
+        }
     }
 
     /// The core a task is mapped to (`c_t`).
@@ -354,7 +391,9 @@ impl System {
         let e = &mut self.entries[id.0];
         e.core = core;
         e.stalled_until = self.now + cost;
-        e.task.reset_monitor_window();
+        // The old window no longer reflects the task's core.
+        e.cost_at_exit = None;
+        self.heartbeats.reset(id.0);
         Some(cost)
     }
 
@@ -405,6 +444,10 @@ impl System {
     /// allocate each core's supply, execute tasks, integrate power, account
     /// metrics. `record` controls whether QoS/power metrics accumulate
     /// (false during warm-up).
+    ///
+    /// Each task's heartbeat totals go into the quantum's heartbeat row as
+    /// the task runs (or idles), and its heart rate and QoS are accounted
+    /// at that point, so every task entry is visited once.
     fn step(&mut self, dt: SimDuration, record: bool) {
         let end = self.now + dt;
 
@@ -423,8 +466,11 @@ impl System {
         }
 
         // 2. Allocate and execute per core. All working sets live in
-        // `self.scratch` — the steady state allocates nothing.
-        self.sort_runnable_by_core(dt, end);
+        // `self.scratch` — the steady state allocates nothing. Every
+        // tracker has the kernel half-life: one decay serves them all.
+        self.heartbeats.begin_row(end);
+        let decay = PeltTracker::decay(dt, PeltTracker::KERNEL_HALF_LIFE);
+        let mut any_below = self.sort_runnable_by_core(dt, end, decay, record);
         let n_clusters = self.chip.clusters().len();
         self.scratch.power.clear();
         self.scratch.power.resize(n_clusters, Watts::ZERO);
@@ -474,6 +520,7 @@ impl System {
                     let e = &mut self.entries[id.0];
                     e.granted = grant;
                     e.task.execute(grant.cycles_over(dt), class, end);
+                    let hr = self.heartbeats.record(id.0, e.task.heartbeat_totals());
                     used += grant;
                     if record {
                         self.metrics.record_task_energy(
@@ -483,16 +530,16 @@ impl System {
                         );
                         cluster_dynamic += watts_per_pu * grant.value();
                         self.scratch.cluster_tasks.push(id);
+                        any_below |= record_qos(&mut self.metrics, id, &e.task, hr, dt);
                     }
                     // PELT: a task that could consume more than it was
                     // granted stays runnable the whole quantum.
-                    let e = &mut self.entries[id.0];
                     let runnable = if grant.is_positive() {
                         1.0_f64.min(e.task.utilization_cap())
                     } else {
                         e.task.utilization_cap().min(1.0)
                     };
-                    e.pelt.update(dt, runnable);
+                    e.pelt.update_decayed(decay, runnable);
                 }
                 let util = if supply.is_positive() {
                     (used / supply).clamp(0.0, 1.0)
@@ -534,29 +581,7 @@ impl System {
                 let p = self.scratch.power[ci];
                 self.metrics.cluster_energy[ci].record(p, dt);
             }
-
-            // 4. QoS accounting.
-            let mut any_below = false;
-            for i in 0..self.entries.len() {
-                let e = &self.entries[i];
-                if !e.active {
-                    continue;
-                }
-                let hr = e.task.heart_rate();
-                let range = e.task.spec().target_range();
-                // Open-loop tasks miss on their p99-vs-SLO signal (for them
-                // "outside" and "below" coincide: only too-slow is a QoS
-                // breach); closed-loop tasks keep heart-rate semantics, and
-                // `misses_qos` is exactly `misses_below` for them.
-                let below = e.task.misses_qos();
-                let outside = if e.task.open_loop().is_some() {
-                    below
-                } else {
-                    !range.contains(hr)
-                };
-                any_below |= below;
-                self.metrics.record_task(TaskId(i), dt, below, outside);
-            }
+            // 4. System QoS: the tasks were accounted as they ran.
             let above_tdp = self.tdp.is_some_and(|t| chip_power > t);
             self.metrics.record_system(dt, any_below, above_tdp);
         }
@@ -568,8 +593,15 @@ impl System {
     /// into the scratch CSR with one counting sort, in ascending id order
     /// within each core. Stalled entries are idled in the same pass: they
     /// make no progress but time passes for them, and those effects touch
-    /// only the entry itself.
-    fn sort_runnable_by_core(&mut self, dt: SimDuration, end: SimTime) {
+    /// only the entry itself, its heartbeat cell and, when `record`, its
+    /// QoS metrics. Returns whether a stalled task missed its QoS goal.
+    fn sort_runnable_by_core(
+        &mut self,
+        dt: SimDuration,
+        end: SimTime,
+        decay: f64,
+        record: bool,
+    ) -> bool {
         let now = self.now;
         let n_cores = self.chip.cores().len();
         // Counts land two slots up, so that after the prefix sum
@@ -578,7 +610,8 @@ impl System {
         let start = &mut self.scratch.start;
         start.clear();
         start.resize(n_cores + 2, 0);
-        for e in self.entries.iter_mut() {
+        let mut any_below = false;
+        for (i, e) in self.entries.iter_mut().enumerate() {
             if !e.active {
                 continue;
             }
@@ -587,7 +620,11 @@ impl System {
             } else {
                 e.granted = ProcessingUnits::ZERO;
                 e.task.record_idle(end);
-                e.pelt.update(dt, 1.0); // still runnable, just not running
+                let hr = self.heartbeats.record(i, e.task.heartbeat_totals());
+                if record {
+                    any_below |= record_qos(&mut self.metrics, TaskId(i), &e.task, hr, dt);
+                }
+                e.pelt.update_decayed(decay, 1.0); // still runnable, just not running
             }
         }
         for c in 1..start.len() {
@@ -604,6 +641,7 @@ impl System {
             }
         }
         start.pop();
+        any_below
     }
 
     /// Validate and apply a manager's plan, action by action, in plan order.
@@ -647,6 +685,23 @@ impl System {
             }
         }
     }
+}
+
+/// Account `task`'s QoS over a quantum of length `dt` in which its heart
+/// rate was `hr`, and return whether it missed its goal. Open-loop tasks
+/// miss on their p99-vs-SLO signal (for them "outside" and "below"
+/// coincide: only too-slow is a QoS breach); closed-loop tasks keep
+/// heart-rate semantics, and `misses_qos` is exactly `misses_below` for
+/// them.
+fn record_qos(metrics: &mut RunMetrics, id: TaskId, task: &Task, hr: f64, dt: SimDuration) -> bool {
+    let below = task.misses_qos(hr);
+    let outside = if task.open_loop().is_some() {
+        below
+    } else {
+        !task.spec().target_range().contains(hr)
+    };
+    metrics.record_task(id, dt, below, outside);
+    below
 }
 
 /// A chip's bid into a fleet-level power-budget exchange: the §3.2 money
@@ -781,7 +836,6 @@ impl PowerManager for NullManager {
 pub struct Simulation<M> {
     system: System,
     manager: M,
-    quantum: SimDuration,
     warmup: SimDuration,
     initialized: bool,
     /// Reused snapshot handed to the manager each quantum.
@@ -803,8 +857,9 @@ pub struct Simulation<M> {
 }
 
 impl<M: PowerManager> Simulation<M> {
-    /// Default execution quantum (1 ms — the Linux scheduler tick at
-    /// CONFIG_HZ=1000).
+    /// The execution quantum (1 ms — the Linux scheduler tick at
+    /// CONFIG_HZ=1000). A [`Simulation::run_for`] that is not a whole
+    /// number of quanta ends in a shorter one.
     pub const DEFAULT_QUANTUM: SimDuration = SimDuration(1000);
 
     /// Build a simulation.
@@ -812,7 +867,6 @@ impl<M: PowerManager> Simulation<M> {
         Simulation {
             system,
             manager,
-            quantum: Self::DEFAULT_QUANTUM,
             warmup: SimDuration::ZERO,
             initialized: false,
             snap: SystemSnapshot::new(),
@@ -823,17 +877,6 @@ impl<M: PowerManager> Simulation<M> {
             auditor: None,
             telemetry: None,
         }
-    }
-
-    /// Use a custom quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero quantum.
-    pub fn with_quantum(mut self, quantum: SimDuration) -> Simulation<M> {
-        assert!(!quantum.is_zero(), "quantum must be positive");
-        self.quantum = quantum;
-        self
     }
 
     /// Exclude the first `warmup` of simulated time from QoS/power metrics
@@ -960,7 +1003,7 @@ impl<M: PowerManager> Simulation<M> {
 
     /// The execution quantum (fleet drivers align their epochs to it).
     pub fn quantum(&self) -> SimDuration {
-        self.quantum
+        Self::DEFAULT_QUANTUM
     }
 
     /// The per-epoch TDP update path a fleet exchange drives: offer `tdp`
@@ -984,7 +1027,7 @@ impl<M: PowerManager> Simulation<M> {
         }
         let end = self.system.now() + duration;
         while self.system.now() < end {
-            let dt = self.quantum.min(end.since(self.system.now()));
+            let dt = Self::DEFAULT_QUANTUM.min(end.since(self.system.now()));
             // Injected task crashes land before capture: the manager first
             // sees a world without the victim, exactly like a real exit.
             if let Some(f) = &mut self.faults {
@@ -1090,8 +1133,9 @@ impl<M: PowerManager> Simulation<M> {
                             ActuationOutcome::Apply => self.faulted.push(op),
                             ActuationOutcome::Fail => {}
                             ActuationOutcome::Defer(quanta) => {
-                                let delay =
-                                    SimDuration(self.quantum.0.saturating_mul(u64::from(quanta)));
+                                let delay = SimDuration(
+                                    Self::DEFAULT_QUANTUM.0.saturating_mul(u64::from(quanta)),
+                                );
                                 f.defer_dvfs(self.system.now() + delay, cluster, level);
                             }
                         },
@@ -1221,12 +1265,13 @@ fn record_telemetry_row(sys: &System, tel: &mut Telemetry, at: SimTime) {
     }
     for (i, e) in sys.entries.iter().enumerate() {
         if e.active {
+            let hr = sys.heartbeats.heart_rate(i);
             row.task(
                 i,
                 e.share.value(),
                 e.granted.value(),
-                e.task.heart_rate(),
-                e.task.normalized_heart_rate(),
+                hr,
+                hr / e.task.spec().target_range().target(),
             );
             if let Some(ol) = e.task.open_loop_snap() {
                 row.task_latency(
@@ -1290,7 +1335,7 @@ mod tests {
         // large needs only 200 PU at target, but is CPU-bound, so it takes
         // everything and overshoots its heart-rate target.
         assert_eq!(sys.granted(TaskId(0)), ProcessingUnits(350.0));
-        assert!(sys.task(TaskId(0)).normalized_heart_rate() > 1.5);
+        assert!(sys.normalized_heart_rate(TaskId(0)) > 1.5);
         assert!((sys.core_utilization(CoreId(0)) - 1.0).abs() < 1e-9);
     }
 

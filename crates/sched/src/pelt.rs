@@ -43,11 +43,23 @@ impl PeltTracker {
         }
     }
 
+    /// The factor `2^(−dt/half_life)` by which an interval of length `dt`
+    /// decays the load.
+    pub(crate) fn decay(dt: SimDuration, half_life: SimDuration) -> f64 {
+        0.5_f64.powf(dt.as_secs_f64() / half_life.as_secs_f64())
+    }
+
     /// Fold in an interval of length `dt` during which the entity was
     /// runnable for `fraction ∈ [0, 1]` of the time.
     pub fn update(&mut self, dt: SimDuration, fraction: f64) {
+        self.update_decayed(Self::decay(dt, self.half_life), fraction);
+    }
+
+    /// [`PeltTracker::update`] with the interval's [`PeltTracker::decay`]
+    /// for this tracker's half-life already computed, so that many trackers
+    /// stepped over the same interval share one evaluation.
+    pub(crate) fn update_decayed(&mut self, decay: f64, fraction: f64) {
         let fraction = fraction.clamp(0.0, 1.0);
-        let decay = 0.5_f64.powf(dt.as_secs_f64() / self.half_life.as_secs_f64());
         self.load = self.load * decay + fraction * (1.0 - decay);
     }
 

@@ -310,6 +310,7 @@ impl SystemSnapshot {
             let task = sys.task(id);
             let core = sys.core_of(id);
             let class = chip.core(core).class();
+            let cost_per_beat = sys.cost_per_beat(id);
             let live = TaskSnap {
                 id,
                 core,
@@ -318,14 +319,14 @@ impl SystemSnapshot {
                 granted: sys.granted(id),
                 pelt_load: sys.pelt_load(id),
                 stalled: sys.is_stalled(id),
-                heart_rate: task.heart_rate(),
+                heart_rate: sys.heart_rate(id),
                 target_rate: task.spec().target_range().target(),
-                demand: task.demand(class, class),
+                demand: task.demand(class, class, cost_per_beat),
                 // Pressure-scaled for open-loop tasks (== raw profile for
                 // closed-loop, so committed digests are untouched).
                 demand_little: task.planning_demand(CoreClass::Little),
                 demand_big: task.planning_demand(CoreClass::Big),
-                cost_per_beat: task.measured_cost_per_beat(),
+                cost_per_beat,
                 open_loop: task.open_loop_snap(),
             };
             match self.tasks.get_mut(n) {

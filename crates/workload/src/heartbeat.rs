@@ -11,8 +11,13 @@
 //! ```
 //!
 //! where `target_hr` is the mean of the range and `s_t` the current supply.
+//!
+//! The observed rate comes from [`HeartbeatWindows`]: every task's
+//! cumulative heartbeats and cycles over the last 500 ms, kept in one
+//! time-major ring (a row per quantum, a cell per task) rather than a queue
+//! per task, so reading all the windows' fronts each quantum reads one
+//! contiguous row.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use ppm_platform::units::{ProcessingUnits, SimDuration, SimTime};
@@ -110,109 +115,189 @@ pub fn demand_from_heart_rate(
     ProcessingUnits(range.target() * supply.value() / current_hr)
 }
 
-/// Sliding-window heart-rate monitor.
+/// Every task's sliding heartbeat window, stored time-major.
 ///
-/// Tasks register cumulative heartbeat counts; the monitor reports the rate
-/// over the most recent window (default 1 s, configurable), mirroring how the
-/// HRM infrastructure smooths instantaneous rates.
-#[derive(Debug, Clone)]
-pub struct HeartbeatMonitor {
-    window: SimDuration,
-    /// `(time, cumulative beats, cumulative cycles)` samples.
-    samples: VecDeque<(SimTime, f64, f64)>,
-    total: f64,
-    total_cycles: f64,
+/// The windows are a ring of rows, one per recorded quantum: row `k` holds
+/// the quantum's end time once and then, for each task in id order, its
+/// cumulative `[heartbeats, billed cycles]` at that time. A task's rate is
+/// the difference between the newest row and its window's front over the
+/// time between them.
+///
+/// Every task records on every row, so all windows share one front: the
+/// last row at or before the horizon (`end − WINDOW`), never the newest
+/// row. A task's own front is the later of that shared front and its first
+/// row since admission or the last [`HeartbeatWindows::reset`]. That is
+/// the sample a per-task queue keeps when, on each record, it drops its
+/// front while its second sample is at or before the horizon and more than
+/// two samples remain, for any quantum length.
+///
+/// Time-major because each quantum reads every task's front: in this
+/// layout the fronts are one contiguous row instead of one cold cache line
+/// per task, each written a whole window ago. The ring holds only the rows
+/// from the shared front on, gains rows only when a window spans more rows
+/// than it has (shorter quanta), and widens in place when tasks were
+/// admitted since the last row; otherwise a row allocates nothing.
+#[derive(Debug, Default)]
+pub struct HeartbeatWindows {
+    /// Each slot's row time; the slot count is the ring's capacity.
+    times: Vec<SimTime>,
+    /// `capacity × width` cells, row-major: cumulative beats and cycles.
+    cells: Vec<[f64; 2]>,
+    /// Tasks per held row (lags `first.len()` until the next row).
+    width: usize,
+    /// Slot of row `front`.
+    head: usize,
+    /// Slot of the newest row.
+    back: usize,
+    /// The shared front: absolute index of the oldest held row.
+    front: u64,
+    /// Absolute index of the next row, i.e. the rows recorded so far.
+    next: u64,
+    /// Per task: the first row of its current window.
+    first: Vec<u64>,
+    /// Per task: the heart rate its last record measured.
+    rate: Vec<f64>,
 }
 
-impl HeartbeatMonitor {
-    /// Default smoothing window.
-    pub const DEFAULT_WINDOW: SimDuration = SimDuration(500_000);
+impl HeartbeatWindows {
+    /// The smoothing window.
+    pub const WINDOW: SimDuration = SimDuration(500_000);
 
-    /// Monitor with the default window.
-    pub fn new() -> HeartbeatMonitor {
-        HeartbeatMonitor::with_window(Self::DEFAULT_WINDOW)
+    /// Empty windows for no tasks.
+    pub fn new() -> HeartbeatWindows {
+        HeartbeatWindows::default()
     }
 
-    /// Monitor with a custom smoothing window.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window.
-    pub fn with_window(window: SimDuration) -> HeartbeatMonitor {
-        assert!(!window.is_zero(), "window must be positive");
-        HeartbeatMonitor {
-            window,
-            samples: VecDeque::new(),
-            total: 0.0,
-            total_cycles: 0.0,
+    /// Admit the next task (ids are dense). Its window starts at the next
+    /// row; the held rows widen to it when that row begins.
+    pub fn admit(&mut self) {
+        self.first.push(self.next);
+        self.rate.push(0.0);
+    }
+
+    /// Drop `task`'s history (e.g. across a migration, where the old rate
+    /// is not representative of the new core): its window restarts at the
+    /// next row, and its rate reads zero until two rows are in it.
+    pub fn reset(&mut self, task: usize) {
+        self.first[task] = self.next;
+        self.rate[task] = 0.0;
+    }
+
+    /// Start the row of the quantum ending at `at`: advance the shared
+    /// front to the horizon, then make room for the row. Each task then
+    /// [`HeartbeatWindows::record`]s into it. Calls must use increasing
+    /// `at`.
+    pub fn begin_row(&mut self, at: SimTime) {
+        if self.width < self.first.len() {
+            self.widen();
         }
-    }
-
-    /// Record that `beats` (possibly fractional) heartbeats completed by
-    /// time `now` while consuming `cycles` processor cycles. Calls must use
-    /// non-decreasing `now`.
-    pub fn record(&mut self, now: SimTime, beats: f64, cycles: f64) {
-        self.total += beats;
-        self.total_cycles += cycles;
-        self.samples.push_back((now, self.total, self.total_cycles));
-        let horizon = now.as_micros().saturating_sub(self.window.as_micros());
-        // Keep one sample at or before the horizon so the rate spans the
-        // whole window.
-        while self.samples.len() > 2 && self.samples[1].0.as_micros() <= horizon {
-            self.samples.pop_front();
+        let horizon = at.as_micros().saturating_sub(Self::WINDOW.as_micros());
+        // Keep one row at or before the horizon, so a rate spans the whole
+        // window, and never drop the newest row.
+        while self.front + 1 < self.next {
+            let second = self.slot(self.front + 1);
+            if self.times[second].as_micros() > horizon {
+                break;
+            }
+            self.head = second;
+            self.front += 1;
         }
+        if self.next - self.front == self.times.len() as u64 {
+            self.grow();
+        }
+        self.back = self.slot(self.next);
+        self.times[self.back] = at;
+        self.next += 1;
     }
 
-    /// Cumulative heartbeats observed.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Heart rate (hb/s) over the current window; zero before two samples.
-    pub fn heart_rate(&self) -> f64 {
-        let (first, last) = match (self.samples.front(), self.samples.back()) {
-            (Some(f), Some(l)) if l.0 > f.0 => (f, l),
-            _ => return 0.0,
+    /// Record `task`'s cumulative `[heartbeats, billed cycles]` into the
+    /// current row and return its heart rate (hb/s) over its window: zero
+    /// until the window spans some time.
+    pub fn record(&mut self, task: usize, totals: [f64; 2]) -> f64 {
+        let back = self.back;
+        self.cells[back * self.width + task] = totals;
+        let first = self.first[task];
+        let front = if first <= self.front {
+            self.head
+        } else {
+            self.slot(first)
         };
-        let dt = last.0.since(first.0).as_secs_f64();
-        (last.1 - first.1) / dt
+        let (now, then) = (self.times[back], self.times[front]);
+        let rate = if now > then {
+            (totals[0] - self.cells[front * self.width + task][0]) / now.since(then).as_secs_f64()
+        } else {
+            0.0
+        };
+        self.rate[task] = rate;
+        rate
     }
 
-    /// Observed cycles per heartbeat over the window, or `None` before a
-    /// meaningful number of beats has been seen.
+    /// `task`'s heart rate (hb/s) as of its last record.
+    pub fn heart_rate(&self, task: usize) -> f64 {
+        self.rate[task]
+    }
+
+    /// `task`'s observed cycles per heartbeat over its window, or `None`
+    /// before half a beat has been seen in it.
     ///
     /// This is the robust form of the Table 4 conversion: with supply and
     /// heart rate averaged over the *same* interval,
     /// `s̄/h̄ = cycles/beats`, so `d = target_hr · cost / 10⁶` is immune to
     /// the lag between an instantaneous supply change and the smoothed
     /// heart rate.
-    pub fn cost_per_beat(&self) -> Option<f64> {
-        let (first, last) = match (self.samples.front(), self.samples.back()) {
-            (Some(f), Some(l)) if l.0 > f.0 => (f, l),
-            _ => return None,
-        };
-        let beats = last.1 - first.1;
+    pub fn cost_per_beat(&self, task: usize) -> Option<f64> {
+        let newest = self.next.checked_sub(1)?;
+        let oldest = self.first[task].max(self.front);
+        if oldest >= newest {
+            return None; // at most one sample in the window
+        }
+        let (front, back) = (self.slot(oldest), self.slot(newest));
+        let first = self.cells[front * self.width + task];
+        let last = self.cells[back * self.width + task];
+        let beats = last[0] - first[0];
         if beats < 0.5 {
             return None; // starved or just admitted: no reliable estimate
         }
-        Some((last.2 - first.2) / beats)
+        Some((last[1] - first[1]) / beats)
     }
 
-    /// The smoothing window.
-    pub fn window(&self) -> SimDuration {
-        self.window
+    /// The ring slot of held row `row` (`front <= row <= next`).
+    fn slot(&self, row: u64) -> usize {
+        let slot = self.head + (row - self.front) as usize;
+        if slot >= self.times.len() {
+            slot - self.times.len()
+        } else {
+            slot
+        }
     }
 
-    /// Drop all history (e.g. across a migration, where the old rate is not
-    /// representative of the new core).
-    pub fn reset_window(&mut self) {
-        self.samples.clear();
+    /// Double the ring when it is full. The held rows wrap at the old end:
+    /// the part before `head` moves to just past it.
+    fn grow(&mut self) {
+        let old = self.times.len();
+        let capacity = (2 * old).max(16);
+        self.times.reserve_exact(capacity - old);
+        self.times.resize(capacity, SimTime::ZERO);
+        self.cells.reserve_exact((capacity - old) * self.width);
+        self.cells.resize(capacity * self.width, [0.0; 2]);
+        self.times.copy_within(0..self.head, old);
+        self.cells
+            .copy_within(0..self.head * self.width, old * self.width);
     }
-}
 
-impl Default for HeartbeatMonitor {
-    fn default() -> Self {
-        HeartbeatMonitor::new()
+    /// Widen every slot to the admitted task count, last slot first, so no
+    /// row is overwritten before it moves. New tasks' cells in held rows
+    /// are never read: their windows start at the next row.
+    fn widen(&mut self) {
+        let (from, to) = (self.width, self.first.len());
+        let capacity = self.times.len();
+        self.cells.reserve_exact(capacity * (to - from));
+        self.cells.resize(capacity * to, [0.0; 2]);
+        for slot in (1..capacity).rev() {
+            self.cells
+                .copy_within(slot * from..(slot + 1) * from, slot * to);
+        }
+        self.width = to;
     }
 }
 
@@ -265,36 +350,139 @@ mod tests {
         assert!(!range.misses_below(40.0));
     }
 
+    /// One row per `(time, [beats, cycles] per task)` quantum, recorded the
+    /// way the executor records: every admitted task, every row.
+    fn feed(hb: &mut HeartbeatWindows, totals: &mut [[f64; 2]], at: SimTime, step: &[[f64; 2]]) {
+        hb.begin_row(at);
+        for (task, (total, add)) in totals.iter_mut().zip(step).enumerate() {
+            total[0] += add[0];
+            total[1] += add[1];
+            hb.record(task, *total);
+        }
+    }
+
     #[test]
-    fn monitor_measures_steady_rate() {
-        let mut m = HeartbeatMonitor::with_window(SimDuration::from_secs(1));
+    fn windows_measure_steady_rate() {
+        let mut hb = HeartbeatWindows::new();
+        hb.admit();
+        let mut totals = [[0.0; 2]];
         for i in 1..=100u64 {
             // 3 beats every 100 ms -> 30 hb/s.
-            m.record(SimTime::from_millis(i * 100), 3.0, 3.0e6);
+            feed(
+                &mut hb,
+                &mut totals,
+                SimTime::from_millis(i * 100),
+                &[[3.0, 3.0e6]],
+            );
         }
-        assert!((m.heart_rate() - 30.0).abs() < 0.5);
-        assert_eq!(m.total(), 300.0);
+        assert!((hb.heart_rate(0) - 30.0).abs() < 0.5);
+        assert_eq!(hb.cost_per_beat(0), Some(1.0e6));
     }
 
     #[test]
-    fn monitor_tracks_rate_changes() {
-        let mut m = HeartbeatMonitor::with_window(SimDuration::from_millis(500));
+    fn windows_track_rate_changes() {
+        let mut hb = HeartbeatWindows::new();
+        hb.admit();
+        let mut totals = [[0.0; 2]];
         for i in 1..=10u64 {
-            m.record(SimTime::from_millis(i * 100), 1.0, 2.0e6); // 10 hb/s
+            feed(
+                &mut hb,
+                &mut totals,
+                SimTime::from_millis(i * 100),
+                &[[1.0, 2.0e6]],
+            ); // 10 hb/s
         }
         for i in 11..=20u64 {
-            m.record(SimTime::from_millis(i * 100), 5.0, 10.0e6); // 50 hb/s
+            feed(
+                &mut hb,
+                &mut totals,
+                SimTime::from_millis(i * 100),
+                &[[5.0, 10.0e6]],
+            ); // 50 hb/s
         }
-        assert!((m.heart_rate() - 50.0).abs() < 5.0);
+        assert!((hb.heart_rate(0) - 50.0).abs() < 5.0);
     }
 
     #[test]
-    fn monitor_empty_is_zero() {
-        let m = HeartbeatMonitor::new();
-        assert_eq!(m.heart_rate(), 0.0);
-        let mut m2 = HeartbeatMonitor::new();
-        m2.record(SimTime::from_millis(1), 1.0, 1.0e6);
-        assert_eq!(m2.heart_rate(), 0.0); // single sample: no baseline yet
+    fn windows_read_zero_before_two_rows() {
+        let mut hb = HeartbeatWindows::new();
+        hb.admit();
+        assert_eq!(hb.heart_rate(0), 0.0);
+        assert_eq!(hb.cost_per_beat(0), None);
+        let mut totals = [[0.0; 2]];
+        feed(
+            &mut hb,
+            &mut totals,
+            SimTime::from_millis(1),
+            &[[1.0, 1.0e6]],
+        );
+        // A single sample: no baseline yet.
+        assert_eq!(hb.heart_rate(0), 0.0);
+        assert_eq!(hb.cost_per_beat(0), None);
+        feed(
+            &mut hb,
+            &mut totals,
+            SimTime::from_millis(2),
+            &[[1.0, 1.0e6]],
+        );
+        assert_eq!(hb.heart_rate(0), 1000.0);
+        // A reset restarts the window at the next row.
+        hb.reset(0);
+        assert_eq!((hb.heart_rate(0), hb.cost_per_beat(0)), (0.0, None));
+        feed(
+            &mut hb,
+            &mut totals,
+            SimTime::from_millis(3),
+            &[[1.0, 1.0e6]],
+        );
+        assert_eq!((hb.heart_rate(0), hb.cost_per_beat(0)), (0.0, None));
+        feed(
+            &mut hb,
+            &mut totals,
+            SimTime::from_millis(4),
+            &[[1.0, 1.0e6]],
+        );
+        assert_eq!(hb.heart_rate(0), 1000.0);
+    }
+
+    #[test]
+    fn the_ring_grows_and_widens_without_losing_a_window() {
+        // A second of 1 ms rows leaves a full 512-slot ring whose front has
+        // moved on; 100 µs rows then put 5,001 rows in a window, so the
+        // ring doubles four times while wrapped, and a task admitted among
+        // them widens the wrapped rows in place.
+        let mut hb = HeartbeatWindows::new();
+        hb.admit();
+        let mut totals = vec![[0.0; 2]];
+        let rows = (1..=1_000u64)
+            .map(|i| (i * 1_000, 1_000))
+            .chain((1..=6_000u64).map(|i| (1_000_000 + i * 100, 100)));
+        for (row, (at, dt)) in rows.enumerate() {
+            if row == 1_700 {
+                hb.admit();
+                totals.push([0.0; 2]);
+            }
+            // 5,000 and 2,500 hb/s at 2e5 and 4e5 cycles a beat.
+            let dt = dt as f64;
+            let step = [[0.005 * dt, 1.0e3 * dt], [0.0025 * dt, 1.0e3 * dt]];
+            feed(&mut hb, &mut totals, SimTime(at), &step);
+            if row == 999 {
+                assert_eq!((hb.times.len(), hb.head), (512, 499));
+            }
+            // Every window reads the steady rate; the costs are exact in
+            // binary.
+            if row > 0 {
+                assert!((hb.heart_rate(0) - 5_000.0).abs() < 1e-6, "row {row}");
+                assert_eq!(hb.cost_per_beat(0), Some(2.0e5), "row {row}");
+            }
+            if row > 1_700 {
+                assert!((hb.heart_rate(1) - 2_500.0).abs() < 1e-6, "row {row}");
+                // Half a beat is the least a cost is measured over.
+                let cost = (row > 1_701).then_some(4.0e5);
+                assert_eq!(hb.cost_per_beat(1), cost, "row {row}");
+            }
+        }
+        assert_eq!(hb.times.len(), 8_192);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! [`task::Task`]s wrap phase-structured [`benchmarks::BenchmarkSpec`]
 //! models of the paper's PARSEC / SPEC 2006 / SD-VBS programs, expose their
 //! QoS goal as a heart-rate range, and convert observed heart rates into PU
-//! demands exactly as the paper's Table 4 prescribes.
+//! demands exactly as the paper's Table 4 prescribes. A task keeps only its
+//! running heartbeat totals; the sliding windows that turn them into heart
+//! rates are one time-major ring for all tasks
+//! ([`heartbeat::HeartbeatWindows`]), which the executor owns.
 //!
 //! ```
 //! use ppm_platform::core::CoreClass;
@@ -39,7 +42,7 @@ pub use crate::benchmarks::{Benchmark, BenchmarkSpec, Input};
 pub use crate::generator::{
     bursty_template, openloop_family, openloop_set_by_name, openloop_sets, OpenLoopFamily,
 };
-pub use crate::heartbeat::{HeartRateRange, HeartbeatMonitor};
+pub use crate::heartbeat::{HeartRateRange, HeartbeatWindows};
 pub use crate::perclass::PerClass;
 pub use crate::phase::{Phase, PhaseSequence};
 pub use crate::request::{OpenLoopSnap, OpenLoopSpec, OpenLoopState, RequestQueue, SloMonitor};

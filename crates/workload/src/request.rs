@@ -6,7 +6,7 @@
 //! or not the task keeps up, wait in a bounded FIFO queue, consume a
 //! Weibull-distributed number of heartbeats of service, and report their
 //! sojourn time on completion. The [`SloMonitor`] parallels
-//! [`crate::heartbeat::HeartbeatMonitor`]: it keeps a preallocated window
+//! [`crate::heartbeat::HeartbeatWindows`]: it keeps a preallocated window
 //! of recent latencies and exposes the p99 the market prices against the
 //! SLO (the performance-based-pricing signal of Lučanin et al.).
 //!
@@ -128,8 +128,8 @@ impl RequestQueue {
     }
 }
 
-/// Sliding-window tail-latency monitor, the open-loop analogue of
-/// [`crate::heartbeat::HeartbeatMonitor`].
+/// Sliding-window tail-latency monitor, the open-loop analogue of a
+/// task's heartbeat window ([`crate::heartbeat::HeartbeatWindows`]).
 ///
 /// Completion latencies land in a preallocated ring; percentiles are
 /// recomputed into a preallocated scratch buffer only when new completions

@@ -2,9 +2,11 @@
 //!
 //! A [`Task`] is "a computational entity that can execute on a core" (§2).
 //! It wraps a [`BenchmarkSpec`] with run-time state: the phase cursor, the
-//! heartbeat monitor, and a user-assigned priority. The scheduler feeds it
-//! cycles; it emits heartbeats and exposes the demand estimate the paper's
-//! task agents consume.
+//! running heartbeat totals, and a user-assigned priority. The scheduler
+//! feeds it cycles; it emits heartbeats and converts a measured cost per
+//! heartbeat into the demand estimate the paper's task agents consume. The
+//! windows that measure its heart rate and cost live in the executor (see
+//! [`crate::heartbeat::HeartbeatWindows`]).
 
 use std::fmt;
 
@@ -12,7 +14,6 @@ use ppm_platform::core::CoreClass;
 use ppm_platform::units::{Cycles, ProcessingUnits, SimTime};
 
 use crate::benchmarks::BenchmarkSpec;
-use crate::heartbeat::HeartbeatMonitor;
 use crate::phase::PhaseSequence;
 use crate::request::{OpenLoopSnap, OpenLoopState};
 
@@ -55,14 +56,18 @@ impl fmt::Display for Priority {
     }
 }
 
-/// A running task: benchmark spec + phase cursor + heartbeat telemetry.
+/// A running task: benchmark spec + phase cursor + heartbeat totals.
 #[derive(Debug, Clone)]
 pub struct Task {
     id: TaskId,
     spec: BenchmarkSpec,
     priority: Priority,
     phases: PhaseSequence,
-    monitor: HeartbeatMonitor,
+    /// Heartbeats emitted so far.
+    beats: f64,
+    /// Cycles billed to those heartbeats (open-loop tasks bill only the
+    /// cycles spent serving).
+    billed_cycles: f64,
     total_cycles: Cycles,
     /// Open-loop request state when the spec carries traffic (boxed: the
     /// common closed-loop task stays small).
@@ -79,7 +84,8 @@ impl Task {
             spec,
             priority,
             phases,
-            monitor: HeartbeatMonitor::new(),
+            beats: 0.0,
+            billed_cycles: 0.0,
             total_cycles: Cycles::ZERO,
             open_loop,
         }
@@ -107,23 +113,18 @@ impl Task {
 
     /// Heartbeats emitted so far.
     pub fn total_heartbeats(&self) -> f64 {
-        self.monitor.total()
+        self.beats
+    }
+
+    /// Cumulative `[heartbeats, billed cycles]`: what a heartbeat window
+    /// records after each quantum.
+    pub fn heartbeat_totals(&self) -> [f64; 2] {
+        [self.beats, self.billed_cycles]
     }
 
     /// Cycles consumed so far.
     pub fn total_cycles(&self) -> Cycles {
         self.total_cycles
-    }
-
-    /// Current observed heart rate (hb/s) over the monitor window.
-    pub fn heart_rate(&self) -> f64 {
-        self.monitor.heart_rate()
-    }
-
-    /// Observed cycles-per-heartbeat over the monitor window, when enough
-    /// beats have been seen — the raw signal online estimators consume.
-    pub fn measured_cost_per_beat(&self) -> Option<f64> {
-        self.monitor.cost_per_beat()
     }
 
     /// Effective cycles-per-heartbeat right now on `class` (nominal cost
@@ -180,7 +181,7 @@ impl Task {
             }
         }
         self.total_cycles += cycles;
-        self.monitor.record(now, beats, cycles.value());
+        self.bill(beats, cycles.value());
         beats
     }
 
@@ -217,35 +218,47 @@ impl Task {
             ol.serve(beats, now);
         }
         self.total_cycles += cycles;
-        self.monitor.record(now, beats, used);
+        self.bill(beats, used);
         beats
     }
 
-    /// Record the passage of time without progress (starved or migrating),
-    /// so the heart-rate window decays. Open-loop traffic keeps arriving
-    /// while the task is starved — exactly the point of open-loop load.
+    fn bill(&mut self, beats: f64, cycles: f64) {
+        self.beats += beats;
+        self.billed_cycles += cycles;
+    }
+
+    /// Record the passage of time without progress (starved or migrating).
+    /// Open-loop traffic keeps arriving while the task is starved — exactly
+    /// the point of open-loop load.
     pub fn record_idle(&mut self, now: SimTime) {
         if let Some(ol) = &mut self.open_loop {
             ol.admit_until(now);
             ol.serve(0.0, now);
         }
-        self.monitor.record(now, 0.0, 0.0);
     }
 
-    /// The demand `d_t` in PU on `class` (Table 4 conversion).
+    /// The demand `d_t` in PU on `class` (Table 4 conversion) from
+    /// `measured_cost`, the cycles per heartbeat observed over the task's
+    /// window (see [`crate::heartbeat::HeartbeatWindows::cost_per_beat`]).
     ///
     /// Uses the window-consistent form `d = target_hr · (cycles/beat) / 10⁶`
     /// — identical to the paper's `d = target_hr · s_t / hr_t` with supply
     /// and heart rate averaged over the same interval, and robust against
     /// supply changes mid-window. Falls back to the off-line profile while
-    /// no reliable measurement exists (admission, starvation, migration).
+    /// no reliable measurement exists (`None`: admission, starvation,
+    /// migration).
     ///
     /// When the measurement was taken on a different core class than
     /// `class`, the profiled cost ratio rescales it.
-    pub fn demand(&self, class: CoreClass, measured_on: CoreClass) -> ProcessingUnits {
+    pub fn demand(
+        &self,
+        class: CoreClass,
+        measured_on: CoreClass,
+        measured_cost: Option<f64>,
+    ) -> ProcessingUnits {
         let base = 'base: {
             let profiled = self.spec.profiled_demand(class);
-            let Some(cost) = self.monitor.cost_per_beat() else {
+            let Some(cost) = measured_cost else {
                 break 'base profiled;
             };
             let scale =
@@ -284,14 +297,14 @@ impl Task {
         )
     }
 
-    /// True when the task misses its QoS goal: heart rate below the
+    /// True when the task misses its QoS goal: `heart_rate` below the
     /// reference range (Figures 4 and 6) for closed-loop tasks, p99
     /// latency above the SLO for open-loop tasks (once enough completions
     /// exist to trust the tail).
-    pub fn misses_qos(&self) -> bool {
+    pub fn misses_qos(&self, heart_rate: f64) -> bool {
         match &self.open_loop {
             Some(ol) => ol.monitor().completed() >= 20 && ol.monitor().misses_slo(),
-            None => self.spec.target_range().misses_below(self.heart_rate()),
+            None => self.spec.target_range().misses_below(heart_rate),
         }
     }
 
@@ -319,18 +332,6 @@ impl Task {
     pub fn open_loop_snap(&self) -> Option<OpenLoopSnap> {
         self.open_loop.as_ref().map(|ol| ol.snap())
     }
-
-    /// Heart rate normalised to the target (1.0 = exactly on target), as
-    /// plotted in Figures 7 and 8.
-    pub fn normalized_heart_rate(&self) -> f64 {
-        self.heart_rate() / self.spec.target_range().target()
-    }
-
-    /// Clear heartbeat history (used across migrations, where the stale
-    /// window no longer reflects the new core).
-    pub fn reset_monitor_window(&mut self) {
-        self.monitor.reset_window();
-    }
 }
 
 impl fmt::Display for Task {
@@ -343,14 +344,63 @@ impl fmt::Display for Task {
 mod tests {
     use super::*;
     use crate::benchmarks::{Benchmark, Input};
+    use crate::heartbeat::HeartbeatWindows;
     use ppm_platform::units::SimDuration;
 
-    fn task(b: Benchmark, i: Input) -> Task {
-        Task::new(
+    /// A task and its heartbeat window, fed as the executor feeds them: one
+    /// row per quantum, the task's totals recorded after it runs.
+    struct Tracked {
+        task: Task,
+        hb: HeartbeatWindows,
+    }
+
+    impl Tracked {
+        fn new(task: Task) -> Tracked {
+            let mut hb = HeartbeatWindows::new();
+            hb.admit();
+            Tracked { task, hb }
+        }
+
+        fn execute(&mut self, cycles: Cycles, class: CoreClass, now: SimTime) -> f64 {
+            self.hb.begin_row(now);
+            let beats = self.task.execute(cycles, class, now);
+            self.hb.record(0, self.task.heartbeat_totals());
+            beats
+        }
+
+        fn record_idle(&mut self, now: SimTime) {
+            self.hb.begin_row(now);
+            self.task.record_idle(now);
+            self.hb.record(0, self.task.heartbeat_totals());
+        }
+
+        fn heart_rate(&self) -> f64 {
+            self.hb.heart_rate(0)
+        }
+
+        fn normalized_heart_rate(&self) -> f64 {
+            self.heart_rate() / self.task.spec().target_range().target()
+        }
+
+        fn misses_qos(&self) -> bool {
+            self.task.misses_qos(self.heart_rate())
+        }
+
+        fn demand(&self, class: CoreClass) -> ProcessingUnits {
+            self.task.demand(class, class, self.hb.cost_per_beat(0))
+        }
+
+        fn spec(&self) -> &BenchmarkSpec {
+            self.task.spec()
+        }
+    }
+
+    fn task(b: Benchmark, i: Input) -> Tracked {
+        Tracked::new(Task::new(
             TaskId(0),
             BenchmarkSpec::of(b, i).expect("valid variant"),
             Priority::NORMAL,
-        )
+        ))
     }
 
     #[test]
@@ -410,8 +460,8 @@ mod tests {
             now += dt;
             t.execute(supply.cycles_over(dt), CoreClass::Little, now);
         }
-        let inferred = t.demand(CoreClass::Little, CoreClass::Little);
-        let analytic = t.analytic_demand(CoreClass::Little);
+        let inferred = t.demand(CoreClass::Little);
+        let analytic = t.task.analytic_demand(CoreClass::Little);
         let rel = (inferred.value() - analytic.value()).abs() / analytic.value();
         assert!(rel < 0.1, "inferred {inferred} vs analytic {analytic}");
     }
@@ -419,7 +469,7 @@ mod tests {
     #[test]
     fn demand_before_any_observation_uses_profile() {
         let t = task(Benchmark::Texture, Input::FullHd);
-        let d = t.demand(CoreClass::Little, CoreClass::Little);
+        let d = t.demand(CoreClass::Little);
         assert_eq!(d, t.spec().profiled_demand(CoreClass::Little));
     }
 
@@ -429,7 +479,7 @@ mod tests {
         // Observe an absurdly low rate: one beat over a long stretch.
         t.execute(Cycles(1.0), CoreClass::Little, SimTime::from_millis(1));
         t.record_idle(SimTime::from_secs(10));
-        let d = t.demand(CoreClass::Little, CoreClass::Little);
+        let d = t.demand(CoreClass::Little);
         let cap = ProcessingUnits(2.0 * 200.0); // 2x worst-phase demand
         assert!(d <= cap, "demand {d} exceeds cap {cap}");
     }
@@ -447,7 +497,7 @@ mod tests {
             now += dt;
             t.execute(supply.cycles_over(dt), CoreClass::Little, now);
         }
-        let ol = t.open_loop().expect("open-loop state");
+        let ol = t.task.open_loop().expect("open-loop state");
         assert!(ol.served() > 100, "served {}", ol.served());
         assert_eq!(ol.shed_total(), 0);
         assert!(!t.misses_qos(), "{}", ol.monitor());
@@ -459,7 +509,7 @@ mod tests {
             "hr {}",
             t.heart_rate()
         );
-        let snap = t.open_loop_snap().expect("snap");
+        let snap = t.task.open_loop_snap().expect("snap");
         assert!(snap.p99_ms < snap.slo_ms);
     }
 
@@ -473,17 +523,17 @@ mod tests {
             now += dt;
             t.execute(supply.cycles_over(dt), CoreClass::Little, now);
         }
-        let ol = t.open_loop().expect("open-loop state");
+        let ol = t.task.open_loop().expect("open-loop state");
         assert!(ol.shed_total() > 0, "saturated queue must shed");
         assert!(t.misses_qos(), "{}", ol.monitor());
         // SLO pressure doubles the bid relative to the closed-loop demand.
         let closed = Task::new(TaskId(9), t.spec().clone(), Priority::NORMAL);
-        let base = closed.demand(CoreClass::Little, CoreClass::Little);
-        let d = t.demand(CoreClass::Little, CoreClass::Little);
+        let base = closed.demand(CoreClass::Little, CoreClass::Little, None);
+        let d = t.demand(CoreClass::Little);
         assert!(d > base, "pressured {d} vs base {base}");
     }
 
-    fn open_loop_task() -> Task {
+    fn open_loop_task() -> Tracked {
         use crate::arrivals::ArrivalKind;
         use crate::phase::Phase;
         use crate::request::OpenLoopSpec;
@@ -502,7 +552,7 @@ mod tests {
             None,
         )
         .with_open_loop(ol);
-        Task::new(TaskId(0), spec, Priority::NORMAL)
+        Tracked::new(Task::new(TaskId(0), spec, Priority::NORMAL))
     }
 
     #[test]

@@ -54,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.chip_power().value(),
             levels[0],
             levels[1],
-            s.task(TaskId(0)).normalized_heart_rate(),
-            s.task(TaskId(1)).normalized_heart_rate(),
+            s.normalized_heart_rate(TaskId(0)),
+            s.normalized_heart_rate(TaskId(1)),
         );
     }
 

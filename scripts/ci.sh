@@ -50,6 +50,9 @@ PROPTEST_SEED=1303 cargo test -q --release --test substrate_properties lazy_task
 echo ">>> LBT reference (the incremental pass against the whole-cluster reference, second pinned seed)"
 PROPTEST_SEED=1303 cargo test -q --release --test lbt_properties decide_move_matches_the_whole_cluster_reference
 
+echo ">>> heartbeat windows (the executor's time-major ring against per-task reference monitors, release, second pinned seed)"
+PROPTEST_SEED=1303 cargo test -q --release --test substrate_properties heartbeat_windows_match_the_reference_monitors
+
 echo ">>> render identity (the stream writer's cached rows against the reference renderer, release, second pinned seed)"
 PROPTEST_SEED=1303 cargo test -q --release -p ppm-obs cached_rows_match_the_reference_renderer
 

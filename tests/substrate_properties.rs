@@ -1,6 +1,7 @@
 //! Property-based tests on the substrate invariants: allocation, heartbeat
-//! accounting, V-F tables, PELT, the LBT estimator, and the executor's
-//! lazily captured task section.
+//! accounting, V-F tables, PELT, the LBT estimator, the executor's lazily
+//! captured task section, and its heartbeat windows against per-task
+//! reference monitors.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -19,9 +20,11 @@ use ppm::platform::units::{MegaHertz, Money, Price, ProcessingUnits, SimDuration
 use ppm::platform::vf::{linear_table, VfLevel};
 use ppm::sched::runqueue::{fair_allocate, market_allocate, Claimant};
 use ppm::sched::{
-    ActuationPlan, AllocationPolicy, PeltTracker, PowerManager, Simulation, System, SystemSnapshot,
+    ActuationPlan, AllocationPolicy, NullManager, PeltTracker, PowerManager, Simulation, System,
+    SystemSnapshot,
 };
 use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
+use ppm::workload::heartbeat::HeartbeatWindows;
 use ppm::workload::perclass::PerClass;
 use ppm::workload::sets::table6_sets;
 use ppm::workload::task::{Priority, Task, TaskId};
@@ -442,4 +445,261 @@ fn a_task_section_nobody_reads_is_not_refreshed() {
     let mut live = SystemSnapshot::new();
     live.capture(taped.system());
     assert_ne!(format!("{:?}", live.tasks), seen[101], "the tasks moved on");
+}
+
+/// The per-task sliding-window monitor each task used to carry, verbatim:
+/// the reference for the executor's time-major heartbeat windows.
+mod reference {
+    use std::collections::VecDeque;
+
+    use ppm::platform::units::{SimDuration, SimTime};
+
+    /// Sliding-window heart-rate monitor.
+    ///
+    /// Tasks register cumulative heartbeat counts; the monitor reports the rate
+    /// over the most recent window (default 1 s, configurable), mirroring how the
+    /// HRM infrastructure smooths instantaneous rates.
+    #[derive(Debug, Clone)]
+    pub struct HeartbeatMonitor {
+        window: SimDuration,
+        /// `(time, cumulative beats, cumulative cycles)` samples.
+        samples: VecDeque<(SimTime, f64, f64)>,
+        total: f64,
+        total_cycles: f64,
+    }
+
+    impl HeartbeatMonitor {
+        /// Default smoothing window.
+        pub const DEFAULT_WINDOW: SimDuration = SimDuration(500_000);
+
+        /// Monitor with the default window.
+        pub fn new() -> HeartbeatMonitor {
+            HeartbeatMonitor::with_window(Self::DEFAULT_WINDOW)
+        }
+
+        /// Monitor with a custom smoothing window.
+        ///
+        /// # Panics
+        ///
+        /// Panics on a zero window.
+        pub fn with_window(window: SimDuration) -> HeartbeatMonitor {
+            assert!(!window.is_zero(), "window must be positive");
+            HeartbeatMonitor {
+                window,
+                samples: VecDeque::new(),
+                total: 0.0,
+                total_cycles: 0.0,
+            }
+        }
+
+        /// Record that `beats` (possibly fractional) heartbeats completed by
+        /// time `now` while consuming `cycles` processor cycles. Calls must use
+        /// non-decreasing `now`.
+        pub fn record(&mut self, now: SimTime, beats: f64, cycles: f64) {
+            self.total += beats;
+            self.total_cycles += cycles;
+            self.samples.push_back((now, self.total, self.total_cycles));
+            let horizon = now.as_micros().saturating_sub(self.window.as_micros());
+            // Keep one sample at or before the horizon so the rate spans the
+            // whole window.
+            while self.samples.len() > 2 && self.samples[1].0.as_micros() <= horizon {
+                self.samples.pop_front();
+            }
+        }
+
+        /// Cumulative heartbeats observed.
+        pub fn total(&self) -> f64 {
+            self.total
+        }
+
+        /// Heart rate (hb/s) over the current window; zero before two samples.
+        pub fn heart_rate(&self) -> f64 {
+            let (first, last) = match (self.samples.front(), self.samples.back()) {
+                (Some(f), Some(l)) if l.0 > f.0 => (f, l),
+                _ => return 0.0,
+            };
+            let dt = last.0.since(first.0).as_secs_f64();
+            (last.1 - first.1) / dt
+        }
+
+        /// Observed cycles per heartbeat over the window, or `None` before a
+        /// meaningful number of beats has been seen.
+        ///
+        /// This is the robust form of the Table 4 conversion: with supply and
+        /// heart rate averaged over the *same* interval,
+        /// `s̄/h̄ = cycles/beats`, so `d = target_hr · cost / 10⁶` is immune to
+        /// the lag between an instantaneous supply change and the smoothed
+        /// heart rate.
+        pub fn cost_per_beat(&self) -> Option<f64> {
+            let (first, last) = match (self.samples.front(), self.samples.back()) {
+                (Some(f), Some(l)) if l.0 > f.0 => (f, l),
+                _ => return None,
+            };
+            let beats = last.1 - first.1;
+            if beats < 0.5 {
+                return None; // starved or just admitted: no reliable estimate
+            }
+            Some((last.2 - first.2) / beats)
+        }
+
+        /// The smoothing window.
+        pub fn window(&self) -> SimDuration {
+            self.window
+        }
+
+        /// Drop all history (e.g. across a migration, where the old rate is not
+        /// representative of the new core).
+        pub fn reset_window(&mut self) {
+            self.samples.clear();
+        }
+    }
+
+    impl Default for HeartbeatMonitor {
+        fn default() -> Self {
+            HeartbeatMonitor::new()
+        }
+    }
+}
+
+/// A task replayed beside the simulation with its own reference monitor.
+struct Replayed {
+    task: Task,
+    monitor: reference::HeartbeatMonitor,
+}
+
+/// Admit a closed-loop task of the `bench`-th kind on TC2 core `core`, and
+/// a copy of it to replay.
+fn admit(
+    sim: &mut Simulation<NullManager>,
+    replayed: &mut Vec<Replayed>,
+    bench: usize,
+    core: usize,
+) {
+    let kinds = [
+        (Benchmark::Blackscholes, Input::Large),
+        (Benchmark::Swaptions, Input::Large),
+        (Benchmark::Texture, Input::Vga),
+        (Benchmark::X264, Input::Native),
+        (Benchmark::Bodytrack, Input::Native),
+        (Benchmark::Tracking, Input::Vga),
+    ];
+    let (b, input) = kinds[bench % kinds.len()];
+    let spec = BenchmarkSpec::of(b, input).expect("variant");
+    let task = Task::new(TaskId(replayed.len()), spec, Priority(1));
+    sim.system_mut().add_task(task.clone(), CoreId(core % 5));
+    replayed.push(Replayed {
+        task,
+        monitor: reference::HeartbeatMonitor::new(),
+    });
+}
+
+/// Run `duration` one quantum at a time, as `run_for` steps (whole quanta,
+/// then what is left), replaying each task beside the simulation, and
+/// compare every task's window readings with its reference monitor after
+/// each quantum.
+fn run_compared(
+    sim: &mut Simulation<NullManager>,
+    replayed: &mut [Replayed],
+    duration: u64,
+) -> Result<(), TestCaseError> {
+    let quantum = sim.quantum().as_micros();
+    let mut left = duration;
+    while left > 0 {
+        let dt = SimDuration(left.min(quantum));
+        left -= dt.as_micros();
+        let stalled: Vec<bool> = (0..replayed.len())
+            .map(|i| sim.system().is_stalled(TaskId(i)))
+            .collect();
+        sim.run_for(dt);
+        let sys = sim.system();
+        let end = sys.now();
+        for (i, r) in replayed.iter_mut().enumerate() {
+            let id = TaskId(i);
+            if !sys.is_active(id) {
+                // Removed: its monitor is frozen.
+            } else if stalled[i] {
+                r.task.record_idle(end);
+                r.monitor.record(end, 0.0, 0.0);
+            } else {
+                let class = sys.chip().core(sys.core_of(id)).class();
+                let cycles = sys.granted(id).cycles_over(dt);
+                let beats = r.task.execute(cycles, class, end);
+                r.monitor.record(end, beats, cycles.value());
+            }
+            prop_assert_eq!(
+                sys.heart_rate(id).to_bits(),
+                r.monitor.heart_rate().to_bits(),
+                "{} at {}: heart rate",
+                id,
+                end
+            );
+            prop_assert_eq!(
+                sys.cost_per_beat(id).map(f64::to_bits),
+                r.monitor.cost_per_beat().map(f64::to_bits),
+                "{} at {}: cost per beat",
+                id,
+                end
+            );
+            prop_assert_eq!(
+                sys.task(id).total_heartbeats().to_bits(),
+                r.monitor.total().to_bits(),
+                "{} at {}: total heartbeats",
+                id,
+                end
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On every quantum, each task's heart rate, cost per beat and total
+    /// heartbeats read from the executor's time-major windows have the bits
+    /// of a per-task reference monitor fed the same records: under
+    /// admissions mid-run, removals (a removed task keeps the values it had
+    /// at removal), migrations (which reset the window, removed tasks
+    /// included), their stalls, and `run_for` durations that end in a
+    /// partial quantum. A warm-up of whole quanta first fills the ring, so
+    /// the denser rows after it make it grow while wrapped; on a 250 µs
+    /// grid the horizon often falls exactly on a row.
+    #[test]
+    fn heartbeat_windows_match_the_reference_monitors(
+        initial in proptest::collection::vec((0usize..6, 0usize..5), 1..6),
+        warm_ms in 0u64..1_000,
+        grid in proptest::bool::ANY,
+        events in proptest::collection::vec(
+            (0u8..6, 0usize..32, 0usize..6, proptest::bool::ANY, 1u64..40_000),
+            1..120,
+        ),
+    ) {
+        let mut sim = Simulation::new(
+            System::new(Chip::tc2(), AllocationPolicy::FairWeights),
+            NullManager,
+        );
+        let mut replayed = Vec::new();
+        for &(bench, core) in &initial {
+            admit(&mut sim, &mut replayed, bench, core);
+        }
+        prop_assert_eq!(replayed[0].monitor.window(), HeartbeatWindows::WINDOW);
+        run_compared(&mut sim, &mut replayed, warm_ms * 1_000)?;
+        for &(kind, task, arg, short, duration) in &events {
+            let id = TaskId(task % replayed.len());
+            match kind {
+                0 => admit(&mut sim, &mut replayed, arg, task),
+                1 => sim.system_mut().remove_task(id),
+                2 if sim.system_mut().migrate(id, CoreId(arg % 5)).is_some() => {
+                    replayed[id.0].monitor.reset_window();
+                }
+                _ => {}
+            }
+            // Short runs crowd a window with rows.
+            let mut duration = if short { duration % 200 + 1 } else { duration };
+            if grid {
+                duration = duration.div_ceil(250) * 250;
+            }
+            run_compared(&mut sim, &mut replayed, duration)?;
+        }
+    }
 }

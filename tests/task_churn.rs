@@ -40,9 +40,8 @@ fn departing_task_frees_supply_for_the_rest() {
     sim.run_for(SimDuration::from_secs(20));
     let starved = sim
         .system()
-        .task(TaskId(0))
-        .normalized_heart_rate()
-        .min(sim.system().task(TaskId(1)).normalized_heart_rate());
+        .normalized_heart_rate(TaskId(0))
+        .min(sim.system().normalized_heart_rate(TaskId(1)));
     assert!(
         starved < 0.95,
         "contention expected before the exit: {starved}"
@@ -51,7 +50,7 @@ fn departing_task_frees_supply_for_the_rest() {
     // Task 1 exits; task 0 should recover to its goal.
     sim.system_mut().remove_task(TaskId(1));
     sim.run_for(SimDuration::from_secs(20));
-    let hr = sim.system().task(TaskId(0)).normalized_heart_rate();
+    let hr = sim.system().normalized_heart_rate(TaskId(0));
     assert!(
         hr > 0.9,
         "survivor should reclaim the core after the exit: {hr}"
@@ -107,8 +106,8 @@ fn late_arrival_is_admitted_and_served() {
         late.miss_fraction()
     );
     // Both tasks near their goals at the end.
-    assert!(sim.system().task(TaskId(0)).normalized_heart_rate() > 0.9);
-    assert!(sim.system().task(TaskId(1)).normalized_heart_rate() > 0.9);
+    assert!(sim.system().normalized_heart_rate(TaskId(0)) > 0.9);
+    assert!(sim.system().normalized_heart_rate(TaskId(1)) > 0.9);
 }
 
 #[test]

@@ -466,6 +466,52 @@ fn steady_state_audited_quantum_does_not_allocate() {
     );
 }
 
+/// A task admitted mid-run widens the heartbeat ring's held rows once, at
+/// the next quantum; from then on the ring is written and read in place
+/// again, with one migration per quantum, so one window reset per quantum.
+#[test]
+fn a_mid_run_admission_widens_the_heartbeat_ring_once() {
+    use ppm::platform::chip::Chip;
+    use ppm::sched::{AllocationPolicy, Simulation, System as SimSystem};
+    use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
+    use ppm::workload::task::{Priority, Task};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sys = SimSystem::new(Chip::tc2(), AllocationPolicy::Market);
+    for (i, task) in tc2_task_mix().into_iter().enumerate() {
+        sys.add_task(task, CoreId(i % 5));
+    }
+    let mut sim = Simulation::new(
+        sys,
+        ShufflingManager {
+            inner: TogglingManager { flip: false },
+        },
+    );
+    // Warm-up: the ring fills a whole window.
+    sim.run_for(SimDuration::from_secs(2));
+    let late = TaskId(6);
+    sim.system_mut().add_task(
+        Task::new(
+            late,
+            BenchmarkSpec::of(Benchmark::Swaptions, Input::Large).expect("variant"),
+            Priority(2),
+        ),
+        CoreId(2),
+    );
+    // The admission's own growth: the ring widens, the snapshot's task
+    // section and the plan gain a task.
+    sim.run_for(SimDuration::from_secs(1));
+
+    assert_no_alloc("steady-state quanta after a mid-run admission", || {
+        sim.run_for(SimDuration::from_secs(1));
+    });
+    assert!(sim.system().heart_rate(late) > 0.0, "the late task ran");
+    assert!(
+        sim.metrics().migrations_intra >= 2000,
+        "every quantum migrated"
+    );
+}
+
 /// The linear substrate on a many-core chip: 32 cores (8 clusters × 4) with
 /// two tasks each and one migration per quantum, so every quantum buckets
 /// its runnable tasks into the step's CSR with a row that shrinks and grows
