@@ -28,7 +28,7 @@
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 
 use crate::export::{self, RowCache};
@@ -53,6 +53,10 @@ pub struct StreamStats {
     pub lost: u64,
     /// Flush windows sent to the writer thread.
     pub flushes: u64,
+    /// Flush windows whose send found the bounded channel full, so the
+    /// simulation thread blocked until the writer took one: the count of
+    /// back-pressure waits. Timing-dependent, unlike the other totals.
+    pub waits: u64,
 }
 
 /// How many windows may sit in the channel before `pump` blocks on the
@@ -191,7 +195,14 @@ impl TelemetryStream {
             window.cells.extend_from_slice(newer);
             // A send error means the writer thread died on an I/O error;
             // remember it and surface the underlying error in `finish`.
-            self.broken = tx.send(window).is_err();
+            self.broken = match tx.try_send(window) {
+                Ok(()) => false,
+                Err(TrySendError::Full(window)) => {
+                    self.stats.waits += 1;
+                    tx.send(window).is_err()
+                }
+                Err(TrySendError::Disconnected(_)) => true,
+            };
         }
         self.stats.rows += total - self.cursor;
         self.stats.flushes += 1;
@@ -365,6 +376,47 @@ mod tests {
         stream.pump(&rec);
         assert_eq!(stream.stats().flushes, 0);
         drop(stream);
+    }
+
+    /// A sink whose first write stalls for half a second.
+    struct StallingSink {
+        stalled: bool,
+    }
+
+    impl Write for StallingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.stalled {
+                self.stalled = true;
+                std::thread::sleep(std::time::Duration::from_millis(500));
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_writer_counts_back_pressure_waits() {
+        let mut rec = SeriesRecorder::new(16);
+        rec.ensure_shape(1, 1, 1);
+        let sink = StallingSink { stalled: false };
+        let mut stream = TelemetryStream::with_writer(sink, StreamFormat::Csv, 1);
+        for q in 0..10u64 {
+            rec.push_row(q * 1000).chip(1.0, f64::NAN, 40.0);
+            stream.pump(&rec);
+            if q < CHANNEL_DEPTH as u64 {
+                // The channel holds the first windows whatever the writer
+                // is doing.
+                assert_eq!(stream.stats().waits, 0);
+            }
+        }
+        // The stalled writer holds at most one window and the channel four,
+        // so some of the last five sends found it full.
+        assert!(stream.stats().waits > 0);
+        let stats = stream.finish(&rec).expect("writer ok");
+        assert_eq!((stats.rows, stats.flushes), (10, 10));
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! Weibull-distributed number of heartbeats of service, and report their
 //! sojourn time on completion. The [`SloMonitor`] parallels
 //! [`crate::heartbeat::HeartbeatWindows`]: it keeps a preallocated window
-//! of recent latencies and exposes the p99 the market prices against the
-//! SLO (the performance-based-pricing signal of Lučanin et al.).
+//! of recent latencies, sorted as it slides, and exposes the p99 the
+//! market prices against the SLO (the performance-based-pricing signal of
+//! Lučanin et al.).
 //!
 //! Everything here is preallocated at admission: steady-state operation —
-//! admit, shed, serve, refresh percentiles — never allocates.
+//! admit, shed, serve, slide the latency window — never allocates.
 
 use std::fmt;
 
@@ -131,19 +132,26 @@ impl RequestQueue {
 /// Sliding-window tail-latency monitor, the open-loop analogue of a
 /// task's heartbeat window ([`crate::heartbeat::HeartbeatWindows`]).
 ///
-/// Completion latencies land in a preallocated ring; percentiles are
-/// recomputed into a preallocated scratch buffer only when new completions
-/// arrived ([`SloMonitor::refresh`]), so reads are cheap and allocation-free.
+/// Completion latencies land in a preallocated FIFO ring, and the same
+/// samples are kept beside it in a preallocated ascending array: each
+/// completion binary-searches the evicted sample out of that array and
+/// inserts the new one at its place, so a percentile is an index into it
+/// and nothing allocates. Samples are ordered by [`f64::total_cmp`], under
+/// which two samples compare equal only when their bits are equal, so the
+/// array is bit for bit a full sort of the window.
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     slo: SimDuration,
+    /// FIFO ring of the samples, oldest at `head`; `sorted.len()` of its
+    /// slots are in the window.
     window: Vec<f64>,
     head: usize,
-    len: usize,
-    scratch: Vec<f64>,
-    cached_p99_s: f64,
-    cached_p50_s: f64,
-    dirty: bool,
+    /// The window's samples in ascending `total_cmp` order.
+    sorted: Vec<f64>,
+    /// The p99 of `sorted`, set by `record`. Every task's QoS check reads
+    /// it every quantum, and a load keeps that check small enough to
+    /// inline into the executor's step, closed-loop tasks included.
+    p99_s: f64,
     completed: u64,
 }
 
@@ -163,11 +171,8 @@ impl SloMonitor {
             slo,
             window: vec![0.0; window_cap],
             head: 0,
-            len: 0,
-            scratch: Vec::with_capacity(window_cap),
-            cached_p99_s: 0.0,
-            cached_p50_s: 0.0,
-            dirty: false,
+            sorted: Vec::with_capacity(window_cap),
+            p99_s: 0.0,
             completed: 0,
         }
     }
@@ -182,51 +187,44 @@ impl SloMonitor {
         self.completed
     }
 
-    /// Record one completion with sojourn time `latency`.
+    /// Record one completion with sojourn time `latency`, evicting the
+    /// oldest sample once the window is full: an O(log W) search and an
+    /// O(W) shift of the sorted samples, no allocation.
     pub fn record(&mut self, latency: SimDuration) {
+        let sample = latency.as_secs_f64();
         let cap = self.window.len();
-        if self.len == cap {
+        if self.sorted.len() == cap {
+            let old = self.window[self.head];
+            let at = self
+                .sorted
+                .binary_search_by(|s| s.total_cmp(&old))
+                .expect("every windowed sample is in the sorted array");
+            self.sorted.remove(at);
             self.head = (self.head + 1) % cap;
-            self.len -= 1;
         }
-        self.window[(self.head + self.len) % cap] = latency.as_secs_f64();
-        self.len += 1;
+        self.window[(self.head + self.sorted.len()) % cap] = sample;
+        let at = self
+            .sorted
+            .partition_point(|s| s.total_cmp(&sample).is_lt());
+        self.sorted.insert(at, sample);
+        self.p99_s = percentile(&self.sorted, 0.99);
         self.completed += 1;
-        self.dirty = true;
     }
 
-    /// Recompute the cached percentiles if new completions arrived since
-    /// the last refresh. Sorts into the preallocated scratch buffer — no
-    /// allocation in steady state.
-    pub fn refresh(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        self.scratch.clear();
-        let cap = self.window.len();
-        for i in 0..self.len {
-            self.scratch.push(self.window[(self.head + i) % cap]);
-        }
-        self.scratch.sort_unstable_by(f64::total_cmp);
-        self.cached_p99_s = percentile(&self.scratch, 0.99);
-        self.cached_p50_s = percentile(&self.scratch, 0.50);
-        self.dirty = false;
-    }
-
-    /// p99 latency (s) over the window, as of the last refresh.
+    /// p99 latency (s) over the window; 0 while it is empty.
     pub fn p99_secs(&self) -> f64 {
-        self.cached_p99_s
+        self.p99_s
     }
 
-    /// Median latency (s) over the window, as of the last refresh.
+    /// Median latency (s) over the window; 0 while it is empty.
     pub fn p50_secs(&self) -> f64 {
-        self.cached_p50_s
+        percentile(&self.sorted, 0.50)
     }
 
-    /// True when the refreshed p99 exceeds the SLO — the open-loop
+    /// True when the windowed p99 exceeds the SLO — the open-loop
     /// QoS-miss condition.
     pub fn misses_slo(&self) -> bool {
-        self.cached_p99_s > self.slo.as_secs_f64()
+        self.p99_s > self.slo.as_secs_f64()
     }
 }
 
@@ -235,7 +233,7 @@ impl fmt::Display for SloMonitor {
         write!(
             f,
             "p99 {:.1} ms / SLO {:.1} ms ({} done)",
-            self.cached_p99_s * 1e3,
+            self.p99_secs() * 1e3,
             self.slo.as_secs_f64() * 1e3,
             self.completed
         )
@@ -330,8 +328,8 @@ pub struct OpenLoopSnap {
 /// Live open-loop state of one task: arrival tape cursor, service-demand
 /// stream, bounded queue, and SLO monitor.
 ///
-/// Steady-state operation (admit/serve/refresh per quantum) is
-/// allocation-free; everything is sized at construction.
+/// Steady-state operation (admit/serve per quantum) is allocation-free;
+/// everything is sized at construction.
 #[derive(Debug, Clone)]
 pub struct OpenLoopState {
     spec: OpenLoopSpec,
@@ -432,7 +430,6 @@ impl OpenLoopState {
         if self.queue.is_empty() {
             self.queued_beats = 0.0;
         }
-        self.monitor.refresh();
         beats - left
     }
 
@@ -547,7 +544,6 @@ mod tests {
             m.record(SimDuration::from_millis(10));
         }
         m.record(SimDuration::from_millis(500));
-        m.refresh();
         assert!((m.p99_secs() - 0.5).abs() < 1e-12);
         assert!((m.p50_secs() - 0.01).abs() < 1e-12);
         assert!(m.misses_slo());
@@ -555,8 +551,7 @@ mod tests {
 
     #[test]
     fn slo_monitor_empty_window_reads_zero() {
-        let mut m = SloMonitor::new(SimDuration::from_millis(100), 8);
-        m.refresh();
+        let m = SloMonitor::new(SimDuration::from_millis(100), 8);
         assert_eq!(m.p50_secs(), 0.0);
         assert_eq!(m.p99_secs(), 0.0);
         assert!(!m.misses_slo(), "an empty window is not an SLO miss");
@@ -568,7 +563,6 @@ mod tests {
         // A single completion IS every percentile.
         let mut m = SloMonitor::new(SimDuration::from_millis(100), 8);
         m.record(SimDuration::from_millis(42));
-        m.refresh();
         assert!((m.p50_secs() - 0.042).abs() < 1e-12);
         assert!((m.p99_secs() - 0.042).abs() < 1e-12);
 
@@ -579,7 +573,6 @@ mod tests {
         for i in 1..=100u64 {
             m.record(SimDuration::from_millis(i));
         }
-        m.refresh();
         assert!((m.p50_secs() - 0.051).abs() < 1e-12);
         assert!((m.p99_secs() - 0.100).abs() < 1e-12);
     }
@@ -588,18 +581,16 @@ mod tests {
     fn slo_monitor_full_eviction_forgets_the_old_tail() {
         // Fill the window with slow completions, then push a full window
         // of fast ones: the slow tail must be completely evicted, so the
-        // refreshed p99 drops back under the SLO (guards the ring
-        // head/len arithmetic at the exact wrap boundary).
+        // p99 drops back under the SLO (guards the ring head/len
+        // arithmetic at the exact wrap boundary).
         let mut m = SloMonitor::new(SimDuration::from_millis(100), 64);
         for _ in 0..64 {
             m.record(SimDuration::from_millis(500));
         }
-        m.refresh();
         assert!(m.misses_slo());
         for _ in 0..64 {
             m.record(SimDuration::from_millis(1));
         }
-        m.refresh();
         assert!((m.p99_secs() - 0.001).abs() < 1e-12);
         assert!(!m.misses_slo());
         assert_eq!(m.completed(), 128, "eviction never uncounts completions");
@@ -633,7 +624,6 @@ mod tests {
             for &l in &lat {
                 m.record(SimDuration(l));
             }
-            m.refresh();
             prop_assert!(m.p50_secs() <= m.p99_secs());
             let windowed: Vec<f64> = lat
                 .iter()
@@ -643,6 +633,150 @@ mod tests {
                 .collect();
             prop_assert!(windowed.iter().any(|&s| (s - m.p99_secs()).abs() < 1e-15));
             prop_assert!(windowed.iter().any(|&s| (s - m.p50_secs()).abs() < 1e-15));
+        }
+    }
+
+    /// The monitor as it was before its window was kept sorted: every
+    /// refresh copied the ring into scratch and sorted it whole. Kept
+    /// verbatim as the oracle of the sorted sliding window.
+    mod reference {
+        use ppm_platform::units::SimDuration;
+
+        #[derive(Debug, Clone)]
+        pub struct SloMonitor {
+            slo: SimDuration,
+            window: Vec<f64>,
+            head: usize,
+            len: usize,
+            scratch: Vec<f64>,
+            cached_p99_s: f64,
+            cached_p50_s: f64,
+            dirty: bool,
+            completed: u64,
+        }
+
+        impl SloMonitor {
+            pub fn new(slo: SimDuration, window_cap: usize) -> SloMonitor {
+                assert!(!slo.is_zero(), "SLO must be positive");
+                assert!(window_cap > 0, "latency window must be positive");
+                SloMonitor {
+                    slo,
+                    window: vec![0.0; window_cap],
+                    head: 0,
+                    len: 0,
+                    scratch: Vec::with_capacity(window_cap),
+                    cached_p99_s: 0.0,
+                    cached_p50_s: 0.0,
+                    dirty: false,
+                    completed: 0,
+                }
+            }
+
+            pub fn completed(&self) -> u64 {
+                self.completed
+            }
+
+            pub fn record(&mut self, latency: SimDuration) {
+                let cap = self.window.len();
+                if self.len == cap {
+                    self.head = (self.head + 1) % cap;
+                    self.len -= 1;
+                }
+                self.window[(self.head + self.len) % cap] = latency.as_secs_f64();
+                self.len += 1;
+                self.completed += 1;
+                self.dirty = true;
+            }
+
+            pub fn refresh(&mut self) {
+                if !self.dirty {
+                    return;
+                }
+                self.scratch.clear();
+                let cap = self.window.len();
+                for i in 0..self.len {
+                    self.scratch.push(self.window[(self.head + i) % cap]);
+                }
+                self.scratch.sort_unstable_by(f64::total_cmp);
+                self.cached_p99_s = percentile(&self.scratch, 0.99);
+                self.cached_p50_s = percentile(&self.scratch, 0.50);
+                self.dirty = false;
+            }
+
+            pub fn p99_secs(&self) -> f64 {
+                self.cached_p99_s
+            }
+
+            pub fn p50_secs(&self) -> f64 {
+                self.cached_p50_s
+            }
+
+            pub fn misses_slo(&self) -> bool {
+                self.cached_p99_s > self.slo.as_secs_f64()
+            }
+        }
+
+        fn percentile(sorted: &[f64], q: f64) -> f64 {
+            if sorted.is_empty() {
+                return 0.0;
+            }
+            let rank = ((q * sorted.len() as f64).floor() as usize + 1).min(sorted.len());
+            sorted[rank - 1]
+        }
+    }
+
+    /// A latency stream for the reference proptest: mostly one of four
+    /// microsecond values, so equal samples are evicted and inserted all
+    /// the time, and one draw in ten spread up to 1 s, on either side of
+    /// the 0.5 s SLO the test sets.
+    fn clustered_latency() -> impl Strategy<Value = u64> {
+        (0_u64..10, 1_u64..=4, 1_u64..1_000_000)
+            .prop_map(|(pick, few, wide)| if pick == 0 { wide } else { few })
+    }
+
+    /// Window caps 1–300, with the generated families' 128 and the
+    /// default 512 drawn again on their own.
+    fn window_cap() -> impl Strategy<Value = usize> {
+        (0_usize..302).prop_map(|k| match k {
+            300 => 128,
+            301 => SloMonitor::DEFAULT_WINDOW,
+            k => k + 1,
+        })
+    }
+
+    proptest! {
+        /// The sorted sliding window reads exactly what sorting the whole
+        /// window reads: after every batch of 0–5 completions, p99, p50,
+        /// the SLO verdict and the completion count agree bit for bit,
+        /// through the fill, the first eviction and many wraps.
+        #[test]
+        fn sorted_window_matches_the_sorting_reference(
+            (cap, batches) in window_cap()
+                .prop_flat_map(|cap| (
+                    Just(cap),
+                    proptest::collection::vec(
+                        proptest::collection::vec(clustered_latency(), 0..=5),
+                        0..=cap * 8 / 5 + 1,
+                    ),
+                )),
+        ) {
+            let slo = SimDuration::from_millis(500);
+            let mut m = SloMonitor::new(slo, cap);
+            let mut r = reference::SloMonitor::new(slo, cap);
+            // Streams stop at four windows' worth of completions.
+            let mut left = 4 * cap;
+            for batch in &batches {
+                for &l in batch.iter().take(left) {
+                    m.record(SimDuration(l));
+                    r.record(SimDuration(l));
+                }
+                left -= batch.len().min(left);
+                r.refresh();
+                prop_assert_eq!(m.p99_secs().to_bits(), r.p99_secs().to_bits());
+                prop_assert_eq!(m.p50_secs().to_bits(), r.p50_secs().to_bits());
+                prop_assert_eq!(m.misses_slo(), r.misses_slo());
+                prop_assert_eq!(m.completed(), r.completed());
+            }
         }
     }
 

@@ -53,6 +53,9 @@ PROPTEST_SEED=1303 cargo test -q --release --test lbt_properties decide_move_mat
 echo ">>> heartbeat windows (the executor's time-major ring against per-task reference monitors, release, second pinned seed)"
 PROPTEST_SEED=1303 cargo test -q --release --test substrate_properties heartbeat_windows_match_the_reference_monitors
 
+echo ">>> sorted SLO window (the sliding sorted window against the copy-and-sort reference monitor, release, second pinned seed)"
+PROPTEST_SEED=1303 cargo test -q --release -p ppm-workload sorted_window_matches_the_sorting_reference
+
 echo ">>> render identity (the stream writer's cached rows against the reference renderer, release, second pinned seed)"
 PROPTEST_SEED=1303 cargo test -q --release -p ppm-obs cached_rows_match_the_reference_renderer
 

@@ -662,9 +662,10 @@ fn steady_state_quantum_with_aggregation_and_alerts_does_not_allocate() {
 }
 
 /// Open-loop request traffic in steady state is allocation-free too: the
-/// request ring, the SLO monitor's sample window and percentile scratch,
-/// and the arrival/service samplers are all sized at admission, so quanta
-/// that admit, serve, shed, and re-measure p99 never touch the allocator.
+/// request ring, the SLO monitor's sample ring and sorted window, and the
+/// arrival/service samplers are all sized at admission, so quanta that
+/// admit, serve, shed, and slide the latency window never touch the
+/// allocator.
 #[test]
 fn steady_state_openloop_quantum_does_not_allocate() {
     use ppm::platform::chip::Chip;
@@ -680,9 +681,11 @@ fn steady_state_openloop_quantum_does_not_allocate() {
     }
     let mut sim = Simulation::new(sys, TogglingManager { flip: false });
 
-    // Warm-up: request rings fill, the monitor window and its percentile
-    // scratch reach steady length, the pressure path runs end to end.
-    sim.run_for(SimDuration::from_secs(2));
+    // Warm-up: request rings fill, the pressure path runs end to end, and
+    // at ~25 completions/s per task a 128-sample monitor window fills and
+    // starts evicting after ~5 s.
+    sim.run_for(SimDuration::from_secs(8));
+    assert_some_monitor_evicts(sim.system());
 
     assert_no_alloc("steady-state open-loop quanta", || {
         sim.run_for(SimDuration::from_secs(1));
@@ -696,6 +699,18 @@ fn steady_state_openloop_quantum_does_not_allocate() {
         .filter(|o| o.p99_ms > 0.0)
         .count();
     assert!(measured > 0, "no task measured a p99 — nothing was served");
+}
+
+/// Assert that at least one open-loop task has completed more requests
+/// than its SLO monitor's window holds, so the measured quanta evict from
+/// a full sorted window rather than only filling it.
+fn assert_some_monitor_evicts(s: &ppm::sched::System) {
+    let evicting = s.task_ids().iter().any(|&t| {
+        s.task(t)
+            .open_loop()
+            .is_some_and(|o| o.monitor().completed() > o.spec().window as u64)
+    });
+    assert!(evicting, "no SLO monitor window is full after the warm-up");
 }
 
 /// The sink of the stream proofs: it drops the bytes and, at every write
@@ -839,6 +854,7 @@ fn serve_ol2_obs_configuration_does_not_allocate_on_either_thread() {
     // regime.
     sim.run_for(SimDuration::from_secs(5));
     assert!(sim.telemetry().expect("attached").recorder.dropped() > 0);
+    assert_some_monitor_evicts(sim.system());
 
     let stats = assert_stream_steady("serve_ol2_obs configuration", &mut sim, &probe);
     assert!(stats.rows >= 6000, "every quantum streamed");
