@@ -55,7 +55,8 @@ pub struct StreamStats {
     pub flushes: u64,
     /// Flush windows whose send found the bounded channel full, so the
     /// simulation thread blocked until the writer took one: the count of
-    /// back-pressure waits. Timing-dependent, unlike the other totals.
+    /// back-pressure waits. Timing-dependent, unlike the other totals;
+    /// `ppm-sim --stream` reports it on stderr.
     pub waits: u64,
 }
 

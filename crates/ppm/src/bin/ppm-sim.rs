@@ -683,6 +683,12 @@ fn finish_streams<M: PowerManager>(fleet: &mut Fleet<M>, o: &Common) -> Result<(
                 stats.flushes,
                 stats.lost
             );
+            // Back-pressure waits depend on timing, so they go to stderr
+            // and stdout stays byte-identical across runs.
+            eprintln!(
+                "{head}: {} of {} flushes waited on the writer",
+                stats.waits, stats.flushes
+            );
         }
     }
     Ok(())
